@@ -6,12 +6,13 @@ metadata).  From it we estimate the joint mean vector and covariance matrix,
 and for any bank ``i`` build the :class:`~gaussrisk.measures.GaussianPair`
 against ``a`` = the plain sum of all the other banks.
 
-CSV contract (see :func:`load_panel`): UTF-8 text, first row a header of
-unique bank labels, optionally led by a ``date`` column (detected by its
-header, case-insensitive) which is skipped; every other cell must parse as a
-finite decimal float; at least three data rows.  Missing or non-finite data
-is rejected outright -- imputation is a supervisory choice this package does
-not make.
+CSV contract (see :func:`load_panel`): UTF-8 text (a leading byte-order mark
+is dropped), first row a header of unique bank labels, optionally led by a
+``date`` column (detected by its header, case-insensitive) which is skipped;
+every other cell must parse as a finite decimal float written in ASCII
+without digit-group underscores; at least three data rows.  Missing or
+non-finite data is rejected outright -- imputation is a supervisory choice
+this package does not make.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .errors import (
 from .measures import GaussianPair
 
 _MIN_ROWS = 3  # fewer rows cannot support an unbiased covariance estimate
+
+# pair_for_bank gets var_a as a difference of totals, which loses about
+# (sum of the magnitudes of its terms) / var_a ulps.  Above this ratio it sums
+# the other banks' covariance block directly instead.
+_CANCELLATION_LIMIT = 1e3
 
 PanelSource = Union[str, Path, IO[str]]
 
@@ -115,6 +121,9 @@ class MomentEstimate:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "means", _freeze(means))
         object.__setattr__(self, "covariance", _freeze(cov))
+        # 1'.cov.1, the variance of the whole system: pair_for_bank gets each
+        # bank's rest-of-system variance from it without an (n-1)^2 sum.
+        object.__setattr__(self, "_total", float(cov.sum()))
 
     def index_of(self, bank: str) -> int:
         try:
@@ -124,15 +133,16 @@ class MomentEstimate:
 
 
 def _parse_cell(text: str, row: int, label: str) -> float:
+    """``float(text)`` (which ignores surrounding whitespace), finite or rejected."""
     try:
         value = float(text)
     except ValueError:
         raise PanelFormatError(
-            f"non-numeric cell {text!r} at row {row}, column {label!r}"
+            f"non-numeric cell {text.strip()!r} at row {row}, column {label!r}"
         ) from None
     if not math.isfinite(value):
         raise PanelFormatError(
-            f"non-finite cell {text!r} at row {row}, column {label!r}"
+            f"non-finite cell {text.strip()!r} at row {row}, column {label!r}"
         )
     return value
 
@@ -144,19 +154,20 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
     ----------
     source : path or open text stream
         First row is the header of bank labels.  A leading ``date`` column
-        (header compared case-insensitively) is skipped.
+        (header compared case-insensitively) is skipped.  A UTF-8
+        byte-order mark before the header is dropped.
     frequency : str
         Free-text metadata recorded on the panel, e.g. ``"weekly"``.
 
     Raises
     ------
     PanelFormatError
-        On ragged rows, non-numeric or non-finite cells, duplicate or empty
-        labels, or fewer than three data rows; messages name the offending
-        row and column.
+        On ragged rows, non-numeric or non-finite cells (including Python-only
+        float syntax such as ``1_0``), duplicate or empty labels, or fewer
+        than three data rows; messages name the offending row and column.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return load_panel(handle, frequency=frequency)
 
     reader = csv.reader(source)
@@ -164,6 +175,8 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
         header = next(reader)
     except StopIteration:
         raise PanelFormatError("empty input: no header row") from None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")  # byte-order mark of a stream
     header = [cell.strip() for cell in header]
     skip_first = bool(header) and header[0].lower() == "date"
     labels = header[1:] if skip_first else header
@@ -184,9 +197,18 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
                 f"ragged row {line_no}: expected {len(header)} cells, got {len(row)}"
             )
         cells = row[1:] if skip_first else row
-        rows.append(
-            [_parse_cell(cell.strip(), line_no, label) for cell, label in zip(cells, labels)]
-        )
+        # float() also reads digit-group underscores and non-ASCII digits, which
+        # a panel cell may not hold; one test per row keeps the parse cheap.
+        joined = "".join(cells)
+        if "_" in joined or not joined.isascii():
+            cell, label = next(
+                (cell, label) for cell, label in zip(cells, labels)
+                if "_" in cell or not cell.isascii()
+            )
+            raise PanelFormatError(
+                f"non-numeric cell {cell.strip()!r} at row {line_no}, column {label!r}"
+            )
+        rows.append([_parse_cell(cell, line_no, label) for cell, label in zip(cells, labels)])
     if len(rows) < _MIN_ROWS:
         raise PanelFormatError(f"need at least {_MIN_ROWS} data rows, got {len(rows)}")
     return ReturnPanel(labels=tuple(labels), observations=np.array(rows), frequency=frequency)
@@ -224,6 +246,11 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     other means, ``var_a`` the full quadratic form of the other rows and
     columns, ``cov_ia`` the sum of the bank's covariances with each other
     bank.
+
+    ``var_a`` is ``1'.cov.1 - 2 cov_ia - var_i`` with the total cached on
+    ``est``, so a panel of n banks costs O(n^2) after the covariance, not
+    O(n^3).  That difference cancels when the bank carries most of the system
+    variance; then ``var_a`` is summed over the other banks' block instead.
     """
     idx = est.index_of(bank)
     n = len(est.labels)
@@ -239,6 +266,8 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     others[idx] = False
     mu_i = float(est.means[idx])
     mu_a = float(est.means[others].sum())
-    cov_ia = float(cov[idx, others].sum())
-    var_a = float(cov[np.ix_(others, others)].sum())
+    cov_ia = float(cov[idx][others].sum())
+    var_a = est._total - 2.0 * cov_ia - var_i
+    if abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a:
+        var_a = float(cov[np.ix_(others, others)].sum())
     return GaussianPair(mu_i=mu_i, mu_a=mu_a, var_i=var_i, var_a=var_a, cov_ia=cov_ia)

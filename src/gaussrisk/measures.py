@@ -85,7 +85,8 @@ class GaussianPair:
     @property
     def rho(self) -> float:
         """Correlation between the bank and the rest of the system, in [-1, 1]."""
-        raw = self.cov_ia / math.sqrt(self.var_i * self.var_a)
+        # sd times sd, not sqrt(var * var): the product of two tiny variances underflows to 0
+        raw = self.cov_ia / (self.std_i * self.std_a)
         return max(-1.0, min(1.0, raw))
 
     @property

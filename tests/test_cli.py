@@ -97,6 +97,13 @@ class TestAnalyzeModel:
         # identity holds on the 6-significant-digit table values up to their rounding
         assert abs(d_cond - (d_coll + var_mean)) <= 5e-6 * (abs(d_cond) + abs(d_coll) + abs(var_mean))
 
+    def test_tiny_variances_give_finite_rho(self, capsys):
+        # var_i * var_a underflows to 0; rho must not divide by it
+        code, out, err = run(capsys, ["analyze", "--model", "0,0,1e-300,1e-300,0", "--format", "json"])
+        assert code == 0, err
+        rho = json.loads(out)["reports"][0]["statistics"]["rho"]
+        assert rho == 0.0
+
     @pytest.mark.parametrize(
         "model", ["1,2,3", "a,b,c,d,e", "0,0,0,1,0", "0,0,1,1,5"]
     )
@@ -154,7 +161,8 @@ class TestAnalyzePanel:
         assert by_bank["B"]["available"] is False
         assert "variance" in by_bank["B"]["reason"]
         assert by_bank["A"]["available"] is True
-        assert "warning" in err
+        # one warning line for the bank, not one from estimation and one for the skip
+        assert err.splitlines() == ["warning: bank 'B' skipped: bank 'B' has zero sample variance"]
 
     def test_degenerate_rest_of_system_marked(self, capsys, tmp_path):
         # B and C hedge each other exactly, so bank A faces a zero-variance

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussrisk.errors import (
     DegenerateBankError,
@@ -11,6 +12,7 @@ from gaussrisk.errors import (
     UnknownBankError,
 )
 from gaussrisk.estimation import (
+    _CANCELLATION_LIMIT,
     MomentEstimate,
     ReturnPanel,
     estimate_moments,
@@ -79,6 +81,27 @@ class TestLoadPanel:
     def test_frequency_metadata_recorded(self):
         panel = load_panel(io.StringIO("A,B\n1,2\n3,4\n5,6\n"), frequency="weekly")
         assert panel.frequency == "weekly"
+
+    def test_byte_order_mark_dropped_from_stream(self):
+        panel = panel_from_csv("\ufeffdate,A,B\nd1,1,2\nd2,3,4\nd3,5,6\n")
+        assert panel.labels == ("A", "B")
+
+    def test_byte_order_mark_dropped_from_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("date,A,B\nd1,1,2\nd2,3,4\nd3,5,6\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        panel = load_panel(path)
+        assert panel.labels == ("A", "B")
+        assert panel.observations[0, 0] == 1.0
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])  # underscore, Arabic-Indic digits
+    def test_python_only_float_syntax_rejected(self, cell):
+        with pytest.raises(PanelFormatError, match=r"row 2.*'A'"):
+            panel_from_csv(f"A,B\n{cell},2\n3,4\n5,6\n")
+
+    def test_underscore_in_date_column_accepted(self):
+        panel = panel_from_csv("date,A,B\nt_1,1,2\nt_2,3,4\nt_3,5,6\n")
+        assert panel.observations[0, 0] == 1.0
 
     def test_observations_frozen(self):
         panel = panel_from_csv("A,B\n1,2\n3,4\n5,6\n")
@@ -212,3 +235,86 @@ class TestPairForBank:
         mu_s = float(est.means.sum())
         var_s = float(est.covariance.sum())
         assert abs(total - var_normal(mu_s, var_s, params)) < 1e-9
+
+
+def oracle_pair(est: MomentEstimate, i: int) -> dict:
+    """The pair's moments as exactly rounded sums of the explicit entries."""
+    others = [j for j in range(len(est.labels)) if j != i]
+    cov = est.covariance
+    return {
+        "mu_i": float(est.means[i]),
+        "mu_a": math.fsum(est.means[j] for j in others),
+        "var_i": float(cov[i, i]),
+        "var_a": math.fsum(cov[j, k] for j in others for k in others),
+        "cov_ia": math.fsum(cov[i, j] for j in others),
+    }
+
+
+def assert_matches_oracle(pair: GaussianPair, want: dict) -> None:
+    for field, expected in want.items():
+        got = getattr(pair, field)
+        assert abs(got - expected) <= 1e-12 * abs(expected), f"{field}: {got!r} vs {expected!r}"
+
+
+def scaled_estimate(corr: np.ndarray, sds: np.ndarray, mean_z: np.ndarray) -> MomentEstimate:
+    cov = corr * np.outer(sds, sds)
+    labels = tuple(f"B{j}" for j in range(len(sds)))
+    return MomentEstimate(labels, mean_z * sds, 0.5 * (cov + cov.T), 100)
+
+
+@st.composite
+def positive_moment_estimates(draw):
+    """PSD covariances with nonnegative correlations and sds over 1e-6..1e6.
+
+    Every sum over the matrix's entries is then free of sign cancellation, so
+    an exactly rounded oracle pins each pair field to a few ulps; the one
+    cancellation left is the one pair_for_bank's own rewrite introduces.
+    """
+    n = draw(st.integers(2, 12))
+    factors = draw(st.integers(1, 3))
+    loadings = draw(st.lists(st.floats(0.05, 1.0), min_size=n * factors, max_size=n * factors))
+    idiosyncratic = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    log_sds = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
+    mean_z = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    a = np.array(loadings).reshape(n, factors)
+    gram = a @ a.T + np.diag(idiosyncratic)
+    scale = np.sqrt(np.diag(gram))
+    return scaled_estimate(gram / np.outer(scale, scale), 10.0 ** np.array(log_sds), np.array(mean_z))
+
+
+class TestPairForBankAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(positive_moment_estimates())
+    def test_every_field_matches_exact_sums(self, est):
+        for i, bank in enumerate(est.labels):
+            assert_matches_oracle(pair_for_bank(est, bank), oracle_pair(est, i))
+
+    # The first bank's sd is `ratio` times the others'.  From 1e2 up, its
+    # cancellation ratio passes the limit and var_a comes from the other
+    # banks' block; from 1e4 up, 1'.cov.1 - 2 cov_ia - var_i alone misses the
+    # exact var_a by more than 1e-12 (by 6 % at 1e8, by a factor of 1e7 at 1e12).
+    @pytest.mark.parametrize(
+        "ratio, guarded", [(1.0, False), (1e1, False), (1e2, True), (1e4, True), (1e8, True), (1e12, True)]
+    )
+    def test_dominant_bank(self, ratio, guarded):
+        corr = np.array(
+            [
+                [1.00, 0.45, 0.30, 0.20],
+                [0.45, 1.00, 0.35, 0.25],
+                [0.30, 0.35, 1.00, 0.40],
+                [0.20, 0.25, 0.40, 1.00],
+            ]
+        )
+        sds = np.array([ratio, 1.0, 1.5, 2.0]) * 0.01
+        est = scaled_estimate(corr, sds, np.array([0.1, -0.05, 0.15, 0.02]))
+        want = oracle_pair(est, 0)
+        cov = est.covariance
+        total = float(cov.sum())
+        cancellation = (abs(total) + 2.0 * abs(want["cov_ia"]) + want["var_i"]) / want["var_a"]
+        assert (cancellation > _CANCELLATION_LIMIT) == guarded
+        pair = pair_for_bank(est, "B0")
+        assert pair.var_a > 0.0
+        assert_matches_oracle(pair, want)
+        if ratio >= 1e4:
+            difference = total - 2.0 * want["cov_ia"] - want["var_i"]
+            assert abs(difference - want["var_a"]) > 1e-12 * want["var_a"]
