@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import warnings
 from typing import Optional
@@ -42,8 +41,6 @@ _TABLE_HEADERS = (
     "dCollVaR", "dCollES", "dCondVaR", "dContrVaR",
     "VaRContrib", "beta_Ai", "beta_Si", "beta_iS", "rho",
 )
-
-_BIAS_ENV = "GAUSSRISK_VALIDATE_BIAS"  # fault-injection hook for failure-path tests
 
 
 def _fmt(value: Optional[float], digits: int) -> str:
@@ -198,10 +195,8 @@ def _cmd_validate(args) -> int:
     config = McConfig(
         sample_count=args.samples, bandwidth=args.bandwidth, seed=args.seed, alpha=args.alpha
     )
-    bias = float(os.environ.get(_BIAS_ENV, "0.0") or 0.0)
     labeled_reports = [
-        (bank, validate_closed_forms(pair, config, _closed_form_bias=bias))
-        for bank, pair in _gather_pairs(args)
+        (bank, validate_closed_forms(pair, config)) for bank, pair in _gather_pairs(args)
     ]
     if args.format == "json":
         payload = {

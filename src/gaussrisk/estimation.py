@@ -18,11 +18,12 @@ this package does not make.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
@@ -43,12 +44,24 @@ _MIN_ROWS = 3  # fewer rows cannot support an unbiased covariance estimate
 # the other banks' covariance block directly instead.
 _CANCELLATION_LIMIT = 1e3
 
+# Characters of panel text that the fast parse checks at a time.
+_CHUNK_CHARS = 1 << 16
+
 PanelSource = Union[str, Path, IO[str]]
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
+def _freeze(array: np.ndarray, argument: object) -> np.ndarray:
+    """``array``, converted from the caller's ``argument``, as a read-only float array.
+
+    A read-only array is kept as it is.  A writeable one is copied first when
+    it is the caller's own memory, so that the caller's array stays writeable
+    and later writes to it cannot reach the frozen copy.
+    """
     array = np.ascontiguousarray(array, dtype=float)
-    array.flags.writeable = False
+    if array.flags.writeable:
+        if array is argument or array.base is not None:
+            array = array.copy()
+        array.flags.writeable = False
     return array
 
 
@@ -82,7 +95,7 @@ class ReturnPanel:
                 f"column {self.labels[bad[1]]!r}"
             )
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "observations", _freeze(obs))
+        object.__setattr__(self, "observations", _freeze(obs, self.observations))
 
     @property
     def sample_size(self) -> int:
@@ -119,8 +132,8 @@ class MomentEstimate:
                 f"(min eigenvalue {min_eig!r}, trace {trace!r})"
             )
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "means", _freeze(means))
-        object.__setattr__(self, "covariance", _freeze(cov))
+        object.__setattr__(self, "means", _freeze(means, self.means))
+        object.__setattr__(self, "covariance", _freeze(cov, self.covariance))
         # 1'.cov.1, the variance of the whole system: pair_for_bank gets each
         # bank's rest-of-system variance from it without an (n-1)^2 sum.
         object.__setattr__(self, "_total", float(cov.sum()))
@@ -155,7 +168,8 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
     source : path or open text stream
         First row is the header of bank labels.  A leading ``date`` column
         (header compared case-insensitively) is skipped.  A UTF-8
-        byte-order mark before the header is dropped.
+        byte-order mark before the header is dropped.  A stream that cannot
+        tell its position, such as piped stdin, is read into memory first.
     frequency : str
         Free-text metadata recorded on the panel, e.g. ``"weekly"``.
 
@@ -165,12 +179,34 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
         On ragged rows, non-numeric or non-finite cells (including Python-only
         float syntax such as ``1_0``), duplicate or empty labels, or fewer
         than three data rows; messages name the offending row and column.
+
+    Notes
+    -----
+    A plain body (see :func:`_parse_plain`) is parsed by one ``np.loadtxt``
+    pass.  Any other body, and any body that pass rejects, is read again
+    from the start by :func:`_parse_exact`, which alone decides what is
+    accepted and words every error.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return load_panel(handle, frequency=frequency)
 
-    reader = csv.reader(source)
+    try:
+        start = source.tell()
+    except OSError:  # a pipe, or a file already read with next(): keep what is left
+        source = io.StringIO(source.read())
+        start = 0
+    width, skip_first, labels = _read_header(csv.reader(source))
+    observations = _parse_plain(source, width, skip_first)
+    if observations is None:
+        source.seek(start)
+        labels, observations = _parse_exact(source)
+    observations.flags.writeable = False  # fresh: ReturnPanel need not copy it
+    return ReturnPanel(labels=labels, observations=observations, frequency=frequency)
+
+
+def _read_header(reader: Iterator[list[str]]) -> tuple[int, bool, tuple[str, ...]]:
+    """Cell count of the header row, whether it leads with ``date``, and the bank labels."""
     try:
         header = next(reader)
     except StopIteration:
@@ -187,14 +223,80 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
     duplicates = {label for label in labels if labels.count(label) > 1}
     if duplicates:
         raise PanelFormatError(f"duplicate bank labels: {sorted(duplicates)}")
+    return len(header), skip_first, tuple(labels)
 
+
+def _parse_plain(source: IO[str], width: int, skip_first: bool) -> Optional[np.ndarray]:
+    """The rest of ``source`` as a T x n array in one ``np.loadtxt`` pass, or None.
+
+    ``np.loadtxt`` reads the lines through a guard that checks them a chunk
+    at a time and raises ValueError at a chunk that is not plain: one that
+    holds a non-ASCII character, a ``"``, NUL or U+001C..U+001F (which
+    ``np.loadtxt`` strips around a number and ``float()`` does not), a line
+    longer than the csv field limit, or other than ``width - 1`` commas per
+    non-empty line.  In such a body ``csv`` splits every line at its commas
+    alone, and ``np.loadtxt`` reads each cell to the same double as
+    ``float()`` or rejects it.  ``np.loadtxt`` also rejects a ``\\r`` inside
+    a line and a line with fewer cells than the header; as every counted line
+    must give one row, no line has more.
+
+    None means the body is not plain, holds a cell that is not a finite
+    number, or has fewer than three rows: the exact loop must decide and word
+    the error.
+    """
+    commas = width - 1
+    limit = csv.field_size_limit()
+    data_lines = 0
+
+    def plain_lines() -> Iterator[str]:
+        nonlocal data_lines
+        while lines := source.readlines(_CHUNK_CHARS):
+            chunk = "".join(lines)
+            count = len(lines) - lines.count("\n") - lines.count("\r\n")
+            if (
+                not chunk.isascii() or '"' in chunk
+                or any(char in chunk for char in "\x00\x1c\x1d\x1e\x1f")
+                or chunk.count(",") != commas * count
+                or (len(chunk) > limit and max(map(len, lines)) > limit)
+            ):
+                raise ValueError("not a plain body")
+            data_lines += count
+            yield from lines
+
+    try:
+        with warnings.catch_warnings():
+            # a header-only body: the exact loop reports it as too few rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            observations = np.loadtxt(
+                plain_lines(),
+                delimiter=",",
+                comments=None,
+                usecols=range(1, width) if skip_first else None,
+                ndmin=2,
+            )
+    except ValueError:
+        return None
+    rows = observations.shape[0]
+    if rows != data_lines or rows < _MIN_ROWS or not np.isfinite(observations).all():
+        return None
+    return observations
+
+
+def _parse_exact(source: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and observations of a panel by one ``csv`` row and one ``float()`` per cell.
+
+    The reference parse: it defines which panels are accepted and the
+    message of every :class:`PanelFormatError`.
+    """
+    reader = csv.reader(source)
+    width, skip_first, labels = _read_header(reader)
     rows: list[list[float]] = []
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # ignore blank lines
-        if len(row) != len(header):
+        if len(row) != width:
             raise PanelFormatError(
-                f"ragged row {line_no}: expected {len(header)} cells, got {len(row)}"
+                f"ragged row {line_no}: expected {width} cells, got {len(row)}"
             )
         cells = row[1:] if skip_first else row
         # float() also reads digit-group underscores and non-ASCII digits, which
@@ -211,7 +313,7 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
         rows.append([_parse_cell(cell, line_no, label) for cell, label in zip(cells, labels)])
     if len(rows) < _MIN_ROWS:
         raise PanelFormatError(f"need at least {_MIN_ROWS} data rows, got {len(rows)}")
-    return ReturnPanel(labels=tuple(labels), observations=np.array(rows), frequency=frequency)
+    return labels, np.array(rows)
 
 
 def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
@@ -230,6 +332,8 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
         warnings.warn(
             f"bank {label!r} has zero sample variance", DegenerateSeriesWarning, stacklevel=2
         )
+    means.flags.writeable = False  # fresh: MomentEstimate need not copy them
+    cov.flags.writeable = False
     return MomentEstimate(
         labels=panel.labels,
         means=means,

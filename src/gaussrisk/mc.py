@@ -283,9 +283,7 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float:
     return float((x_centered * y).sum() / (x_centered * x_centered).sum())
 
 
-def validate_closed_forms(
-    pair: GaussianPair, config: McConfig, _closed_form_bias: float = 0.0
-) -> ValidationReport:
+def validate_closed_forms(pair: GaussianPair, config: McConfig) -> ValidationReport:
     """Compare every closed-form statistic against an independent simulation.
 
     Covered statistics: VaR of the bank, the stressed and unstressed
@@ -293,10 +291,6 @@ def validate_closed_forms(
     unstressed differences, the ES spillover, and the Euler VaR
     contribution.  A statistic whose band or tail is too thin at this sample
     count is reported as skipped, not failed.
-
-    ``_closed_form_bias`` is a fault-injection hook for exercising the
-    failure path in tests; it is added to every closed-form value before
-    comparison and must stay 0 in real use.
     """
     params = RiskParams(config.alpha)
     view = to_system_view(pair)
@@ -387,7 +381,6 @@ def validate_closed_forms(
 
     checks = []
     for name, closed, target_std, compute in plan:
-        closed += _closed_form_bias
         try:
             empirical, se, n_effective = compute()
         except (ThinBandError, ThinTailError) as exc:

@@ -11,6 +11,7 @@ import math
 
 from hypothesis import strategies as st
 
+import gaussrisk.mc
 from gaussrisk.measures import GaussianPair, to_system_view
 from gaussrisk.normal import std_normal_cdf
 
@@ -54,3 +55,19 @@ def gaussian_pairs(draw, min_abs_rho: float = 0.0, max_abs_rho: float = 0.95):
 
 
 alphas = st.floats(min_value=0.55, max_value=0.9995)
+
+
+# Every closed form that validate_closed_forms compares with its simulation.
+_VALIDATED_CLOSED_FORMS = (
+    "var_normal", "covar_collateral", "covar_at_mean", "delta_coll_var",
+    "delta_coll_es", "delta_cond_var", "delta_contr_var", "var_contribution",
+)
+
+
+def bias_validated_closed_forms(monkeypatch, bias: float) -> None:
+    """Add ``bias`` to every closed form the Monte Carlo oracle checks: a fault to catch."""
+    for name in _VALIDATED_CLOSED_FORMS:
+        closed_form = getattr(gaussrisk.mc, name)
+        monkeypatch.setattr(
+            gaussrisk.mc, name, lambda *args, _f=closed_form: _f(*args) + bias
+        )

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from gaussrisk.cli import main
 from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import RiskParams
+
+from helpers import bias_validated_closed_forms
 
 
 @pytest.fixture
@@ -134,8 +137,16 @@ class TestAnalyzePanel:
         assert code == 2
         assert "Z" in err
 
+    def test_header_only_panel_gives_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("date,A,B\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least 3 data rows, got 0\n"
+
     def test_stdin_input(self, capsys, panel_path, monkeypatch):
-        text = open(panel_path, encoding="utf-8").read()
+        text = Path(panel_path).read_text(encoding="utf-8")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, _ = run(capsys, ["analyze", "--input", "-", "--format", "csv"])
         assert code == 0
@@ -225,7 +236,7 @@ class TestValidateCommand:
         assert "skipped" in out
 
     def test_fault_injection_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUSSRISK_VALIDATE_BIAS", "0.5")
+        bias_validated_closed_forms(monkeypatch, 0.5)
         code, out, _ = run(capsys, self.ARGS)
         assert code == 1
         assert "FAIL" in out

@@ -1,5 +1,8 @@
+import csv
 import io
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from gaussrisk.errors import (
     PanelFormatError,
     UnknownBankError,
 )
+import gaussrisk.estimation
 from gaussrisk.estimation import (
     _CANCELLATION_LIMIT,
     MomentEstimate,
     ReturnPanel,
+    _parse_exact,
     estimate_moments,
     load_panel,
     pair_for_bank,
@@ -108,6 +113,135 @@ class TestLoadPanel:
         with pytest.raises(ValueError):
             panel.observations[0, 0] = 99.0
 
+    def test_caller_array_left_writeable(self):
+        obs = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+        panel = ReturnPanel(("A", "B"), obs)
+        assert obs.flags.writeable
+        obs[0, 0] = 99.0
+        assert panel.observations[0, 0] == 1.0
+        assert not panel.observations.flags.writeable
+
+    @pytest.mark.parametrize("date", ["", "d,"])
+    def test_extra_trailing_cell_rejected_as_ragged(self, date):
+        header = "date,A,B" if date else "A,B"
+        width = 3 if date else 2
+        with pytest.raises(
+            PanelFormatError, match=f"^ragged row 3: expected {width} cells, got {width + 1}$"
+        ):
+            panel_from_csv(f"{header}\n{date}1,2\n{date}3,4,\n{date}5,6\n")
+
+    # np.loadtxt strips both around a number; a panel cell may hold neither
+    @pytest.mark.parametrize("space", ["\u00a0", "\x1c"])  # no-break space, file separator
+    def test_unicode_space_around_number_rejected(self, space):
+        with pytest.raises(PanelFormatError, match=r"^non-numeric cell .* at row 3, column 'B'$"):
+            panel_from_csv(f"A,B\n1,2\n3,{space}4{space}\n5,6\n")
+
+    def test_quoted_numeric_cell_accepted(self):
+        panel = panel_from_csv('A,B\n"1.5",2\n3,"4"\n5,6\n')
+        assert panel.observations.tolist() == [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_quote_opening_a_date_cell_joins_lines(self):
+        panel = panel_from_csv('date,A,B\n"d1,1,2\nd2",3,4\nd3,5,6\nd4,7,8\n')
+        assert panel.observations.tolist() == [[3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+
+    def test_lone_carriage_return_ends_a_line_of_a_file(self, tmp_path):
+        # csv reads "\r" as an empty line; the row before it is still ragged
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"date,A,B\nd1,1,2\nd2,3,4,9,9\n\rd3,5,6\nd4,7,8\n")
+        with pytest.raises(PanelFormatError, match="^ragged row 3: expected 3 cells, got 5$"):
+            load_panel(path)
+
+    def test_byte_order_mark_file_with_quoted_cell(self, tmp_path):
+        # the quote sends the parse back to the start of the file, past the mark again
+        path = tmp_path / "bom.csv"
+        path.write_text('date,A,B\nd1,1,2\nd2,"3",4\nd3,5,6\n', encoding="utf-8-sig")
+        panel = load_panel(path)
+        assert panel.labels == ("A", "B")
+        assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    @pytest.mark.parametrize("body", ["1,2\n3,4\n5,6\n", '1,2\n"3",4\n5,6\n'])
+    def test_non_seekable_stream(self, body):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w", encoding="utf-8") as writer:
+            writer.write("A,B\n" + body)
+        with os.fdopen(read_end, "r", encoding="utf-8") as reader:
+            assert not reader.seekable()
+            panel = load_panel(reader)
+        assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_file_already_read_with_next(self, tmp_path):
+        path = tmp_path / "preamble.csv"
+        path.write_text("# preamble\nA,B\n1,2\n3,4\n5,6\n")
+        with open(path, encoding="utf-8") as handle:
+            next(handle)
+            panel = load_panel(handle)
+        assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_header_only_panel_rejected_without_other_warnings(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PanelFormatError, match="^need at least 3 data rows, got 0$"):
+                panel_from_csv("date,A,B\n")
+        assert caught == []
+
+    def test_plain_body_parsed_without_the_exact_loop(self, monkeypatch):
+        def refuse(source):
+            raise AssertionError("plain body sent to the exact loop")
+
+        monkeypatch.setattr(gaussrisk.estimation, "_parse_exact", refuse)
+        panel = panel_from_csv("date,A,B\nd1,1,2\r\n\nd2, 3 ,4e0\nd3,-5.,+.6\n")
+        assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [-5.0, 0.6]]
+
+
+# Decimal cells that float() and np.loadtxt both read, and characters on
+# which the two parsers (or csv) may disagree.
+_PLAIN_CELLS = ["1.5", "-2", "0.25", "1e-3", "+3.", ".5", "7", " 4 ", "-0.0"]
+_TRICKY_TEXT = [
+    "_", "\u00a0", "\u0663", '"', "#", "\r", "\x0c", "\x1c", "\t", "nan", "inf", "1e999",
+    ",", " ", "\n", "\n\n", "\n  \n", "\n\x0c\n", "\r\n",
+]
+
+
+@st.composite
+def tricky_panel_texts(draw):
+    """A well-formed panel with up to three tricky strings inserted anywhere in its text."""
+    n = draw(st.integers(1, 3))
+    dated = draw(st.booleans())
+    header = (["date"] if dated else []) + [f"B{j}" for j in range(n)]
+    cells = st.one_of(
+        st.sampled_from(_PLAIN_CELLS),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=3, max_size=6))
+    lines = [",".join(header)] + [
+        ",".join(([f"d{t}"] if dated else []) + row) for t, row in enumerate(rows)
+    ]
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    places = draw(st.randoms(use_true_random=False))  # uniform, unlike drawn integers
+    for tricky in draw(st.lists(st.sampled_from(_TRICKY_TEXT), max_size=3)):
+        at = places.randint(0, len(text))
+        text = text[:at] + tricky + text[at:]
+    return text
+
+
+def parse_outcome(parse, text: str):
+    try:
+        labels, observations = parse(io.StringIO(text))
+    except (PanelFormatError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return labels, observations.shape, observations.tobytes()
+
+
+class TestFastParseMatchesExactLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(tricky_panel_texts())
+    def test_same_outcome(self, text):
+        def via_load_panel(stream):
+            panel = load_panel(stream)
+            return panel.labels, panel.observations
+
+        assert parse_outcome(via_load_panel, text) == parse_outcome(_parse_exact, text)
+
 
 class TestEstimateMoments:
     def test_identical_columns_give_equal_entries(self):
@@ -181,6 +315,15 @@ class TestMomentEstimate:
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(Exception, match="positive semidefinite"):
             MomentEstimate(("A", "B"), np.zeros(2), cov, 10)
+
+    def test_caller_arrays_left_writeable(self):
+        means = np.array([0.1, 0.2])
+        cov = np.array([[1.0, 0.5], [0.5, 2.0]])
+        est = MomentEstimate(("A", "B"), means, cov, 10)
+        assert means.flags.writeable and cov.flags.writeable
+        means[0] = cov[0, 0] = 99.0
+        assert est.means[0] == 0.1 and est.covariance[0, 0] == 1.0
+        assert not est.means.flags.writeable and not est.covariance.flags.writeable
 
 
 class TestPairForBank:

@@ -20,6 +20,8 @@ from gaussrisk.mc import (
 from gaussrisk.measures import GaussianPair, covar_at_mean, covar_collateral, delta_coll_var
 from gaussrisk.normal import RiskParams
 
+from helpers import bias_validated_closed_forms
+
 UNIT_INDEPENDENT = GaussianPair(0.0, 0.0, 1.0, 1.0, 0.0)
 UNIT_HALF = GaussianPair(0.0, 0.0, 1.0, 1.0, 0.5)
 
@@ -218,9 +220,10 @@ class TestValidateClosedForms:
         with pytest.raises(DegenerateSystemError):
             validate_closed_forms(GaussianPair(0.0, 0.0, 1.0, 1.0, -1.0), McConfig(sample_count=10_000))
 
-    def test_fault_injection_hook_fails_the_run(self):
+    def test_fault_injection_hook_fails_the_run(self, monkeypatch):
+        bias_validated_closed_forms(monkeypatch, 0.5)
         config = McConfig(sample_count=100_000, seed=13)
-        report = validate_closed_forms(UNIT_HALF, config, _closed_form_bias=0.5)
+        report = validate_closed_forms(UNIT_HALF, config)
         assert not report.all_passed
 
     def test_json_round_trip(self):
