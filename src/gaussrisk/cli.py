@@ -6,7 +6,8 @@ Two subcommands:
                         risk-report row per bank (table, CSV, or JSON).
 ``gaussrisk validate``  run the Monte Carlo oracle against the closed forms.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or input error.
+Exit codes: 0 success, 1 validation failure, 2 usage or input error,
+3 internal error (a defect of the program; one ``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .estimation import MomentEstimate, estimate_moments, load_panel, pair_for_bank
 from .measures import BankRiskReport, GaussianPair, full_report
-from .mc import McConfig, validate_closed_forms
+from .mc import McConfig, standard_normals, validate_closed_forms
 from .normal import RiskParams
 
 # Column order of every analyze rendering; names are the stable JSON schema.
@@ -195,8 +196,10 @@ def _cmd_validate(args) -> int:
     config = McConfig(
         sample_count=args.samples, bandwidth=args.bandwidth, seed=args.seed, alpha=args.alpha
     )
+    pairs = _gather_pairs(args)
+    normals = standard_normals(config)  # every bank maps the same draw
     labeled_reports = [
-        (bank, validate_closed_forms(pair, config)) for bank, pair in _gather_pairs(args)
+        (bank, validate_closed_forms(pair, config, normals)) for bank, pair in pairs
     ]
     if args.format == "json":
         payload = {
@@ -271,6 +274,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not bad input: keep it apart from exits 1 and 2
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -196,13 +196,29 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
     except OSError:  # a pipe, or a file already read with next(): keep what is left
         source = io.StringIO(source.read())
         start = 0
-    width, skip_first, labels = _read_header(csv.reader(source))
+    width, skip_first, labels = _read_header(_csv_rows(source))
     observations = _parse_plain(source, width, skip_first)
     if observations is None:
         source.seek(start)
         labels, observations = _parse_exact(source)
     observations.flags.writeable = False  # fresh: ReturnPanel need not copy it
     return ReturnPanel(labels=labels, observations=observations, frequency=frequency)
+
+
+def _csv_rows(source: IO[str]) -> Iterator[list[str]]:
+    """The ``csv`` rows of ``source``, read one at a time as they are asked for.
+
+    A row that ``csv`` cannot split (a cell over the csv field limit, for
+    one) raises PanelFormatError naming the row, counted from 1 like every
+    other row number in a panel error.
+    """
+    row_no = 1
+    try:
+        for row in csv.reader(source):
+            yield row
+            row_no += 1
+    except csv.Error as exc:
+        raise PanelFormatError(f"unreadable row {row_no}: {exc}") from None
 
 
 def _read_header(reader: Iterator[list[str]]) -> tuple[int, bool, tuple[str, ...]]:
@@ -288,7 +304,7 @@ def _parse_exact(source: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
     The reference parse: it defines which panels are accepted and the
     message of every :class:`PanelFormatError`.
     """
-    reader = csv.reader(source)
+    reader = _csv_rows(source)
     width, skip_first, labels = _read_header(reader)
     rows: list[list[float]] = []
     for line_no, row in enumerate(reader, start=2):

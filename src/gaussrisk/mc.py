@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -178,29 +178,62 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def sample_pair(pair: GaussianPair, config: McConfig) -> np.ndarray:
+def standard_normals(config: McConfig) -> np.ndarray:
+    """The (sample_count, 2) standard-normal draw that every pair of a run maps.
+
+    Block ``b`` of the stream is seeded by ``SeedSequence([seed, b])`` with a
+    fixed block length, so workers splitting the blocks would merge to the
+    identical array.  The draw depends on the seed and the sample count
+    alone, so one draw serves every bank validated with ``config``; it is
+    returned read-only because it is shared.
+    """
+    n = config.sample_count
+    z = np.empty((n, 2))
+    for block, start in enumerate(range(0, n, _BLOCK_SIZE)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, block])))
+        rng.standard_normal(out=z[start:start + _BLOCK_SIZE])
+    z.flags.writeable = False
+    return z
+
+
+def sample_pair(
+    pair: GaussianPair, config: McConfig, normals: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Draw ``sample_count`` joint observations of (bank, rest-of-system).
 
     Standard-normal pairs are mapped through the 2x2 Cholesky factor of the
-    covariance matrix.  The result is bitwise-deterministic given the seed:
-    block ``b`` of the stream is seeded by ``SeedSequence([seed, b])`` with a
-    fixed block length, so workers splitting the blocks would merge to the
-    identical array.
+    covariance matrix.  The result is bitwise-deterministic given the seed.
+    ``normals`` is :func:`standard_normals` of ``config``, when the caller
+    has already drawn it; by default it is drawn here.
 
-    Returns an array of shape (sample_count, 2); column 0 is the bank.
+    Returns an array of shape (sample_count, 2); column 0 is the bank.  Each
+    column is contiguous in memory.
     """
+    z = _checked_normals(normals, config)
     l11 = math.sqrt(pair.var_i)
     l21 = pair.cov_ia / l11
     l22 = math.sqrt(max(pair.var_a - l21 * l21, 0.0))
-    n = config.sample_count
-    out = np.empty((n, 2))
-    for block, start in enumerate(range(0, n, _BLOCK_SIZE)):
-        count = min(_BLOCK_SIZE, n - start)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, block])))
-        z = rng.standard_normal((count, 2))
-        out[start:start + count, 0] = pair.mu_i + l11 * z[:, 0]
-        out[start:start + count, 1] = pair.mu_a + l21 * z[:, 0] + l22 * z[:, 1]
+    out = np.empty((2, config.sample_count)).T
+    xi, xa = out[:, 0], out[:, 1]
+    # mu_a + l21 * z0 + l22 * z1, rounded step by step as that expression
+    # rounds, with the bank's column as the scratch space for l22 * z1.
+    np.multiply(z[:, 0], l21, out=xa)
+    xa += pair.mu_a
+    xa += np.multiply(z[:, 1], l22, out=xi)
+    np.multiply(z[:, 0], l11, out=xi)
+    xi += pair.mu_i
     return out
+
+
+def _checked_normals(normals: Optional[np.ndarray], config: McConfig) -> np.ndarray:
+    if normals is None:
+        return standard_normals(config)
+    z = np.asarray(normals, dtype=float)
+    if z.shape != (config.sample_count, 2):
+        raise DomainError(
+            f"normals must have shape ({config.sample_count}, 2), got {z.shape}"
+        )
+    return z
 
 
 def empirical_quantile(values, p: float) -> float:
@@ -253,16 +286,26 @@ def empirical_es(values, params: RiskParams) -> float:
     return float(tail.mean() - arr.mean())
 
 
-def _band_values(cond: np.ndarray, target: np.ndarray, center: float, half_width: float) -> np.ndarray:
-    mask = np.abs(cond - center) <= half_width
-    count = int(np.count_nonzero(mask))
+def _band_indices(cond: np.ndarray, center: float, half_width: float) -> np.ndarray:
+    """Ascending indices of the window ``|cond - center| <= half_width``.
+
+    Raises ThinBandError when too few samples fall inside.  Gathering a
+    target through the indices reads only the band, not a full-length mask.
+    """
+    distance = cond - center
+    inside = np.flatnonzero(np.abs(distance, out=distance) <= half_width)
+    count = inside.size
     if count < _MIN_BAND:
         raise ThinBandError(
             f"only {count} samples within {half_width:.6g} of {center:.6g} "
             f"(need >= {_MIN_BAND}); raise the sample count or the bandwidth",
             count=count,
         )
-    return target[mask]
+    return inside
+
+
+def _band_values(cond: np.ndarray, target: np.ndarray, center: float, half_width: float) -> np.ndarray:
+    return target[_band_indices(cond, center, half_width)]
 
 
 def _quantile_se(values: np.ndarray, p: float) -> float:
@@ -276,122 +319,172 @@ def _quantile_se(values: np.ndarray, p: float) -> float:
     return math.sqrt(p * (1.0 - p) / n) * (spread / p)
 
 
-def _slope(x: np.ndarray, y: np.ndarray) -> float:
-    # Ordinary least-squares slope of y on x; used only to propagate the
-    # uncertainty of a band's center into the band statistic.
-    x_centered = x - x.mean()
-    return float((x_centered * y).sum() / (x_centered * x_centered).sum())
+def _centred_dot(x: np.ndarray, mean: float, y: Optional[np.ndarray] = None) -> float:
+    """``sum((x - mean) * y)``, or ``sum((x - mean) ** 2)`` without ``y``, in one temporary.
+
+    The sum of squares is the one ``x.var()`` takes, and a ratio of two of
+    these sums is the ordinary least-squares slope of ``y`` on ``x``.
+    """
+    product = x - mean
+    return float(np.multiply(product, product if y is None else y, out=product).sum())
 
 
-def validate_closed_forms(pair: GaussianPair, config: McConfig) -> ValidationReport:
+# The empirical value of a statistic, its standard error and its effective
+# sample count; or the error of the thin band or tail that kept it from being
+# evaluated.
+_Outcome = Union[tuple[float, float, int], ThinBandError, ThinTailError]
+_THIN = (ThinBandError, ThinTailError)
+
+
+def _attempt(compute: Callable, *args):
+    """``compute(*args)``, or the thin-band/thin-tail error it raised.
+
+    The first such error among ``args`` is returned without calling
+    ``compute``, so a thin band's error is the result of everything built on it.
+    """
+    for arg in args:
+        if isinstance(arg, _THIN):
+            return arg
+    try:
+        return compute(*args)
+    except _THIN as exc:
+        return exc.with_traceback(None)  # the traceback would keep the band's temporaries alive
+
+
+def _gather(target: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    return target[indices]
+
+
+def _band_quantile(
+    values: np.ndarray, p: float, center_se: float, slope: float
+) -> tuple[float, float, int]:
+    # The slope carries the uncertainty of the band's center into the statistic.
+    se = math.hypot(_quantile_se(values, p), slope * center_se)
+    return empirical_quantile(values, p), se, values.size
+
+
+def _band_mean(values: np.ndarray, center_error: float) -> tuple[float, float, int]:
+    se = math.hypot(float(values.std(ddof=1)) / math.sqrt(values.size), center_error)
+    return float(values.mean()), se, values.size
+
+
+def _difference(stressed: tuple, unstressed: tuple) -> tuple[float, float, int]:
+    return (
+        stressed[0] - unstressed[0],
+        math.hypot(stressed[1], unstressed[1]),
+        min(stressed[2], unstressed[2]),
+    )
+
+
+def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[float, float, int]:
+    # Tail-conditional mean: averaging the rest-of-system over the bank's
+    # worst (1 - alpha) scenarios reproduces the ES spillover by the tower
+    # property alone, with no Gaussian algebra involved.
+    if tail.size < _MIN_TAIL:
+        raise ThinTailError(
+            f"only {tail.size} tail samples (need >= {_MIN_TAIL})", count=int(tail.size)
+        )
+    se = math.sqrt(tail.var(ddof=1) / tail.size + mean_variance)
+    return float(tail.mean()) - mean, se, int(tail.size)
+
+
+def validate_closed_forms(
+    pair: GaussianPair, config: McConfig, normals: Optional[np.ndarray] = None
+) -> ValidationReport:
     """Compare every closed-form statistic against an independent simulation.
 
     Covered statistics: VaR of the bank, the stressed and unstressed
     conditional VaR of the rest of the system, the three stressed-minus-
     unstressed differences, the ES spillover, and the Euler VaR
     contribution.  A statistic whose band or tail is too thin at this sample
-    count is reported as skipped, not failed.
+    count is reported as skipped, not failed.  ``normals`` is passed on to
+    :func:`sample_pair`; it is read, never written.
     """
     params = RiskParams(config.alpha)
     view = to_system_view(pair)
     if view.var_s <= 0.0:
         raise DegenerateSystemError("cannot validate a zero-variance system")
 
-    samples = sample_pair(pair, config)
+    samples = sample_pair(pair, config, normals)
     xi = samples[:, 0]
-    xa = samples[:, 1]
-    xs = xi + xa
+    xa = samples[:, 1]  # overwritten by xs = xi + xa after its last use
     n = xi.size
     p = 1.0 - config.alpha
 
-    std_i = float(xi.std(ddof=1))
-    std_a = float(xa.std(ddof=1))
-    std_s = float(xs.std(ddof=1))
     mean_i = float(xi.mean())
+    ss_i = _centred_dot(xi, mean_i)
+    std_i = math.sqrt(ss_i / (n - 1))  # as xi.std(ddof=1) computes it
+    se_mean_i = std_i / math.sqrt(n)
     mean_a = float(xa.mean())
-    mean_s = float(xs.mean())
-    slope_ai = _slope(xi, xa)
-    slope_si = _slope(xi, xs)
-    slope_is = _slope(xs, xi)
-
+    var_a = _centred_dot(xa, mean_a) / (n - 1)
+    std_a = math.sqrt(var_a)
+    slope_ai = _centred_dot(xi, mean_i, xa) / ss_i
     q_i = empirical_quantile(xi, p)
     se_q_i = _quantile_se(xi, p)
+    half_i = config.bandwidth * std_i
+
+    # The bank's stressed and unstressed windows, each conditioning xa and then xs.
+    stressed_i = _attempt(_band_indices, xi, q_i, half_i)
+    unstressed_i = _attempt(_band_indices, xi, mean_i, half_i)
+    covar = _attempt(_band_quantile, _attempt(_gather, xa, stressed_i), p, se_q_i, slope_ai)
+    covare = _attempt(
+        _band_quantile, _attempt(_gather, xa, unstressed_i), p, se_mean_i, slope_ai
+    )
+    coll_es = _attempt(_tail_shift, xa[xi <= q_i], mean_a, var_a / n)
+
+    xs = np.add(xi, xa, out=xa)
+    slope_si = _centred_dot(xi, mean_i, xs) / ss_i
+    cond_stressed = _attempt(
+        _band_quantile, _attempt(_gather, xs, stressed_i), p, se_q_i, slope_si
+    )
+    cond_unstressed = _attempt(
+        _band_quantile, _attempt(_gather, xs, unstressed_i), p, se_mean_i, slope_si
+    )
+    del stressed_i, unstressed_i  # a wide band's indices take memory
+
+    mean_s = float(xs.mean())
+    ss_s = _centred_dot(xs, mean_s)
+    std_s = math.sqrt(ss_s / (n - 1))
+    slope_is = _centred_dot(xs, mean_s, xi) / ss_s
     q_s = empirical_quantile(xs, p)
     se_q_s = _quantile_se(xs, p)
-    half_i = config.bandwidth * std_i
     half_s = config.bandwidth * std_s
-    tail_count = math.ceil(p * n)
+    # The system's stressed and unstressed windows, each conditioning xi.
+    stressed_s = _attempt(_band_values, xs, xi, q_s, half_s)
+    contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, slope_is)
+    contr_unstressed = _attempt(
+        _band_quantile, _attempt(_band_values, xs, xi, mean_s, half_s),
+        p, std_s / math.sqrt(n), slope_is,
+    )
 
-    def band_quantile(cond, target, center, half_width, center_se, slope):
-        values = _band_values(cond, target, center, half_width)
-        se = math.hypot(_quantile_se(values, p), slope * center_se)
-        return empirical_quantile(values, p), se, values.size
-
-    def covar_empirical():
-        return band_quantile(xi, xa, q_i, half_i, se_q_i, slope_ai)
-
-    def covare_empirical():
-        return band_quantile(xi, xa, mean_i, half_i, std_i / math.sqrt(n), slope_ai)
-
-    def coll_var_empirical():
-        stressed, se1, n1 = covar_empirical()
-        unstressed, se2, n2 = covare_empirical()
-        return stressed - unstressed, math.hypot(se1, se2), min(n1, n2)
-
-    def coll_es_empirical():
-        # Tail-conditional mean: averaging the rest-of-system over the
-        # bank's worst (1 - alpha) scenarios reproduces the ES spillover by
-        # the tower property alone, with no Gaussian algebra involved.
-        tail = xa[xi <= q_i]
-        if tail.size < _MIN_TAIL:
-            raise ThinTailError(
-                f"only {tail.size} tail samples (need >= {_MIN_TAIL})", count=int(tail.size)
-            )
-        se = math.sqrt(tail.var(ddof=1) / tail.size + xa.var(ddof=1) / n)
-        return float(tail.mean()) - mean_a, se, int(tail.size)
-
-    def cond_var_empirical():
-        stressed, se1, n1 = band_quantile(xi, xs, q_i, half_i, se_q_i, slope_si)
-        unstressed, se2, n2 = band_quantile(xi, xs, mean_i, half_i, std_i / math.sqrt(n), slope_si)
-        return stressed - unstressed, math.hypot(se1, se2), min(n1, n2)
-
-    def contr_var_empirical():
-        stressed, se1, n1 = band_quantile(xs, xi, q_s, half_s, se_q_s, slope_is)
-        unstressed, se2, n2 = band_quantile(xs, xi, mean_s, half_s, std_s / math.sqrt(n), slope_is)
-        return stressed - unstressed, math.hypot(se1, se2), min(n1, n2)
-
-    def contribution_empirical():
-        values = _band_values(xs, xi, q_s, half_s)
-        se = math.hypot(
-            float(values.std(ddof=1)) / math.sqrt(values.size), slope_is * se_q_s
-        )
-        return float(values.mean()), se, values.size
-
-    plan: list[tuple[str, float, float, Callable]] = [
+    plan: list[tuple[str, float, float, _Outcome]] = [
         ("var_i", var_normal(pair.mu_i, pair.var_i, params), std_i,
-         lambda: (q_i, se_q_i, tail_count)),
-        ("covar_ai", covar_collateral(pair, params), std_a, covar_empirical),
-        ("covare_ai", covar_at_mean(pair, params), std_a, covare_empirical),
-        ("delta_coll_var", delta_coll_var(pair, params), std_a, coll_var_empirical),
-        ("delta_coll_es", delta_coll_es(pair, params), std_a, coll_es_empirical),
-        ("delta_cond_var", delta_cond_var(pair, params), std_s, cond_var_empirical),
-        ("delta_contr_var", delta_contr_var(pair, params), std_i, contr_var_empirical),
-        ("var_contribution", var_contribution(pair, params), std_i, contribution_empirical),
+         (q_i, se_q_i, math.ceil(p * n))),
+        ("covar_ai", covar_collateral(pair, params), std_a, covar),
+        ("covare_ai", covar_at_mean(pair, params), std_a, covare),
+        ("delta_coll_var", delta_coll_var(pair, params), std_a,
+         _attempt(_difference, covar, covare)),
+        ("delta_coll_es", delta_coll_es(pair, params), std_a, coll_es),
+        ("delta_cond_var", delta_cond_var(pair, params), std_s,
+         _attempt(_difference, cond_stressed, cond_unstressed)),
+        ("delta_contr_var", delta_contr_var(pair, params), std_i,
+         _attempt(_difference, contr_stressed, contr_unstressed)),
+        ("var_contribution", var_contribution(pair, params), std_i,
+         _attempt(_band_mean, stressed_s, slope_is * se_q_s)),
     ]
 
     checks = []
-    for name, closed, target_std, compute in plan:
-        try:
-            empirical, se, n_effective = compute()
-        except (ThinBandError, ThinTailError) as exc:
+    for name, closed, target_std, outcome in plan:
+        if isinstance(outcome, _THIN):
             checks.append(
                 StatisticCheck(
                     name=name, closed_form=closed, empirical=None, abs_error=None,
-                    tolerance=None, effective_tail_samples=exc.count, passed=None,
-                    note=str(exc),
+                    tolerance=None, effective_tail_samples=outcome.count, passed=None,
+                    note=str(outcome),
                 )
             )
             continue
+        empirical, se, n_effective = outcome
         tolerance = max(4.0 * se, _FLOOR_FRACTION * target_std)
         abs_error = abs(closed - empirical)
         checks.append(

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaussrisk.cli
 from gaussrisk.cli import main
 from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import RiskParams
@@ -145,6 +147,24 @@ class TestAnalyzePanel:
         assert out == ""
         assert err == "error: need at least 3 data rows, got 0\n"
 
+    @pytest.mark.parametrize(
+        "lines, row",
+        [(["A,{long}", "1,2", "3,4", "5,6"], 1), (["A,B", "1,2", "3,{long}", "5,6"], 3)],
+        ids=["header", "body"],
+    )
+    def test_cell_over_the_csv_field_limit_gives_one_error_line(
+        self, capsys, tmp_path, lines, row
+    ):
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines).format(long="7" * (csv.field_size_limit() + 1)) + "\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: unreadable row {row}: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
+
     def test_stdin_input(self, capsys, panel_path, monkeypatch):
         text = Path(panel_path).read_text(encoding="utf-8")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -272,6 +292,22 @@ class TestValidateCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch, command):
+        def broken(*args):
+            raise RuntimeError("step broke")
+
+        monkeypatch.setattr(gaussrisk.cli, "full_report", broken)
+        monkeypatch.setattr(gaussrisk.cli, "validate_closed_forms", broken)
+        code, out, err = run(
+            capsys, [command, "--model", "0,0,1,1,0.5"] + (
+                ["--samples", "10000"] if command == "validate" else []
+            ),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: step broke\n"
+
     def test_missing_source_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze"])
