@@ -34,7 +34,6 @@ from .estimation import (
 from .measures import (
     BankRiskReport,
     GaussianPair,
-    SystemView,
     beta_coefficient,
     covar_at_mean,
     covar_collateral,
@@ -44,7 +43,6 @@ from .measures import (
     delta_contr_var,
     full_report,
     std_allocation,
-    to_system_view,
     var_contribution,
 )
 from .mc import (

@@ -13,11 +13,10 @@ Exit codes: 0 success, 1 validation failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     DegenerateModelError,
@@ -97,26 +96,24 @@ def _select_banks(labels: tuple[str, ...], banks: Optional[str]) -> list[str]:
     return selected
 
 
-def _gather_pairs(args) -> list[tuple[str, GaussianPair]]:
+def _bank_pairs(args) -> Iterator[tuple[str, Optional[GaussianPair], str]]:
+    """(bank, pair, "") per selected bank, or (bank, None, reason) for a skipped one."""
     if args.model is not None:
-        return [("model", _parse_model(args.model))]
+        yield "model", _parse_model(args.model), ""
+        return
     est = _load_estimate(args.input)
-    pairs = []
     for bank in _select_banks(est.labels, args.banks):
         try:
-            pairs.append((bank, pair_for_bank(est, bank)))
+            yield bank, pair_for_bank(est, bank), ""
         except DegenerateModelError as exc:
             print(f"warning: bank {bank!r} skipped: {exc}", file=sys.stderr)
-    if not pairs:
-        raise DegenerateModelError("no analyzable banks in the panel")
-    return pairs
+            yield bank, None, str(exc)
 
 
 def _report_values(report: Optional[BankRiskReport]) -> list[Optional[float]]:
     if report is None:
         return [None] * len(_REPORT_FIELDS)
-    as_dict = dataclasses.asdict(report)
-    return [as_dict[field] for field in _REPORT_FIELDS]
+    return [getattr(report, field) for field in _REPORT_FIELDS]
 
 
 def _render_analyze_table(rows) -> str:
@@ -155,17 +152,10 @@ def _render_analyze_json(rows, alpha: float) -> str:
 
 def _cmd_analyze(args) -> int:
     params = RiskParams(args.alpha)
-    rows = []
-    if args.model is not None:
-        rows.append(("model", full_report(_parse_model(args.model), params), ""))
-    else:
-        est = _load_estimate(args.input)
-        for bank in _select_banks(est.labels, args.banks):
-            try:
-                rows.append((bank, full_report(pair_for_bank(est, bank), params), ""))
-            except DegenerateModelError as exc:
-                rows.append((bank, None, str(exc)))
-                print(f"warning: bank {bank!r} skipped: {exc}", file=sys.stderr)
+    rows = [
+        (bank, None if pair is None else full_report(pair, params), reason)
+        for bank, pair, reason in _bank_pairs(args)
+    ]
     if args.format == "table":
         print(_render_analyze_table(rows))
     elif args.format == "csv":
@@ -196,7 +186,9 @@ def _cmd_validate(args) -> int:
     config = McConfig(
         sample_count=args.samples, bandwidth=args.bandwidth, seed=args.seed, alpha=args.alpha
     )
-    pairs = _gather_pairs(args)
+    pairs = [(bank, pair) for bank, pair, _ in _bank_pairs(args) if pair is not None]
+    if not pairs:
+        raise DegenerateModelError("no analyzable banks in the panel")
     normals = standard_normals(config)  # every bank maps the same draw
     labeled_reports = [
         (bank, validate_closed_forms(pair, config, normals)) for bank, pair in pairs

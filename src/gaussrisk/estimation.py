@@ -71,7 +71,6 @@ class ReturnPanel:
 
     labels: tuple[str, ...]
     observations: np.ndarray
-    frequency: str = ""
 
     def __post_init__(self) -> None:
         obs = np.asarray(self.observations, dtype=float)
@@ -160,7 +159,7 @@ def _parse_cell(text: str, row: int, label: str) -> float:
     return value
 
 
-def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
+def load_panel(source: PanelSource) -> ReturnPanel:
     """Parse a CSV panel of per-bank observations.
 
     Parameters
@@ -170,8 +169,6 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
         (header compared case-insensitively) is skipped.  A UTF-8
         byte-order mark before the header is dropped.  A stream that cannot
         tell its position, such as piped stdin, is read into memory first.
-    frequency : str
-        Free-text metadata recorded on the panel, e.g. ``"weekly"``.
 
     Raises
     ------
@@ -189,7 +186,7 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return load_panel(handle, frequency=frequency)
+            return load_panel(handle)
 
     try:
         start = source.tell()
@@ -202,7 +199,7 @@ def load_panel(source: PanelSource, frequency: str = "") -> ReturnPanel:
         source.seek(start)
         labels, observations = _parse_exact(source)
     observations.flags.writeable = False  # fresh: ReturnPanel need not copy it
-    return ReturnPanel(labels=labels, observations=observations, frequency=frequency)
+    return ReturnPanel(labels=labels, observations=observations)
 
 
 def _csv_rows(source: IO[str]) -> Iterator[list[str]]:

@@ -34,7 +34,6 @@ from .measures import (
     delta_coll_var,
     delta_cond_var,
     delta_contr_var,
-    to_system_view,
     var_contribution,
 )
 from .normal import RiskParams, var_normal
@@ -245,10 +244,15 @@ def empirical_quantile(values, p: float) -> float:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise DomainError("empirical_quantile of an empty sample")
+    k = _rank(p, arr.size)
+    return float(np.partition(arr, k)[k])
+
+
+def _rank(p: float, n: int) -> int:
+    """0-based sorted position of the ``ceil(p * n)``-th smallest of ``n`` values, at least 0."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p!r}")
-    k = min(max(math.ceil(p * arr.size), 1), arr.size)
-    return float(np.partition(arr, k - 1)[k - 1])
+    return min(max(math.ceil(p * n), 1), n) - 1
 
 
 def empirical_conditional_var(samples, x: float, bandwidth: float, params: RiskParams) -> float:
@@ -265,7 +269,7 @@ def empirical_conditional_var(samples, x: float, bandwidth: float, params: RiskP
         raise DomainError(f"samples must have shape (N, 2), got {arr.shape}")
     cond, target = arr[:, 0], arr[:, 1]
     half_width = bandwidth * float(cond.std(ddof=1))
-    values = _band_values(cond, target, x, half_width)
+    values = target[_band_indices(cond, x, half_width)]
     return empirical_quantile(values, 1.0 - params.alpha)
 
 
@@ -304,19 +308,22 @@ def _band_indices(cond: np.ndarray, center: float, half_width: float) -> np.ndar
     return inside
 
 
-def _band_values(cond: np.ndarray, target: np.ndarray, center: float, half_width: float) -> np.ndarray:
-    return target[_band_indices(cond, center, half_width)]
+def _quantile_and_se(values: np.ndarray, p: float) -> tuple[float, float]:
+    """:func:`empirical_quantile` of ``values`` at ``p`` and its standard error.
 
-
-def _quantile_se(values: np.ndarray, p: float) -> float:
-    # Binomial standard error of an order-statistic quantile; the density at
-    # the quantile is estimated from the spacing of nearby order statistics,
-    # keeping the estimate free of any Gaussian closed form.
+    Binomial standard error of an order-statistic quantile; the density at
+    the quantile is estimated from the spacing of the order statistics at
+    ``p/2`` and ``3p/2``, keeping the estimate free of any Gaussian closed
+    form.  One partition at the ``3p/2`` rank leaves the ``p/2`` and ``p``
+    order statistics in its head, which a second, in-place partition finds.
+    """
     n = values.size
-    lo = empirical_quantile(values, 0.5 * p)
-    hi = empirical_quantile(values, 1.5 * p)
-    spread = float(hi - lo)
-    return math.sqrt(p * (1.0 - p) / n) * (spread / p)
+    k_lo, k, k_hi = _rank(0.5 * p, n), _rank(p, n), _rank(1.5 * p, n)
+    head = np.partition(values, k_hi)[:k_hi + 1]
+    hi = float(head[k_hi])
+    head.partition((k_lo, k))
+    spread = hi - float(head[k_lo])
+    return float(head[k]), math.sqrt(p * (1.0 - p) / n) * (spread / p)
 
 
 def _centred_dot(x: np.ndarray, mean: float, y: Optional[np.ndarray] = None) -> float:
@@ -351,16 +358,12 @@ def _attempt(compute: Callable, *args):
         return exc.with_traceback(None)  # the traceback would keep the band's temporaries alive
 
 
-def _gather(target: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    return target[indices]
-
-
 def _band_quantile(
     values: np.ndarray, p: float, center_se: float, slope: float
 ) -> tuple[float, float, int]:
     # The slope carries the uncertainty of the band's center into the statistic.
-    se = math.hypot(_quantile_se(values, p), slope * center_se)
-    return empirical_quantile(values, p), se, values.size
+    quantile, se = _quantile_and_se(values, p)
+    return quantile, math.hypot(se, slope * center_se), values.size
 
 
 def _band_mean(values: np.ndarray, center_error: float) -> tuple[float, float, int]:
@@ -401,8 +404,7 @@ def validate_closed_forms(
     :func:`sample_pair`; it is read, never written.
     """
     params = RiskParams(config.alpha)
-    view = to_system_view(pair)
-    if view.var_s <= 0.0:
+    if pair.var_s <= 0.0:
         raise DegenerateSystemError("cannot validate a zero-variance system")
 
     samples = sample_pair(pair, config, normals)
@@ -419,26 +421,25 @@ def validate_closed_forms(
     var_a = _centred_dot(xa, mean_a) / (n - 1)
     std_a = math.sqrt(var_a)
     slope_ai = _centred_dot(xi, mean_i, xa) / ss_i
-    q_i = empirical_quantile(xi, p)
-    se_q_i = _quantile_se(xi, p)
+    q_i, se_q_i = _quantile_and_se(xi, p)
     half_i = config.bandwidth * std_i
 
     # The bank's stressed and unstressed windows, each conditioning xa and then xs.
     stressed_i = _attempt(_band_indices, xi, q_i, half_i)
     unstressed_i = _attempt(_band_indices, xi, mean_i, half_i)
-    covar = _attempt(_band_quantile, _attempt(_gather, xa, stressed_i), p, se_q_i, slope_ai)
+    covar = _attempt(_band_quantile, _attempt(xa.take, stressed_i), p, se_q_i, slope_ai)
     covare = _attempt(
-        _band_quantile, _attempt(_gather, xa, unstressed_i), p, se_mean_i, slope_ai
+        _band_quantile, _attempt(xa.take, unstressed_i), p, se_mean_i, slope_ai
     )
     coll_es = _attempt(_tail_shift, xa[xi <= q_i], mean_a, var_a / n)
 
     xs = np.add(xi, xa, out=xa)
     slope_si = _centred_dot(xi, mean_i, xs) / ss_i
     cond_stressed = _attempt(
-        _band_quantile, _attempt(_gather, xs, stressed_i), p, se_q_i, slope_si
+        _band_quantile, _attempt(xs.take, stressed_i), p, se_q_i, slope_si
     )
     cond_unstressed = _attempt(
-        _band_quantile, _attempt(_gather, xs, unstressed_i), p, se_mean_i, slope_si
+        _band_quantile, _attempt(xs.take, unstressed_i), p, se_mean_i, slope_si
     )
     del stressed_i, unstressed_i  # a wide band's indices take memory
 
@@ -446,14 +447,13 @@ def validate_closed_forms(
     ss_s = _centred_dot(xs, mean_s)
     std_s = math.sqrt(ss_s / (n - 1))
     slope_is = _centred_dot(xs, mean_s, xi) / ss_s
-    q_s = empirical_quantile(xs, p)
-    se_q_s = _quantile_se(xs, p)
+    q_s, se_q_s = _quantile_and_se(xs, p)
     half_s = config.bandwidth * std_s
     # The system's stressed and unstressed windows, each conditioning xi.
-    stressed_s = _attempt(_band_values, xs, xi, q_s, half_s)
+    stressed_s = _attempt(xi.take, _attempt(_band_indices, xs, q_s, half_s))
     contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, slope_is)
     contr_unstressed = _attempt(
-        _band_quantile, _attempt(_band_values, xs, xi, mean_s, half_s),
+        _band_quantile, _attempt(xi.take, _attempt(_band_indices, xs, mean_s, half_s)),
         p, std_s / math.sqrt(n), slope_is,
     )
 

@@ -52,6 +52,8 @@ class GaussianPair:
     ``mu_i``/``var_i`` describe the singled-out bank, ``mu_a``/``var_a`` the
     sum of all other banks, ``cov_ia`` their covariance.  Variances must be
     positive and the implied 2x2 covariance matrix positive semidefinite.
+    The whole system ``X_s = X_i + X_a`` is described by the derived
+    ``mu_s``, ``var_s``, ``cov_is`` and ``std_s``.
     """
 
     mu_i: float
@@ -97,6 +99,29 @@ class GaussianPair:
     def std_a(self) -> float:
         return math.sqrt(self.var_a)
 
+    @property
+    def mu_s(self) -> float:
+        """Mean of the whole system ``X_s = X_i + X_a``."""
+        return self.mu_i + self.mu_a
+
+    @property
+    def var_s(self) -> float:
+        """Variance of the whole system, ``var_i + 2 cov_ia + var_a``.
+
+        PSD of the pair forces it to be nonnegative up to rounding, so it is
+        clamped at 0; a perfect hedge gives exactly 0.
+        """
+        return max(self.var_i + 2.0 * self.cov_ia + self.var_a, 0.0)
+
+    @property
+    def cov_is(self) -> float:
+        """Covariance of the bank with the whole system, ``cov_ia + var_i``."""
+        return self.cov_ia + self.var_i
+
+    @property
+    def std_s(self) -> float:
+        return math.sqrt(self.var_s)
+
     def swapped(self) -> "GaussianPair":
         """The same model with the bank and rest-of-system roles exchanged."""
         return GaussianPair(
@@ -104,32 +129,6 @@ class GaussianPair:
             var_i=self.var_a, var_a=self.var_i,
             cov_ia=self.cov_ia,
         )
-
-
-@dataclass(frozen=True)
-class SystemView:
-    """Joint model of the bank against the whole system ``X_s = X_i + X_a``."""
-
-    mu_i: float
-    mu_s: float
-    var_i: float
-    var_s: float
-    cov_is: float
-
-    def __post_init__(self) -> None:
-        if self.var_i <= 0.0:
-            raise DegenerateModelError(f"var_i must be positive, got {self.var_i!r}")
-        if self.var_s < 0.0:
-            raise InvalidCovarianceError(f"var_s must be nonnegative, got {self.var_s!r}")
-        if self.cov_is * self.cov_is > self.var_i * self.var_s * (1.0 + _PSD_SLACK) + 1e-300:
-            raise InvalidCovarianceError(
-                f"cov_is^2 = {self.cov_is**2!r} exceeds var_i * var_s = "
-                f"{self.var_i * self.var_s!r}"
-            )
-
-    @property
-    def std_s(self) -> float:
-        return math.sqrt(self.var_s)
 
 
 @dataclass(frozen=True)
@@ -212,22 +211,6 @@ def delta_coll_es(pair: GaussianPair, params: RiskParams) -> float:
     return -multiplier * pair.cov_ia / pair.std_i
 
 
-def to_system_view(pair: GaussianPair) -> SystemView:
-    """Aggregate the pair into the (bank, whole-system) joint model.
-
-    ``var_s = var_i + 2 cov_ia + var_a`` and ``cov_is = cov_ia + var_i``.
-    """
-    var_s = pair.var_i + 2.0 * pair.cov_ia + pair.var_a
-    # PSD of the source pair forces var_s >= 0 up to rounding.
-    return SystemView(
-        mu_i=pair.mu_i,
-        mu_s=pair.mu_i + pair.mu_a,
-        var_i=pair.var_i,
-        var_s=max(var_s, 0.0),
-        cov_is=pair.cov_ia + pair.var_i,
-    )
-
-
 def delta_cond_var(pair: GaussianPair, params: RiskParams) -> float:
     """Stressed-minus-unstressed VaR of the whole system given the bank.
 
@@ -243,13 +226,12 @@ def delta_contr_var(pair: GaussianPair, params: RiskParams) -> float:
     ``-q * (cov_ia + var_i) / std_s``: the bank's share of a system-wide
     stress event, the top-down counterpart of :func:`delta_cond_var`.
     """
-    view = to_system_view(pair)
-    if view.var_s <= 0.0:
+    if pair.var_s <= 0.0:
         raise DegenerateSystemError(
             "system variance is zero (perfect hedge): the contribution-family "
             "statistics are undefined"
         )
-    return -params.quantile * view.cov_is / view.std_s
+    return -params.quantile * pair.cov_is / pair.std_s
 
 
 def var_contribution(pair: GaussianPair, params: RiskParams) -> float:
@@ -267,12 +249,11 @@ def std_allocation(pair: GaussianPair) -> float:
     The allocation principle when the standard deviation measures aggregate
     risk; multiplied by ``-q`` it reproduces :func:`delta_contr_var`.
     """
-    view = to_system_view(pair)
-    if view.var_s <= 0.0:
+    if pair.var_s <= 0.0:
         raise DegenerateSystemError(
             "system variance is zero (perfect hedge): std allocation is undefined"
         )
-    return view.cov_is / view.std_s
+    return pair.cov_is / pair.std_s
 
 
 def _check(name: str, a: float, b: float, scale: float) -> None:
@@ -293,7 +274,7 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     contribution-family fields are reported as ``None``.
     """
     q = params.quantile
-    view = to_system_view(pair)
+    mu_s, var_s, cov_is, std_s = pair.mu_s, pair.var_s, pair.cov_is, pair.std_s
 
     var_value = var_normal(pair.mu_i, pair.var_i, params)
     var_mean = -q * pair.std_i
@@ -303,17 +284,17 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     d_coll_es = delta_coll_es(pair, params)
     d_cond = delta_cond_var(pair, params)
     b_ai = beta_coefficient(pair.cov_ia, pair.var_i)
-    b_si = beta_coefficient(view.cov_is, pair.var_i)
+    b_si = beta_coefficient(cov_is, pair.var_i)
 
-    degenerate_system = view.var_s <= 0.0
+    degenerate_system = var_s <= 0.0
     if degenerate_system:
         d_contr = contribution = b_is = None
     else:
         d_contr = delta_contr_var(pair, params)
         contribution = var_contribution(pair, params)
-        b_is = beta_coefficient(view.cov_is, view.var_s)
+        b_is = beta_coefficient(cov_is, var_s)
 
-    scale = abs(pair.mu_i) + abs(pair.mu_a) + q * (pair.std_i + pair.std_a + view.std_s)
+    scale = abs(pair.mu_i) + abs(pair.mu_a) + q * (pair.std_i + pair.std_a + std_s)
 
     _check("spillover = stressed - unstressed", d_coll, covar - covare, scale)
     _check("spillover = slope * mean-corrected VaR", d_coll, b_ai * var_mean, scale)
@@ -337,15 +318,15 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
         assert d_contr is not None and contribution is not None and b_is is not None
         _check(
             "contribution shift = slope * system mean-corrected VaR",
-            d_contr, b_is * (-q * view.std_s), scale,
+            d_contr, b_is * (-q * std_s), scale,
         )
         _check(
             "system shift = (std_s / std_i) * contribution shift",
-            d_cond, (view.std_s / pair.std_i) * d_contr, scale,
+            d_cond, (std_s / pair.std_i) * d_contr, scale,
         )
-        system_var_value = var_normal(view.mu_s, view.var_s, params)
+        system_var_value = var_normal(mu_s, var_s, params)
         allocation_mean = conditional_moments(
-            pair.mu_i, view.mu_s, view.var_s, pair.var_i, view.cov_is, system_var_value
+            pair.mu_i, mu_s, var_s, pair.var_i, cov_is, system_var_value
         ).mean
         _check("VaR contribution = conditional mean", contribution, allocation_mean, scale)
         _check(

@@ -12,7 +12,7 @@ import math
 from hypothesis import strategies as st
 
 import gaussrisk.mc
-from gaussrisk.measures import GaussianPair, to_system_view
+from gaussrisk.measures import GaussianPair
 from gaussrisk.normal import std_normal_cdf
 
 
@@ -29,8 +29,7 @@ def bisect_std_normal_quantile(p: float, lo: float = -40.0, hi: float = 40.0) ->
 
 def pair_scale(pair: GaussianPair, quantile: float) -> float:
     """Natural magnitude of the statistics of a pair; anchors relative tolerances."""
-    view = to_system_view(pair)
-    return abs(pair.mu_i) + abs(pair.mu_a) + quantile * (pair.std_i + pair.std_a + view.std_s)
+    return abs(pair.mu_i) + abs(pair.mu_a) + quantile * (pair.std_i + pair.std_a + pair.std_s)
 
 
 def assert_close(a: float, b: float, scale: float, rel: float = 1e-12, label: str = ""):

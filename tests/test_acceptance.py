@@ -23,7 +23,6 @@ from gaussrisk.measures import (
     delta_contr_var,
     full_report,
     std_allocation,
-    to_system_view,
     var_contribution,
 )
 from gaussrisk.normal import (
@@ -98,8 +97,7 @@ def test_criterion_2_identity_suite():
         q = params.quantile
         pair = GaussianPair(mu_i, mu_a, sd_i**2, sd_a**2, rho * sd_i * sd_a)
         swapped = pair.swapped()
-        view = to_system_view(pair)
-        scale = abs(mu_i) + abs(mu_a) + q * (pair.std_i + pair.std_a + view.std_s)
+        scale = abs(mu_i) + abs(mu_a) + q * (pair.std_i + pair.std_a + pair.std_s)
         count += 1
 
         spill = delta_coll_var(pair, params)
@@ -128,34 +126,33 @@ def test_criterion_2_identity_suite():
         close(delta_cond_var(pair, params), spill + (-q * pair.std_i), scale)
         close(
             delta_cond_var(pair, params),
-            beta_coefficient(view.cov_is, pair.var_i) * (-q * pair.std_i),
+            beta_coefficient(pair.cov_is, pair.var_i) * (-q * pair.std_i),
             scale,
         )
         # beta shares sum to one
-        swapped_view = to_system_view(swapped)
-        b_is = beta_coefficient(view.cov_is, view.var_s)
-        b_as = beta_coefficient(swapped_view.cov_is, swapped_view.var_s)
+        b_is = beta_coefficient(pair.cov_is, pair.var_s)
+        b_as = beta_coefficient(swapped.cov_is, swapped.var_s)
         assert abs(b_is + b_as - 1.0) <= 1e-12
         # contribution shifts aggregate to the system's mean-corrected VaR
         close(
             delta_contr_var(pair, params) + delta_contr_var(swapped, params),
-            -q * view.std_s, scale,
+            -q * pair.std_s, scale,
         )
         # ratio between the two perspectives
         close(
             delta_cond_var(pair, params),
-            (view.std_s / pair.std_i) * delta_contr_var(pair, params), scale,
+            (pair.std_s / pair.std_i) * delta_contr_var(pair, params), scale,
         )
         # weighted system shifts aggregate
         close(
-            (pair.std_i / view.std_s) * delta_cond_var(pair, params)
-            + (pair.std_a / view.std_s) * delta_cond_var(swapped, params),
-            -q * view.std_s, scale,
+            (pair.std_i / pair.std_s) * delta_cond_var(pair, params)
+            + (pair.std_a / pair.std_s) * delta_cond_var(swapped, params),
+            -q * pair.std_s, scale,
         )
         # contributions sum to the system VaR
         close(
             var_contribution(pair, params) + var_contribution(swapped, params),
-            var_normal(view.mu_s, view.var_s, params), scale,
+            var_normal(pair.mu_s, pair.var_s, params), scale,
         )
         # std-allocation link
         close(-q * std_allocation(pair), delta_contr_var(pair, params), scale)

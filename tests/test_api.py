@@ -1,0 +1,62 @@
+"""The public names of the package: a new or removed name is a deliberate edit here."""
+
+from types import ModuleType
+
+import gaussrisk
+
+PUBLIC_NAMES = [
+    "BankRiskReport",
+    "ConditionalMoments",
+    "ConsistencyError",
+    "DegenerateBankError",
+    "DegenerateModelError",
+    "DegenerateSeriesWarning",
+    "DegenerateSystemError",
+    "DomainError",
+    "GaussRiskError",
+    "GaussianPair",
+    "InvalidCovarianceError",
+    "McConfig",
+    "MomentEstimate",
+    "PanelFormatError",
+    "ReturnPanel",
+    "RiskParams",
+    "StatisticCheck",
+    "ThinBandError",
+    "ThinTailError",
+    "UnknownBankError",
+    "ValidationReport",
+    "beta_coefficient",
+    "conditional_moments",
+    "covar_at_mean",
+    "covar_collateral",
+    "delta_coll_es",
+    "delta_coll_var",
+    "delta_cond_var",
+    "delta_contr_var",
+    "empirical_conditional_var",
+    "empirical_es",
+    "empirical_quantile",
+    "es_mean_normal",
+    "estimate_moments",
+    "full_report",
+    "load_panel",
+    "pair_for_bank",
+    "sample_pair",
+    "std_allocation",
+    "std_normal_cdf",
+    "std_normal_pdf",
+    "std_normal_quantile",
+    "validate_closed_forms",
+    "var_contribution",
+    "var_normal",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules become package attributes as they are imported, so they are not counted
+    exported = sorted(
+        name for name, value in vars(gaussrisk).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    assert exported == PUBLIC_NAMES

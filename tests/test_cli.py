@@ -317,3 +317,50 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "--input", panel_path, "--model", "0,0,1,1,0"])
         assert excinfo.value.code == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenOutput:
+    """Exact stdout on a fixed panel with a zero-variance bank (FLAT).
+
+    A refactoring keeps every byte of ``tests/golden``; only a deliberate
+    change of the output may rewrite those files.
+    """
+
+    @pytest.mark.parametrize(
+        "output_format, expected", [("json", "analyze.json"), ("csv", "analyze.csv"),
+                                    ("table", "analyze.txt")],
+    )
+    def test_analyze_selection(self, capsys, output_format, expected):
+        code, out, err = run(
+            capsys,
+            ["analyze", "--input", str(GOLDEN / "panel.csv"), "--banks", "GAMMA,FLAT,ALPHA",
+             "--format", output_format],
+        )
+        assert code == 0
+        assert out == (GOLDEN / expected).read_text()
+        assert err == "warning: bank 'FLAT' skipped: bank 'FLAT' has zero sample variance\n"
+
+    def test_validate_csv(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["validate", "--input", str(GOLDEN / "panel.csv"), "--samples", "200000",
+             "--seed", "0", "--alpha", "0.95", "--format", "csv"],
+        )
+        assert code == 0
+        assert out == (GOLDEN / "validate.csv").read_text()
+
+    def test_validate_without_an_analyzable_bank_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["validate", "--input", str(GOLDEN / "panel.csv"), "--banks", "FLAT",
+             "--samples", "10000"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: bank 'FLAT' skipped: bank 'FLAT' has zero sample variance",
+            "error: no analyzable banks in the panel",
+        ]

@@ -25,7 +25,7 @@ from gaussrisk.estimation import (
     pair_for_bank,
 )
 from gaussrisk.mc import McConfig, sample_pair
-from gaussrisk.measures import GaussianPair, to_system_view, var_contribution
+from gaussrisk.measures import GaussianPair, var_contribution
 from gaussrisk.normal import RiskParams, var_normal
 
 
@@ -82,10 +82,6 @@ class TestLoadPanel:
     def test_blank_lines_ignored(self):
         panel = panel_from_csv("A,B\n1,2\n\n3,4\n5,6\n\n")
         assert panel.observations.shape == (3, 2)
-
-    def test_frequency_metadata_recorded(self):
-        panel = load_panel(io.StringIO("A,B\n1,2\n3,4\n5,6\n"), frequency="weekly")
-        assert panel.frequency == "weekly"
 
     def test_byte_order_mark_dropped_from_stream(self):
         panel = panel_from_csv("\ufeffdate,A,B\nd1,1,2\nd2,3,4\nd3,5,6\n")
@@ -350,7 +346,7 @@ class TestPairForBank:
         assert (pair.mu_i, pair.mu_a) == (0.1, 0.2)
         assert (pair.var_i, pair.var_a, pair.cov_ia) == (1.0, 2.0, 0.5)
         # aggregate system variance equals the full quadratic form
-        assert to_system_view(pair).var_s == pytest.approx(float(est.covariance.sum()), rel=1e-15)
+        assert pair.var_s == pytest.approx(float(est.covariance.sum()), rel=1e-15)
 
     def test_three_banks_identity_covariance(self):
         est = MomentEstimate(("A", "B", "C"), np.zeros(3), np.eye(3), 100)
@@ -379,7 +375,7 @@ class TestPairForBank:
         est = estimate_moments(ReturnPanel(("A", "B", "C", "D"), obs))
         quadratic_form = float(est.covariance.sum())
         for bank in est.labels:
-            var_s = to_system_view(pair_for_bank(est, bank)).var_s
+            var_s = pair_for_bank(est, bank).var_s
             assert var_s == pytest.approx(quadratic_form, abs=1e-10 * max(1.0, quadratic_form))
 
     def test_contributions_sum_to_system_var(self):

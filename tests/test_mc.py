@@ -9,9 +9,9 @@ from gaussrisk.errors import DegenerateSystemError, DomainError, ThinBandError, 
 from gaussrisk.mc import (
     McConfig,
     RNG_METHOD,
-    _band_values,
+    _band_indices,
     _centred_dot,
-    _quantile_se,
+    _quantile_and_se,
     empirical_conditional_var,
     empirical_es,
     empirical_quantile,
@@ -121,15 +121,34 @@ class TestEmpiricalQuantile:
             empirical_quantile([1.0, 2.0], 1.0)
 
 
+class TestQuantileAndSe:
+    """One partition gives the same quantile and SE as three separate order statistics."""
+
+    @staticmethod
+    def three_partitions(values: np.ndarray, p: float) -> tuple[float, float]:
+        lo = empirical_quantile(values, 0.5 * p)
+        hi = empirical_quantile(values, 1.5 * p)
+        se = math.sqrt(p * (1.0 - p) / values.size) * (float(hi - lo) / p)
+        return empirical_quantile(values, p), se
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.05, 0.6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 1000, 500_000])
+    def test_matches_three_partitions(self, n, p):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
+            values.flags.writeable = False  # read, never written
+            assert _quantile_and_se(values, p) == self.three_partitions(values, p)
+
+
 class TestEmpiricalConditionalVar:
     def test_independence_matches_unconditional(self, independent_samples):
         params = RiskParams(0.99)
         conditional = empirical_conditional_var(independent_samples, 0.0, 0.05, params)
         unconditional = empirical_quantile(independent_samples[:, 1], 0.01)
         # conditioning is vacuous; allow two standard errors of each estimate
-        band = _band_values(independent_samples[:, 0], independent_samples[:, 1], 0.0, 0.05)
+        band = independent_samples[:, 1][_band_indices(independent_samples[:, 0], 0.0, 0.05)]
         spread = 2.0 * math.hypot(
-            _quantile_se(band, 0.01), _quantile_se(independent_samples[:, 1], 0.01)
+            _quantile_and_se(band, 0.01)[1], _quantile_and_se(independent_samples[:, 1], 0.01)[1]
         )
         assert abs(conditional - unconditional) <= max(spread, 0.05)
 
@@ -187,7 +206,7 @@ class TestRegressionSlopeIdentity:
         params = RiskParams(0.99)
         xi, xa = correlated_samples[:, 0], correlated_samples[:, 1]
         stress = empirical_quantile(xi, 0.01)
-        band = _band_values(xi, xa, stress, 0.05)
+        band = xa[_band_indices(xi, stress, 0.05)]
         predicted = 0.0 + delta_coll_var(UNIT_HALF, params)
         tolerance = 4.0 * float(band.std()) / math.sqrt(band.size) + 0.01
         assert abs(float(band.mean()) - predicted) <= tolerance
@@ -277,8 +296,8 @@ class TestPropertySweep:
                 empirical = stressed - unstressed
                 half = 0.05 * float(xi.std(ddof=1))
                 se = math.hypot(
-                    _quantile_se(_band_values(xi, xa, stress, half), p),
-                    _quantile_se(_band_values(xi, xa, float(xi.mean()), half), p),
+                    _quantile_and_se(xa[_band_indices(xi, stress, half)], p)[1],
+                    _quantile_and_se(xa[_band_indices(xi, float(xi.mean()), half)], p)[1],
                 )
                 closed = delta_coll_var(pair, params)
                 assert abs(closed - empirical) <= max(4.0 * se, 0.01 * math.sqrt(var_a)), (

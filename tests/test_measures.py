@@ -21,7 +21,6 @@ from gaussrisk.measures import (
     delta_contr_var,
     full_report,
     std_allocation,
-    to_system_view,
     var_contribution,
 )
 from gaussrisk.normal import (
@@ -190,26 +189,38 @@ class TestDeltaCollEs:
 
 
 class TestSystemView:
+    """The pair's moments of the whole system X_s = X_i + X_a."""
+
     def test_aggregation(self):
-        view = to_system_view(GaussianPair(0.0, 0.0, 1.0, 4.0, 1.0))
-        assert view.var_s == 7.0
-        assert view.cov_is == 2.0
+        pair = GaussianPair(0.0, 0.0, 1.0, 4.0, 1.0)
+        assert pair.var_s == 7.0
+        assert pair.cov_is == 2.0
+        assert pair.std_s == math.sqrt(7.0)
 
     def test_perfect_hedge_degenerates(self):
-        view = to_system_view(GaussianPair(0.0, 0.0, 1.0, 1.0, -1.0))
-        assert view.var_s == 0.0
-        assert view.cov_is == 0.0
+        pair = GaussianPair(0.0, 0.0, 1.0, 1.0, -1.0)
+        assert pair.var_s == 0.0
+        assert pair.cov_is == 0.0
+        assert pair.std_s == 0.0
 
     def test_mean_adds(self):
-        assert to_system_view(GaussianPair(1.0, 2.0, 1.0, 1.0, 0.3)).mu_s == 3.0
+        assert GaussianPair(1.0, 2.0, 1.0, 1.0, 0.3).mu_s == 3.0
+
+    def test_var_s_clamped_at_zero(self):
+        # rho a hair below -1, within the PSD slack: the raw sum is -2e-13
+        pair = GaussianPair(0.0, 0.0, 1.0, 1.0, -(1.0 + 1e-13))
+        assert pair.var_i + 2.0 * pair.cov_ia + pair.var_a < 0.0
+        assert pair.var_s == 0.0
+        assert pair.std_s == 0.0
+        with pytest.raises(DegenerateSystemError):
+            delta_contr_var(pair, RiskParams(0.99))
 
     @settings(max_examples=200)
     @given(gaussian_pairs())
     def test_algebraic_consistency(self, pair):
-        view = to_system_view(pair)
-        rebuilt = pair.var_i + 2.0 * (view.cov_is - pair.var_i) + pair.var_a
-        assert_close(view.var_s, rebuilt, pair.var_i + pair.var_a, label="var_s rebuild")
-        assert view.cov_is**2 <= pair.var_i * view.var_s * (1.0 + 1e-12)
+        rebuilt = pair.var_i + 2.0 * (pair.cov_is - pair.var_i) + pair.var_a
+        assert_close(pair.var_s, rebuilt, pair.var_i + pair.var_a, label="var_s rebuild")
+        assert pair.cov_is**2 <= pair.var_i * pair.var_s * (1.0 + 1e-12)
 
 
 class TestDeltaCondVar:
@@ -237,9 +248,8 @@ class TestDeltaContrVar:
     def test_symmetric_banks_split_evenly(self, sd, rho, alpha):
         params = RiskParams(alpha)
         pair = GaussianPair(0.0, 0.0, sd * sd, sd * sd, rho * sd * sd)
-        view = to_system_view(pair)
         assert_close(
-            delta_contr_var(pair, params), 0.5 * (-params.quantile * view.std_s),
+            delta_contr_var(pair, params), 0.5 * (-params.quantile * pair.std_s),
             pair_scale(pair, params.quantile), label="symmetric split",
         )
 
@@ -267,10 +277,9 @@ class TestVarContribution:
     @given(gaussian_pairs(), alphas)
     def test_contributions_sum_to_system_var(self, pair, alpha):
         params = RiskParams(alpha)
-        view = to_system_view(pair)
         total = var_contribution(pair, params) + var_contribution(pair.swapped(), params)
         assert_close(
-            total, var_normal(view.mu_s, view.var_s, params),
+            total, var_normal(pair.mu_s, pair.var_s, params),
             pair_scale(pair, params.quantile), label="contribution sum",
         )
 
@@ -286,9 +295,8 @@ class TestStdAllocation:
     @settings(max_examples=200)
     @given(gaussian_pairs())
     def test_allocations_sum_to_system_std(self, pair):
-        view = to_system_view(pair)
         total = std_allocation(pair) + std_allocation(pair.swapped())
-        assert_close(total, view.std_s, view.std_s, label="allocation sum")
+        assert_close(total, pair.std_s, pair.std_s, label="allocation sum")
 
     def test_degenerate_system_raises(self):
         with pytest.raises(DegenerateSystemError):
@@ -333,34 +341,31 @@ class TestCrossStatisticIdentities:
     @settings(max_examples=300)
     @given(gaussian_pairs(), alphas)
     def test_beta_shares_sum_to_one(self, pair, alpha):
-        view = to_system_view(pair)
-        swapped_view = to_system_view(pair.swapped())
-        b_is = beta_coefficient(view.cov_is, view.var_s)
-        b_as = beta_coefficient(swapped_view.cov_is, swapped_view.var_s)
+        swapped = pair.swapped()
+        b_is = beta_coefficient(pair.cov_is, pair.var_s)
+        b_as = beta_coefficient(swapped.cov_is, swapped.var_s)
         assert abs(b_is + b_as - 1.0) < 1e-15
 
     @settings(max_examples=300)
     @given(gaussian_pairs(), alphas)
     def test_contribution_shifts_sum_to_system_mean_corrected_var(self, pair, alpha):
         params = RiskParams(alpha)
-        view = to_system_view(pair)
         total = delta_contr_var(pair, params) + delta_contr_var(pair.swapped(), params)
-        assert_close(total, -params.quantile * view.std_s,
+        assert_close(total, -params.quantile * pair.std_s,
                      pair_scale(pair, params.quantile), label="contribution shifts")
 
     @settings(max_examples=300)
     @given(gaussian_pairs(), alphas)
     def test_ratio_between_perspectives(self, pair, alpha):
         params = RiskParams(alpha)
-        view = to_system_view(pair)
         assert_close(
             delta_cond_var(pair, params),
-            (view.std_s / pair.std_i) * delta_contr_var(pair, params),
+            (pair.std_s / pair.std_i) * delta_contr_var(pair, params),
             pair_scale(pair, params.quantile), label="perspective ratio",
         )
         # equivalent normalized forms
         assert_close(
-            delta_cond_var(pair, params) / view.std_s,
+            delta_cond_var(pair, params) / pair.std_s,
             delta_contr_var(pair, params) / pair.std_i,
             params.quantile, label="normalized perspective ratio",
         )
@@ -369,12 +374,11 @@ class TestCrossStatisticIdentities:
     @given(gaussian_pairs(), alphas)
     def test_weighted_system_shifts_aggregate(self, pair, alpha):
         params = RiskParams(alpha)
-        view = to_system_view(pair)
         weighted = (
-            (pair.std_i / view.std_s) * delta_cond_var(pair, params)
-            + (pair.std_a / view.std_s) * delta_cond_var(pair.swapped(), params)
+            (pair.std_i / pair.std_s) * delta_cond_var(pair, params)
+            + (pair.std_a / pair.std_s) * delta_cond_var(pair.swapped(), params)
         )
-        assert_close(weighted, -params.quantile * view.std_s,
+        assert_close(weighted, -params.quantile * pair.std_s,
                      pair_scale(pair, params.quantile), label="weighted aggregate")
 
     @settings(max_examples=300)
