@@ -6,13 +6,15 @@ Two subcommands:
                         risk-report row per bank (table, CSV, or JSON).
 ``gaussrisk validate``  run the Monte Carlo oracle against the closed forms.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or input error,
-3 internal error (a defect of the program; one ``internal error:`` line).
+Exit codes: 0 success, 1 validation failure, 2 usage or input error, or
+stdout closed by its reader (no message), 3 internal error (a defect of the
+program; one ``internal error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -41,12 +43,19 @@ _TABLE_HEADERS = (
     "dCollVaR", "dCollES", "dCondVaR", "dContrVaR",
     "VaRContrib", "beta_Ai", "beta_Si", "beta_iS", "rho",
 )
+_MODEL_FIELDS = ("mu_i", "mu_a", "var_i", "var_a", "cov_ia")
 
 
 def _fmt(value: Optional[float], digits: int) -> str:
     if value is None:
         return "n/a"
     return f"{value + 0.0:.{digits}g}"  # + 0.0 folds -0.0 into 0.0
+
+
+def _fixed(value: Optional[float], width: int) -> str:
+    if value is None:
+        return f"{'n/a':>{width}}"
+    return f"{value + 0.0:>{width}.6f}"
 
 
 def _json_value(value: Optional[float]) -> Optional[float]:
@@ -59,9 +68,8 @@ def _parse_model(spec: str) -> GaussianPair:
         raise DomainError(
             f"--model expects MU_I,MU_A,VAR_I,VAR_A,COV (5 numbers), got {len(parts)} fields"
         )
-    names = ("mu_i", "mu_a", "var_i", "var_a", "cov_ia")
     values = {}
-    for name, part in zip(names, parts):
+    for name, part in zip(_MODEL_FIELDS, parts):
         try:
             values[name] = float(part)
         except ValueError:
@@ -165,6 +173,35 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _render_validate_table(labeled_reports) -> str:
+    header = (
+        f"{'statistic':<18} {'closed_form':>14} {'empirical':>14} "
+        f"{'abs_error':>11} {'tolerance':>11} {'tail_n':>8}  status"
+    )
+    lines = []
+    for bank, report in labeled_reports:
+        config = report.config
+        lines += [
+            f"== {bank} (alpha={config.alpha}, N={config.sample_count}, seed={config.seed})",
+            header, "-" * len(header),
+        ]
+        for check in report.checks:
+            if check.passed is None:
+                status = f"skipped ({check.note})"
+            else:
+                status = "pass" if check.passed else "FAIL"
+            lines.append(
+                f"{check.name:<18} {_fixed(check.closed_form, 14)} "
+                f"{_fixed(check.empirical, 14)} {_fixed(check.abs_error, 11)} "
+                f"{_fixed(check.tolerance, 11)} {check.effective_tail_samples:>8}  {status}"
+            )
+        lines.append(
+            f"overall: {'pass' if report.all_passed else 'FAIL'} "
+            f"({len(report.evaluated)}/{len(report.checks)} statistics evaluated)"
+        )
+    return "\n".join(lines)
+
+
 def _render_validate_csv(labeled_reports) -> str:
     lines = [
         "bank,statistic,closed_form,empirical,abs_error,tolerance,"
@@ -182,6 +219,33 @@ def _render_validate_csv(labeled_reports) -> str:
     return "\n".join(lines)
 
 
+def _render_validate_json(labeled_reports) -> str:
+    reports = []
+    for bank, report in labeled_reports:
+        statistics = [
+            {
+                "name": check.name,
+                "closed_form": _json_value(check.closed_form),
+                "empirical": _json_value(check.empirical),
+                "abs_error": _json_value(check.abs_error),
+                "tolerance": _json_value(check.tolerance),
+                "effective_tail_samples": check.effective_tail_samples,
+                "pass": check.passed,
+                "note": check.note,
+            }
+            for check in report.checks
+        ]
+        reports.append({
+            "bank": bank,
+            "model": {name: getattr(report.pair, name) + 0.0 for name in _MODEL_FIELDS},
+            "config": dict(vars(report.config)),  # McConfig's fields, in their order
+            "rng_method": report.rng_method,
+            "all_passed": report.all_passed,
+            "statistics": statistics,
+        })
+    return json.dumps({"reports": reports}, indent=2)
+
+
 def _cmd_validate(args) -> int:
     config = McConfig(
         sample_count=args.samples, bandwidth=args.bandwidth, seed=args.seed, alpha=args.alpha
@@ -193,22 +257,12 @@ def _cmd_validate(args) -> int:
     labeled_reports = [
         (bank, validate_closed_forms(pair, config, normals)) for bank, pair in pairs
     ]
-    if args.format == "json":
-        payload = {
-            "reports": [
-                {"bank": bank, **report.to_dict(digits=12)}
-                for bank, report in labeled_reports
-            ]
-        }
-        print(json.dumps(payload, indent=2))
+    if args.format == "table":
+        print(_render_validate_table(labeled_reports))
     elif args.format == "csv":
         print(_render_validate_csv(labeled_reports))
     else:
-        blocks = []
-        for bank, report in labeled_reports:
-            blocks.append(f"== {bank} (alpha={args.alpha}, N={args.samples}, seed={args.seed})")
-            blocks.append(report.to_table())
-        print("\n".join(blocks))
+        print(_render_validate_json(labeled_reports))
     return 0 if all(report.all_passed for _, report in labeled_reports) else 1
 
 
@@ -260,7 +314,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # `| head` closed stdout: not a defect.  Closing the stream drops the
+        # unwritten rest, which the interpreter would otherwise fail to flush.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 2
     except GaussRiskError as exc:
         # args[0], not str(exc): str() of a KeyError subclass adds quotes
         message = exc.args[0] if exc.args else str(exc)

@@ -334,12 +334,20 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
 
     A zero-variance column is legal here and only triggers a
     :class:`DegenerateSeriesWarning`; :func:`pair_for_bank` rejects such a
-    bank if it is actually singled out.
+    bank if it is actually singled out.  A column whose observations are all
+    equal has zero variance and zero covariances, exactly: the rounding noise
+    of its mean does not make it a bank.
     """
     obs = panel.observations
     means = obs.mean(axis=0)
     cov = np.atleast_2d(np.cov(obs, rowvar=False, ddof=1))
     cov = 0.5 * (cov + cov.T)  # enforce exact symmetry; rounding only
+    # A constant column's sample variance is rounding noise of its mean, far
+    # below (T * mean * 1e-10)^2; only such columns are compared value by value.
+    suspect = np.flatnonzero(np.diag(cov) <= (1e-10 * obs.shape[0] * means) ** 2)
+    constant = suspect[(obs[:, suspect] == obs[0, suspect]).all(axis=0)]
+    cov[constant, :] = 0.0
+    cov[:, constant] = 0.0
     zero_variance = [label for label, v in zip(panel.labels, np.diag(cov)) if v == 0.0]
     for label in zero_variance:
         warnings.warn(

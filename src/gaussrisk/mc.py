@@ -18,7 +18,6 @@ generator identifier is recorded on every report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -66,8 +65,7 @@ class McConfig:
             raise DomainError(f"bandwidth must be in (0, 0.5], got {self.bandwidth!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if not (isinstance(self.alpha, (int, float)) and 0.5 < self.alpha < 1.0):
-            raise DomainError(f"alpha must be in (0.5, 1), got {self.alpha!r}")
+        RiskParams(self.alpha)  # the one owner of the alpha rule
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class StatisticCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of one Monte Carlo validation run."""
+    """Outcome of one Monte Carlo validation run; the CLI renders it."""
 
     pair: GaussianPair
     config: McConfig
@@ -105,76 +103,6 @@ class ValidationReport:
     @property
     def evaluated(self) -> tuple[StatisticCheck, ...]:
         return tuple(check for check in self.checks if check.passed is not None)
-
-    def to_dict(self, digits: Optional[int] = None) -> dict:
-        """Plain-data form of the report, one record per statistic."""
-
-        def fmt(value: Optional[float]) -> Optional[float]:
-            if value is None:
-                return None
-            return float(f"{value:.{digits}g}") if digits else value
-
-        return {
-            "model": {
-                "mu_i": self.pair.mu_i,
-                "mu_a": self.pair.mu_a,
-                "var_i": self.pair.var_i,
-                "var_a": self.pair.var_a,
-                "cov_ia": self.pair.cov_ia,
-            },
-            "config": {
-                "sample_count": self.config.sample_count,
-                "bandwidth": self.config.bandwidth,
-                "seed": self.config.seed,
-                "alpha": self.config.alpha,
-            },
-            "rng_method": self.rng_method,
-            "all_passed": self.all_passed,
-            "statistics": [
-                {
-                    "name": check.name,
-                    "closed_form": fmt(check.closed_form),
-                    "empirical": fmt(check.empirical),
-                    "abs_error": fmt(check.abs_error),
-                    "tolerance": fmt(check.tolerance),
-                    "effective_tail_samples": check.effective_tail_samples,
-                    "pass": check.passed,
-                    "note": check.note,
-                }
-                for check in self.checks
-            ],
-        }
-
-    def to_json(self, digits: Optional[int] = None, indent: Optional[int] = 2) -> str:
-        """Structured JSON document with one record per statistic."""
-        return json.dumps(self.to_dict(digits=digits), indent=indent)
-
-    def to_table(self) -> str:
-        """Line-oriented text table, one row per statistic."""
-        header = (
-            f"{'statistic':<18} {'closed_form':>14} {'empirical':>14} "
-            f"{'abs_error':>11} {'tolerance':>11} {'tail_n':>8}  status"
-        )
-        lines = [header, "-" * len(header)]
-        for check in self.checks:
-            if check.passed is None:
-                lines.append(
-                    f"{check.name:<18} {check.closed_form:>14.6f} {'n/a':>14} "
-                    f"{'n/a':>11} {'n/a':>11} {check.effective_tail_samples:>8}  "
-                    f"skipped ({check.note})"
-                )
-            else:
-                status = "pass" if check.passed else "FAIL"
-                lines.append(
-                    f"{check.name:<18} {check.closed_form:>14.6f} {check.empirical:>14.6f} "
-                    f"{check.abs_error:>11.6f} {check.tolerance:>11.6f} "
-                    f"{check.effective_tail_samples:>8}  {status}"
-                )
-        lines.append(
-            f"overall: {'pass' if self.all_passed else 'FAIL'} "
-            f"({len(self.evaluated)}/{len(self.checks)} statistics evaluated)"
-        )
-        return "\n".join(lines)
 
 
 def standard_normals(config: McConfig) -> np.ndarray:

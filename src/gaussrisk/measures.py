@@ -274,7 +274,7 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     contribution-family fields are reported as ``None``.
     """
     q = params.quantile
-    mu_s, var_s, cov_is, std_s = pair.mu_s, pair.var_s, pair.cov_is, pair.std_s
+    var_s, cov_is, std_s = pair.var_s, pair.cov_is, pair.std_s
 
     var_value = var_normal(pair.mu_i, pair.var_i, params)
     var_mean = -q * pair.std_i
@@ -299,10 +299,12 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     _check("spillover = stressed - unstressed", d_coll, covar - covare, scale)
     _check("spillover = slope * mean-corrected VaR", d_coll, b_ai * var_mean, scale)
     _check("spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a, scale)
-    stress_mean = conditional_moments(
-        pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, var_value
+    # Mean shifts at zero means: they do not depend on location, and
+    # var_value - mu_i loses the shift to rounding when |mu_i| dwarfs std_i.
+    stress_shift = conditional_moments(
+        0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, var_mean
     ).mean
-    _check("spillover = conditional mean shift", d_coll, stress_mean - pair.mu_a, scale)
+    _check("spillover = conditional mean shift", d_coll, stress_shift, scale)
     _check(
         "ES spillover = slope * mean-corrected ES",
         d_coll_es, b_ai * es_mean_normal(pair.var_i, params), scale,
@@ -324,11 +326,10 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
             "system shift = (std_s / std_i) * contribution shift",
             d_cond, (std_s / pair.std_i) * d_contr, scale,
         )
-        system_var_value = var_normal(mu_s, var_s, params)
-        allocation_mean = conditional_moments(
-            pair.mu_i, mu_s, var_s, pair.var_i, cov_is, system_var_value
+        allocation_shift = conditional_moments(
+            0.0, 0.0, var_s, pair.var_i, cov_is, -q * std_s
         ).mean
-        _check("VaR contribution = conditional mean", contribution, allocation_mean, scale)
+        _check("contribution shift = conditional mean shift", d_contr, allocation_shift, scale)
         _check(
             "contribution shift = -q * std allocation",
             d_contr, -q * std_allocation(pair), scale,

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +12,13 @@ import pytest
 
 import gaussrisk.cli
 from gaussrisk.cli import main
+from gaussrisk.mc import RNG_METHOD, McConfig, validate_closed_forms
 from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import RiskParams
 
 from helpers import bias_validated_closed_forms
+
+SRC = str(Path(gaussrisk.cli.__file__).parents[1])  # where the package under test lives
 
 
 @pytest.fixture
@@ -261,6 +268,71 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_json_round_trip(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["validate", "--model", "0,0,1,1,0.5", "--samples", "50000", "--seed", "3",
+             "--alpha", "0.95", "--format", "json"],
+        )
+        assert code == 0
+        (entry,) = json.loads(out)["reports"]
+        assert list(entry) == ["bank", "model", "config", "rng_method", "all_passed", "statistics"]
+        assert entry["model"] == {
+            "mu_i": 0.0, "mu_a": 0.0, "var_i": 1.0, "var_a": 1.0, "cov_ia": 0.5,
+        }
+        assert entry["config"] == {
+            "sample_count": 50000, "bandwidth": 0.05, "seed": 3, "alpha": 0.95,
+        }
+        assert entry["rng_method"] == RNG_METHOD
+        report = validate_closed_forms(
+            GaussianPair(0.0, 0.0, 1.0, 1.0, 0.5),
+            McConfig(sample_count=50_000, seed=3, alpha=0.95),
+        )
+        assert entry["all_passed"] is report.all_passed
+        names = [record["name"] for record in entry["statistics"]]
+        assert names == [
+            "var_i", "covar_ai", "covare_ai", "delta_coll_var", "delta_coll_es",
+            "delta_cond_var", "delta_contr_var", "var_contribution",
+        ]
+        for record, check in zip(entry["statistics"], report.checks):
+            assert list(record) == [
+                "name", "closed_form", "empirical", "abs_error", "tolerance",
+                "effective_tail_samples", "pass", "note",
+            ]
+            assert record["closed_form"] == pytest.approx(check.closed_form, rel=1e-11)
+            assert record["effective_tail_samples"] == check.effective_tail_samples
+            assert record["pass"] is check.passed
+            assert record["note"] == check.note
+            if record["pass"] is not None:
+                assert record["empirical"] == pytest.approx(check.empirical, rel=1e-11)
+                assert (record["abs_error"] <= record["tolerance"]) == record["pass"]
+                assert record["effective_tail_samples"] > 0
+
+    def test_table_has_one_line_per_statistic(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["validate", "--model", "0,0,1,1,0.5", "--samples", "50000", "--seed", "3",
+             "--alpha", "0.95"],
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "== model (alpha=0.95, N=50000, seed=3)"
+        assert lines[1].split()[0] == "statistic"
+        names = [line.split()[0] for line in lines[3:-1]]
+        assert names == [
+            "var_i", "covar_ai", "covare_ai", "delta_coll_var", "delta_coll_es",
+            "delta_cond_var", "delta_contr_var", "var_contribution",
+        ]
+        assert lines[-1].startswith("overall:")
+
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
+    def test_exact_zero_prints_unsigned(self, capsys, output_format):
+        # delta_coll_var of an independent pair is -q * 0.0 / std_i, an exact -0.0
+        code, out, _ = run(capsys, self.ARGS + ["--format", output_format])
+        assert code == 0
+        assert "delta_coll_var" in out
+        assert re.search(r"-0(\.0+)?(?![\d.e])", out) is None
+
     def test_degenerate_model_exits_2(self, capsys):
         code, _, err = run(capsys, ["validate", "--model", "0,0,1,1,-1", "--samples", "10000"])
         assert code == 2
@@ -308,6 +380,39 @@ class TestUsageErrors:
         assert out == ""
         assert err == "internal error: RuntimeError: step broke\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_closed_stdout_exits_2_without_a_message(self, capsys, monkeypatch, command):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main([command, "--model", "0,0,1,1,0.5"] + (
+            ["--samples", "10000"] if command == "validate" else []
+        ))
+        assert code == 2
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_gone_before_the_output_is_written(self, unbuffered):
+        # `gaussrisk analyze ... | head -1`, with head already gone.  Block
+        # buffered, the output fits the buffer and the pipe breaks only when
+        # it is flushed; unbuffered, it breaks inside print.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gaussrisk.cli", "analyze", "--model", "0,0,1,1,0.5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, "")
+
     def test_missing_source_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze"])
@@ -351,6 +456,18 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert out == (GOLDEN / "validate.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "output_format, expected", [("json", "validate.json"), ("table", "validate.txt")],
+    )
+    def test_validate_selection(self, capsys, output_format, expected):
+        code, out, _ = run(
+            capsys,
+            ["validate", "--input", str(GOLDEN / "panel.csv"), "--samples", "200000",
+             "--seed", "0", "--alpha", "0.95", "--format", output_format],
+        )
+        assert code == 0
+        assert out == (GOLDEN / expected).read_text()
 
     def test_validate_without_an_analyzable_bank_exits_2(self, capsys):
         code, out, err = run(

@@ -296,6 +296,30 @@ class TestEstimateMoments:
         with pytest.warns(DegenerateSeriesWarning, match="'B'"):
             estimate_moments(panel)
 
+    def test_constant_column_is_zero_variance(self):
+        # 0.0025 is not a binary fraction: the mean of 80 copies is off by an
+        # ulp, so the plain sample moments of the column are rounding noise.
+        rng = np.random.default_rng(11)
+        obs = np.column_stack([0.02 * rng.standard_normal((80, 2)), np.full(80, 0.0025)])
+        assert np.all(np.cov(obs, rowvar=False)[2] != 0.0)
+        with pytest.warns(DegenerateSeriesWarning, match="'C'"):
+            est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
+        assert np.all(est.covariance[2] == 0.0)
+        assert np.all(est.covariance[:, 2] == 0.0)
+        with pytest.raises(DegenerateBankError, match="'C'"):
+            pair_for_bank(est, "C")
+
+    def test_column_one_ulp_from_constant_keeps_its_variance(self):
+        rng = np.random.default_rng(11)
+        column = np.full(80, 1.0)
+        column[40] = np.nextafter(1.0, 2.0)
+        obs = np.column_stack([0.02 * rng.standard_normal((80, 2)), column])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateSeriesWarning)
+            est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
+        assert est.covariance[2, 2] > 0.0
+        assert pair_for_bank(est, "C").var_i == est.covariance[2, 2]
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(7)
         obs = rng.standard_normal((200, 3))

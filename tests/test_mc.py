@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -8,7 +7,6 @@ import pytest
 from gaussrisk.errors import DegenerateSystemError, DomainError, ThinBandError, ThinTailError
 from gaussrisk.mc import (
     McConfig,
-    RNG_METHOD,
     _band_indices,
     _centred_dot,
     _quantile_and_se,
@@ -249,34 +247,6 @@ class TestValidateClosedForms:
         report = validate_closed_forms(UNIT_HALF, config)
         assert not report.all_passed
 
-    def test_json_round_trip(self):
-        config = McConfig(sample_count=50_000, seed=3, alpha=0.95)
-        report = validate_closed_forms(UNIT_HALF, config)
-        payload = json.loads(report.to_json())
-        assert payload["rng_method"] == RNG_METHOD
-        assert payload["config"]["seed"] == 3
-        names = [record["name"] for record in payload["statistics"]]
-        assert names == [
-            "var_i", "covar_ai", "covare_ai", "delta_coll_var", "delta_coll_es",
-            "delta_cond_var", "delta_contr_var", "var_contribution",
-        ]
-        for record in payload["statistics"]:
-            assert set(record) == {
-                "name", "closed_form", "empirical", "abs_error", "tolerance",
-                "effective_tail_samples", "pass", "note",
-            }
-            if record["pass"] is not None:
-                assert (record["abs_error"] <= record["tolerance"]) == record["pass"]
-                assert record["effective_tail_samples"] > 0
-
-    def test_table_has_one_line_per_statistic(self):
-        config = McConfig(sample_count=50_000, seed=3, alpha=0.95)
-        report = validate_closed_forms(UNIT_HALF, config)
-        table = report.to_table()
-        for check in report.checks:
-            assert check.name in table
-        assert "overall:" in table
-
 
 class TestPropertySweep:
     @pytest.mark.parametrize("alpha", [0.95, 0.99])
@@ -309,9 +279,9 @@ class TestPropertySweep:
 # population moments: drifts of 0.1 %, vols of 2 % and 7.1 %, correlation 0.58.
 DEMO_LIKE = GaussianPair(0.001, 0.0012, 0.0004, 0.00505, 0.00058)
 
-# validate_closed_forms(...).to_dict()["statistics"] as computed before the
-# shared draw and the single pass over the bands, as exact floats:
-# (name, closed_form, empirical, abs_error, tolerance, effective_tail_samples, pass, note).
+# validate_closed_forms(...).checks as computed before the shared draw and the
+# single pass over the bands, as exact floats: (name, closed_form, empirical,
+# abs_error, tolerance, effective_tail_samples, passed, note).
 GOLDEN_REPORTS = [
     (
         DEMO_LIKE, McConfig(sample_count=200_000, seed=0, alpha=0.95),
@@ -357,15 +327,12 @@ GOLDEN_REPORTS = [
 ]
 _GOLDEN_FIELDS = (
     "name", "closed_form", "empirical", "abs_error", "tolerance",
-    "effective_tail_samples", "pass", "note",
+    "effective_tail_samples", "passed", "note",
 )
 
 
 def statistic_rows(report) -> list[tuple]:
-    return [
-        tuple(record[field] for field in _GOLDEN_FIELDS)
-        for record in report.to_dict()["statistics"]
-    ]
+    return [tuple(getattr(check, field) for field in _GOLDEN_FIELDS) for check in report.checks]
 
 
 class TestSharedDraw:
@@ -374,7 +341,7 @@ class TestSharedDraw:
         report = validate_closed_forms(pair, config)
         assert statistic_rows(report) == expected
         shared = validate_closed_forms(pair, config, standard_normals(config))
-        assert shared.to_dict() == report.to_dict()
+        assert shared.checks == report.checks
 
     @pytest.mark.parametrize("sample_count", [50_000, 600_000])
     def test_sample_pair_maps_the_shared_draw(self, sample_count):

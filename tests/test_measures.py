@@ -8,6 +8,7 @@ from gaussrisk.errors import (
     DegenerateModelError,
     DegenerateSystemError,
     DomainError,
+    GaussRiskError,
     InvalidCovarianceError,
 )
 from gaussrisk.measures import (
@@ -450,3 +451,30 @@ class TestFullReport:
         object.__setattr__(params, "alpha", 0.97)  # quantile no longer matches alpha
         with pytest.raises(ConsistencyError):
             full_report(unit_pair(0.5), params)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-1.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(-15.0, 15.0)),
+        st.one_of(st.just(0.0), st.floats(-15.0, 15.0)),
+        st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]), alphas,
+    )
+    def test_valid_pair_gives_finite_statistics_or_a_typed_error(
+        self, log_sd_i, log_sd_a, rho, log_loc_i, log_loc_a, sign_i, sign_a, alpha
+    ):
+        # sds over 1e-30..1e30 and means up to 1e15 sds from zero: a report is
+        # finite, and no valid pair trips a cross-check.
+        sd_i, sd_a = 10.0**log_sd_i, 10.0**log_sd_a
+        mu_i = 0.0 if log_loc_i == 0.0 else sign_i * 10.0**log_loc_i * sd_i
+        mu_a = 0.0 if log_loc_a == 0.0 else sign_a * 10.0**log_loc_a * sd_a
+        try:
+            report = full_report(
+                GaussianPair(mu_i, mu_a, sd_i * sd_i, sd_a * sd_a, rho * sd_i * sd_a),
+                RiskParams(alpha),
+            )
+        except GaussRiskError as exc:
+            assert not isinstance(exc, ConsistencyError), exc
+            return
+        for name, value in vars(report).items():
+            if value is not None:
+                assert math.isfinite(value), name
