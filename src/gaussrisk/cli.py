@@ -15,51 +15,37 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
+import re
 import sys
 import warnings
 from typing import Iterator, Optional
 
-from .errors import (
-    DegenerateModelError,
-    DegenerateSeriesWarning,
-    DomainError,
-    GaussRiskError,
-    UnknownBankError,
-)
+from .errors import DegenerateModelError, DegenerateSeriesWarning, DomainError, GaussRiskError
 from .estimation import MomentEstimate, estimate_moments, load_panel, pair_for_bank
 from .measures import BankRiskReport, GaussianPair, full_report
-from .mc import McConfig, standard_normals, validate_closed_forms
+from .mc import RNG_METHOD, McConfig, standard_normals, validate_closed_forms
 from .normal import RiskParams
 
 # Column order of every analyze rendering; names are the stable JSON schema.
-_REPORT_FIELDS = (
-    "var_i", "var_mean_i", "covar_ai", "covare_ai",
-    "delta_coll_var", "delta_coll_es", "delta_cond_var", "delta_contr_var",
-    "var_contribution", "beta_ai", "beta_si", "beta_is", "rho",
-)
-_TABLE_HEADERS = (
-    "VaR", "VaR_mean", "CoVaR", "CoVaRe",
-    "dCollVaR", "dCollES", "dCondVaR", "dContrVaR",
-    "VaRContrib", "beta_Ai", "beta_Si", "beta_iS", "rho",
-)
-_MODEL_FIELDS = ("mu_i", "mu_a", "var_i", "var_a", "cov_ia")
+_REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(BankRiskReport))
+_TABLE_HEADERS = {
+    "var_i": "VaR", "var_mean_i": "VaR_mean", "covar_ai": "CoVaR", "covare_ai": "CoVaRe",
+    "delta_coll_var": "dCollVaR", "delta_coll_es": "dCollES", "delta_cond_var": "dCondVaR",
+    "delta_contr_var": "dContrVaR", "var_contribution": "VaRContrib",
+    "beta_ai": "beta_Ai", "beta_si": "beta_Si", "beta_is": "beta_iS", "rho": "rho",
+}
+_MODEL_FIELDS = tuple(field.name for field in dataclasses.fields(GaussianPair))
 
 
-def _fmt(value: Optional[float], digits: int) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value + 0.0:.{digits}g}"  # + 0.0 folds -0.0 into 0.0
-
-
-def _fixed(value: Optional[float], width: int) -> str:
-    if value is None:
-        return f"{'n/a':>{width}}"
-    return f"{value + 0.0:>{width}.6f}"
+def _fmt(value: Optional[float], spec: str) -> str:
+    """``value`` in format ``spec``, or "n/a" for None; an exact -0.0 prints unsigned."""
+    return "n/a" if value is None else format(value + 0.0, spec)
 
 
 def _json_value(value: Optional[float]) -> Optional[float]:
-    return None if value is None else float(f"{value + 0.0:.12g}")
+    return None if value is None else float(_fmt(value, ".12g"))
 
 
 def _parse_model(spec: str) -> GaussianPair:
@@ -82,25 +68,23 @@ def _load_estimate(path: str) -> MomentEstimate:
         warnings.simplefilter("always")
         # a selected zero-variance bank gets its own "skipped" warning line
         warnings.simplefilter("ignore", DegenerateSeriesWarning)
-        if path == "-":
-            panel = load_panel(sys.stdin)
-        else:
-            panel = load_panel(path)
-        est = estimate_moments(panel)
+        est = estimate_moments(load_panel(sys.stdin if path == "-" else path))
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return est
 
 
-def _select_banks(labels: tuple[str, ...], banks: Optional[str]) -> list[str]:
+def _select_banks(est: MomentEstimate, banks: Optional[str]) -> list[str]:
     if banks is None:
-        return list(labels)
+        return list(est.labels)
     selected = [bank.strip() for bank in banks.split(",") if bank.strip()]
     if not selected:
         raise DomainError("--banks given but no labels listed")
     for bank in selected:
-        if bank not in labels:
-            raise UnknownBankError(f"unknown bank label {bank!r}")
+        est.index_of(bank)  # an unknown label raises UnknownBankError
+    if len(set(selected)) < len(selected):
+        repeated = next(bank for i, bank in enumerate(selected) if bank in selected[:i])
+        raise DomainError(f"--banks lists bank {repeated!r} more than once")
     return selected
 
 
@@ -110,7 +94,7 @@ def _bank_pairs(args) -> Iterator[tuple[str, Optional[GaussianPair], str]]:
         yield "model", _parse_model(args.model), ""
         return
     est = _load_estimate(args.input)
-    for bank in _select_banks(est.labels, args.banks):
+    for bank in _select_banks(est, args.banks):
         try:
             yield bank, pair_for_bank(est, bank), ""
         except DegenerateModelError as exc:
@@ -126,11 +110,12 @@ def _report_values(report: Optional[BankRiskReport]) -> list[Optional[float]]:
 
 def _render_analyze_table(rows) -> str:
     width = max([4] + [len(bank) for bank, _, _ in rows])
-    header = f"{'bank':<{width}} " + " ".join(f"{h:>12}" for h in _TABLE_HEADERS)
+    headers = " ".join(f"{_TABLE_HEADERS[field]:>12}" for field in _REPORT_FIELDS)
+    header = f"{'bank':<{width}} {headers}"
     lines = [header, "-" * len(header)]
     notes = []
     for bank, report, reason in rows:
-        cells = " ".join(f"{_fmt(v, 6):>12}" for v in _report_values(report))
+        cells = " ".join(f"{_fmt(v, '.6g'):>12}" for v in _report_values(report))
         lines.append(f"{bank:<{width}} {cells}")
         if reason:
             notes.append(f"note: {bank} skipped: {reason}")
@@ -140,7 +125,7 @@ def _render_analyze_table(rows) -> str:
 def _render_analyze_csv(rows) -> str:
     lines = ["bank," + ",".join(_REPORT_FIELDS)]
     for bank, report, _ in rows:
-        lines.append(bank + "," + ",".join(_fmt(v, 12) for v in _report_values(report)))
+        lines.append(bank + "," + ",".join(_fmt(v, ".12g") for v in _report_values(report)))
     return "\n".join(lines)
 
 
@@ -150,10 +135,7 @@ def _render_analyze_json(rows, alpha: float) -> str:
         if report is None:
             reports.append({"bank": bank, "available": False, "reason": reason})
         else:
-            statistics = {
-                field: _json_value(value)
-                for field, value in zip(_REPORT_FIELDS, _report_values(report))
-            }
+            statistics = {field: _json_value(getattr(report, field)) for field in _REPORT_FIELDS}
             reports.append({"bank": bank, "available": True, "statistics": statistics})
     return json.dumps({"alpha": alpha, "reports": reports}, indent=2)
 
@@ -191,9 +173,9 @@ def _render_validate_table(labeled_reports) -> str:
             else:
                 status = "pass" if check.passed else "FAIL"
             lines.append(
-                f"{check.name:<18} {_fixed(check.closed_form, 14)} "
-                f"{_fixed(check.empirical, 14)} {_fixed(check.abs_error, 11)} "
-                f"{_fixed(check.tolerance, 11)} {check.effective_tail_samples:>8}  {status}"
+                f"{check.name:<18} {_fmt(check.closed_form, '.6f'):>14} "
+                f"{_fmt(check.empirical, '.6f'):>14} {_fmt(check.abs_error, '.6f'):>11} "
+                f"{_fmt(check.tolerance, '.6f'):>11} {check.effective_tail_samples:>8}  {status}"
             )
         lines.append(
             f"overall: {'pass' if report.all_passed else 'FAIL'} "
@@ -211,9 +193,9 @@ def _render_validate_csv(labeled_reports) -> str:
         for check in report.checks:
             status = "" if check.passed is None else str(check.passed).lower()
             lines.append(
-                f"{bank},{check.name},{_fmt(check.closed_form, 12)},"
-                f"{_fmt(check.empirical, 12)},{_fmt(check.abs_error, 12)},"
-                f"{_fmt(check.tolerance, 12)},{check.effective_tail_samples},"
+                f"{bank},{check.name},{_fmt(check.closed_form, '.12g')},"
+                f"{_fmt(check.empirical, '.12g')},{_fmt(check.abs_error, '.12g')},"
+                f"{_fmt(check.tolerance, '.12g')},{check.effective_tail_samples},"
                 f"{status},{check.note}"
             )
     return "\n".join(lines)
@@ -239,7 +221,7 @@ def _render_validate_json(labeled_reports) -> str:
             "bank": bank,
             "model": {name: getattr(report.pair, name) + 0.0 for name in _MODEL_FIELDS},
             "config": dict(vars(report.config)),  # McConfig's fields, in their order
-            "rng_method": report.rng_method,
+            "rng_method": RNG_METHOD,
             "all_passed": report.all_passed,
             "statistics": statistics,
         })
@@ -274,7 +256,8 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
     )
     source.add_argument(
         "--model", metavar="MU_I,MU_A,VAR_I,VAR_A,COV",
-        help="inline bank-vs-system model instead of a panel",
+        help="inline bank-vs-system model instead of a panel; a negative MU_I may "
+        "follow a space or an '='",
     )
     sub.add_argument("--alpha", type=float, default=0.99, help="VaR threshold (default 0.99)")
     sub.add_argument(
@@ -311,8 +294,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_model(argv: list[str]) -> list[str]:
+    """``argv`` with ``--model SPEC`` as ``--model=SPEC`` when SPEC starts with a negative number.
+
+    argparse takes ``-0.01,0,1,1,0`` for an option, so ``--model`` would lose its value.
+    """
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--model" and re.match(r"-\.?\d", argv[i]):
+            argv = argv[:i - 1] + [f"--model={argv[i]}"] + argv[i + 1:]
+    return argv
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_model(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit

@@ -44,23 +44,23 @@ class ConsistencyError(GaussRiskError, RuntimeError):
     """Two independent derivations of the same statistic disagree."""
 
 
-class ThinBandError(GaussRiskError, RuntimeError):
+class _ThinSampleError(GaussRiskError, RuntimeError):
+    """Too few Monte Carlo samples for a statistic; ``count`` is how many there were."""
+
+    def __init__(self, message: str, count: int = 0):
+        super().__init__(message)
+        self.count = count
+
+
+class ThinBandError(_ThinSampleError):
     """Too few Monte Carlo samples fall inside a conditioning band.
 
     Raise the sample count or the bandwidth to fix it.
     """
 
-    def __init__(self, message: str, count: int = 0):
-        super().__init__(message)
-        self.count = count
 
-
-class ThinTailError(GaussRiskError, RuntimeError):
+class ThinTailError(_ThinSampleError):
     """Too few Monte Carlo samples fall beyond the tail quantile."""
-
-    def __init__(self, message: str, count: int = 0):
-        super().__init__(message)
-        self.count = count
 
 
 class DegenerateSeriesWarning(UserWarning):

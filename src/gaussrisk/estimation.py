@@ -1,10 +1,10 @@
 """Panel ingestion and moment estimation.
 
 A panel is a T x n matrix of per-bank observations of one statistic (return,
-P/L, asset change -- the caller's choice, recorded only as free-text
-metadata).  From it we estimate the joint mean vector and covariance matrix,
-and for any bank ``i`` build the :class:`~gaussrisk.measures.GaussianPair`
-against ``a`` = the plain sum of all the other banks.
+P/L, asset change -- the caller's choice, not recorded on the panel).  From
+it we estimate the joint mean vector and covariance matrix, and for any bank
+``i`` build the :class:`~gaussrisk.measures.GaussianPair` against ``a`` = the
+plain sum of all the other banks.
 
 CSV contract (see :func:`load_panel`): UTF-8 text (a leading byte-order mark
 is dropped), first row a header of unique bank labels, optionally led by a

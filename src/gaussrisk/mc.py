@@ -12,8 +12,8 @@ across seeds.
 Reproducibility: sampling uses numpy's PCG64 bit generator with normal
 variates from its ziggurat ``standard_normal``; the stream is generated in
 fixed-size blocks whose sub-seeds derive from (seed, block index), so any
-partitioning of blocks across workers merges to the same sample.  The
-generator identifier is recorded on every report.
+partitioning of blocks across workers merges to the same sample.
+``RNG_METHOD`` identifies the generator; the CLI records it with every report.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateSystemError, DomainError, ThinBandError, ThinTailError
+from .errors import (
+    DegenerateSystemError,
+    DomainError,
+    ThinBandError,
+    ThinTailError,
+    _ThinSampleError,
+)
 from .measures import (
     GaussianPair,
     covar_at_mean,
@@ -92,7 +98,6 @@ class ValidationReport:
 
     pair: GaussianPair
     config: McConfig
-    rng_method: str
     checks: tuple[StatisticCheck, ...]
 
     @property
@@ -267,8 +272,7 @@ def _centred_dot(x: np.ndarray, mean: float, y: Optional[np.ndarray] = None) -> 
 # The empirical value of a statistic, its standard error and its effective
 # sample count; or the error of the thin band or tail that kept it from being
 # evaluated.
-_Outcome = Union[tuple[float, float, int], ThinBandError, ThinTailError]
-_THIN = (ThinBandError, ThinTailError)
+_Outcome = Union[tuple[float, float, int], _ThinSampleError]
 
 
 def _attempt(compute: Callable, *args):
@@ -278,11 +282,11 @@ def _attempt(compute: Callable, *args):
     ``compute``, so a thin band's error is the result of everything built on it.
     """
     for arg in args:
-        if isinstance(arg, _THIN):
+        if isinstance(arg, _ThinSampleError):
             return arg
     try:
         return compute(*args)
-    except _THIN as exc:
+    except _ThinSampleError as exc:
         return exc.with_traceback(None)  # the traceback would keep the band's temporaries alive
 
 
@@ -403,7 +407,7 @@ def validate_closed_forms(
 
     checks = []
     for name, closed, target_std, outcome in plan:
-        if isinstance(outcome, _THIN):
+        if isinstance(outcome, _ThinSampleError):
             checks.append(
                 StatisticCheck(
                     name=name, closed_form=closed, empirical=None, abs_error=None,
@@ -422,4 +426,4 @@ def validate_closed_forms(
                 effective_tail_samples=int(n_effective), passed=abs_error <= tolerance,
             )
         )
-    return ValidationReport(pair=pair, config=config, rng_method=RNG_METHOD, checks=tuple(checks))
+    return ValidationReport(pair=pair, config=config, checks=tuple(checks))

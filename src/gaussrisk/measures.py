@@ -28,8 +28,8 @@ routes disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional
 
 from .errors import (
     ConsistencyError,
@@ -38,11 +38,14 @@ from .errors import (
     DomainError,
     InvalidCovarianceError,
 )
-from .normal import RiskParams, conditional_moments, es_mean_normal, std_normal_pdf, var_normal
-
-# Covariance inputs estimated from data can overshoot the PSD boundary by a
-# few ulps; tolerate that, reject anything larger.
-_PSD_SLACK = 1e-12
+from .normal import (
+    _PSD_SLACK,
+    RiskParams,
+    conditional_moments,
+    es_mean_normal,
+    std_normal_pdf,
+    var_normal,
+)
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,10 @@ class GaussianPair:
     cov_ia: float
 
     def __post_init__(self) -> None:
-        for name in ("mu_i", "mu_a", "var_i", "var_a", "cov_ia"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
+                raise DomainError(f"{field.name} must be a finite number, got {value!r}")
         if self.var_i <= 0.0:
             raise DegenerateModelError(f"var_i must be positive, got {self.var_i!r}")
         if self.var_a <= 0.0:
@@ -264,6 +267,51 @@ def _check(name: str, a: float, b: float, scale: float) -> None:
         )
 
 
+def _cross_checks(
+    pair: GaussianPair, params: RiskParams, report: BankRiskReport, scale: float
+) -> Iterator[tuple[str, float, float]]:
+    """The ``(name, statistic, second route)`` rows that :func:`full_report` checks, in order.
+
+    A route is computed only when its row is reached, after every earlier
+    row has passed, so the first disagreement is the error raised.
+    """
+    q = params.quantile
+    var_mean, d_coll, d_coll_es = report.var_mean_i, report.delta_coll_var, report.delta_coll_es
+    d_cond, d_contr, std_s = report.delta_cond_var, report.delta_contr_var, pair.std_s
+
+    yield "spillover = stressed - unstressed", d_coll, report.covar_ai - report.covare_ai
+    yield "spillover = slope * mean-corrected VaR", d_coll, report.beta_ai * var_mean
+    yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
+    # Mean shifts at zero means: they do not depend on location, and
+    # report.var_i - mu_i loses the shift to rounding when |mu_i| dwarfs std_i.
+    stress_shift = conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, var_mean)
+    yield "spillover = conditional mean shift", d_coll, stress_shift.mean
+    es_mean = es_mean_normal(pair.var_i, params)
+    yield "ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean
+    if abs(d_coll_es) + 1e-9 * scale < abs(d_coll):
+        raise ConsistencyError(
+            f"ES spillover {d_coll_es!r} smaller in magnitude than VaR spillover {d_coll!r}"
+        )
+    yield "system shift = own + spillover", d_cond, d_coll + var_mean
+    yield "system shift = system slope * mean-corrected VaR", d_cond, report.beta_si * var_mean
+
+    if d_contr is None:  # a perfect hedge has no contribution family to check
+        return
+    yield (
+        "contribution shift = slope * system mean-corrected VaR",
+        d_contr, report.beta_is * (-q * std_s),
+    )
+    yield (
+        "system shift = (std_s / std_i) * contribution shift",
+        d_cond, (std_s / pair.std_i) * d_contr,
+    )
+    allocation_shift = conditional_moments(
+        0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, -q * std_s
+    )
+    yield "contribution shift = conditional mean shift", d_contr, allocation_shift.mean
+    yield "contribution shift = -q * std allocation", d_contr, -q * std_allocation(pair)
+
+
 def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     """Compute every statistic for one bank and cross-check the results.
 
@@ -274,79 +322,23 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     contribution-family fields are reported as ``None``.
     """
     q = params.quantile
-    var_s, cov_is, std_s = pair.var_s, pair.cov_is, pair.std_s
-
-    var_value = var_normal(pair.mu_i, pair.var_i, params)
-    var_mean = -q * pair.std_i
-    covar = covar_collateral(pair, params)
-    covare = covar_at_mean(pair, params)
-    d_coll = delta_coll_var(pair, params)
-    d_coll_es = delta_coll_es(pair, params)
-    d_cond = delta_cond_var(pair, params)
-    b_ai = beta_coefficient(pair.cov_ia, pair.var_i)
-    b_si = beta_coefficient(cov_is, pair.var_i)
-
-    degenerate_system = var_s <= 0.0
-    if degenerate_system:
-        d_contr = contribution = b_is = None
-    else:
-        d_contr = delta_contr_var(pair, params)
-        contribution = var_contribution(pair, params)
-        b_is = beta_coefficient(cov_is, var_s)
-
-    scale = abs(pair.mu_i) + abs(pair.mu_a) + q * (pair.std_i + pair.std_a + std_s)
-
-    _check("spillover = stressed - unstressed", d_coll, covar - covare, scale)
-    _check("spillover = slope * mean-corrected VaR", d_coll, b_ai * var_mean, scale)
-    _check("spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a, scale)
-    # Mean shifts at zero means: they do not depend on location, and
-    # var_value - mu_i loses the shift to rounding when |mu_i| dwarfs std_i.
-    stress_shift = conditional_moments(
-        0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, var_mean
-    ).mean
-    _check("spillover = conditional mean shift", d_coll, stress_shift, scale)
-    _check(
-        "ES spillover = slope * mean-corrected ES",
-        d_coll_es, b_ai * es_mean_normal(pair.var_i, params), scale,
-    )
-    if abs(d_coll_es) + 1e-9 * scale < abs(d_coll):
-        raise ConsistencyError(
-            f"ES spillover {d_coll_es!r} smaller in magnitude than VaR spillover {d_coll!r}"
-        )
-    _check("system shift = own + spillover", d_cond, d_coll + var_mean, scale)
-    _check("system shift = system slope * mean-corrected VaR", d_cond, b_si * var_mean, scale)
-
-    if not degenerate_system:
-        assert d_contr is not None and contribution is not None and b_is is not None
-        _check(
-            "contribution shift = slope * system mean-corrected VaR",
-            d_contr, b_is * (-q * std_s), scale,
-        )
-        _check(
-            "system shift = (std_s / std_i) * contribution shift",
-            d_cond, (std_s / pair.std_i) * d_contr, scale,
-        )
-        allocation_shift = conditional_moments(
-            0.0, 0.0, var_s, pair.var_i, cov_is, -q * std_s
-        ).mean
-        _check("contribution shift = conditional mean shift", d_contr, allocation_shift, scale)
-        _check(
-            "contribution shift = -q * std allocation",
-            d_contr, -q * std_allocation(pair), scale,
-        )
-
-    return BankRiskReport(
-        var_i=var_value,
-        var_mean_i=var_mean,
-        covar_ai=covar,
-        covare_ai=covare,
-        delta_coll_var=d_coll,
-        delta_coll_es=d_coll_es,
-        delta_cond_var=d_cond,
-        delta_contr_var=d_contr,
-        var_contribution=contribution,
-        beta_ai=b_ai,
-        beta_si=b_si,
-        beta_is=b_is,
+    degenerate_system = pair.var_s <= 0.0
+    report = BankRiskReport(
+        var_i=var_normal(pair.mu_i, pair.var_i, params),
+        var_mean_i=-q * pair.std_i,
+        covar_ai=covar_collateral(pair, params),
+        covare_ai=covar_at_mean(pair, params),
+        delta_coll_var=delta_coll_var(pair, params),
+        delta_coll_es=delta_coll_es(pair, params),
+        delta_cond_var=delta_cond_var(pair, params),
+        delta_contr_var=None if degenerate_system else delta_contr_var(pair, params),
+        var_contribution=None if degenerate_system else var_contribution(pair, params),
+        beta_ai=beta_coefficient(pair.cov_ia, pair.var_i),
+        beta_si=beta_coefficient(pair.cov_is, pair.var_i),
+        beta_is=None if degenerate_system else beta_coefficient(pair.cov_is, pair.var_s),
         rho=pair.rho,
     )
+    scale = abs(pair.mu_i) + abs(pair.mu_a) + q * (pair.std_i + pair.std_a + pair.std_s)
+    for name, a, b in _cross_checks(pair, params, report, scale):
+        _check(name, a, b, scale)
+    return report

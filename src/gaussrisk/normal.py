@@ -21,6 +21,10 @@ from .errors import DegenerateModelError, DomainError, InvalidCovarianceError
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Covariance inputs estimated from data can overshoot the PSD boundary by a
+# few ulps; tolerate that, reject anything larger.
+_PSD_SLACK = 1e-12
+
 # Acklam's rational approximation of the inverse standard-normal CDF.
 # Raw accuracy is ~1.15e-9 relative; Newton refinement below takes it to
 # machine precision.
@@ -145,7 +149,7 @@ def conditional_moments(
         raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
     if not (math.isfinite(var_a) and var_a > 0.0):
         raise DegenerateModelError(f"var_a must be positive, got {var_a!r}")
-    if cov_ai * cov_ai > var_i * var_a * (1.0 + 1e-12):
+    if cov_ai * cov_ai > var_i * var_a * (1.0 + _PSD_SLACK):
         raise InvalidCovarianceError(
             f"cov_ai^2 = {cov_ai * cov_ai!r} exceeds var_i * var_a = {var_i * var_a!r}"
         )

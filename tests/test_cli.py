@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import gaussrisk.cli
 from gaussrisk.cli import main
 from gaussrisk.mc import RNG_METHOD, McConfig, validate_closed_forms
-from gaussrisk.measures import GaussianPair, full_report
+from gaussrisk.measures import BankRiskReport, GaussianPair, full_report
 from gaussrisk.normal import RiskParams
 
 from helpers import bias_validated_closed_forms
@@ -125,6 +126,32 @@ class TestAnalyzeModel:
         assert "error:" in err
 
 
+    def test_csv_header_is_the_report_field_order(self, capsys):
+        code, out, _ = run(capsys, ["analyze", "--model", "0.1,0.2,1,4,1", "--format", "csv"])
+        assert code == 0
+        fields = [field.name for field in dataclasses.fields(BankRiskReport)]
+        assert out.splitlines()[0].split(",") == ["bank"] + fields
+
+    def test_every_report_field_has_one_table_header(self):
+        assert set(gaussrisk.cli._TABLE_HEADERS) == set(gaussrisk.cli._REPORT_FIELDS)
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_negative_first_field_reads_the_same_after_a_space(self, capsys, command):
+        # argparse would take "-0.01,..." for an option; it must read as --model=-0.01,...
+        extra = ["--samples", "20000", "--seed", "3"] if command == "validate" else []
+        spaced = run(capsys, [command, "--model", "-0.01,0,1,1,0.5", "--format", "json"] + extra)
+        joined = run(capsys, [command, "--model=-0.01,0,1,1,0.5", "--format", "json"] + extra)
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["reports"][0]["bank"] == "model"
+
+    def test_option_after_model_stays_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--model", "--alpha", "0.9"])
+        assert excinfo.value.code == 2
+        assert "argument --model: expected one argument" in capsys.readouterr().err
+
+
 class TestAnalyzePanel:
     def test_reports_every_bank(self, capsys, panel_path):
         code, out, _ = run(capsys, ["analyze", "--input", panel_path, "--format", "json"])
@@ -145,6 +172,20 @@ class TestAnalyzePanel:
         code, _, err = run(capsys, ["analyze", "--input", panel_path, "--banks", "A,Z"])
         assert code == 2
         assert "Z" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_repeated_bank_exits_2(self, capsys, panel_path, command):
+        extra = ["--samples", "10000"] if command == "validate" else []
+        code, out, err = run(
+            capsys, [command, "--input", panel_path, "--banks", "A,B,A", "--format", "csv"] + extra
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --banks lists bank 'A' more than once\n"
+
+    def test_unknown_bank_is_reported_before_a_repeated_one(self, capsys, panel_path):
+        code, _, err = run(capsys, ["analyze", "--input", panel_path, "--banks", "A,A,Z"])
+        assert code == 2
+        assert err == "error: unknown bank label 'Z'\n"
 
     def test_header_only_panel_gives_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"

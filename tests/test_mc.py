@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussrisk.errors import DegenerateSystemError, DomainError, ThinBandError, ThinTailError
+from gaussrisk.errors import (
+    DegenerateSystemError,
+    DomainError,
+    GaussRiskError,
+    ThinBandError,
+    ThinTailError,
+)
 from gaussrisk.mc import (
     McConfig,
     _band_indices,
@@ -187,6 +193,19 @@ class TestEmpiricalEs:
     def test_thin_tail_raises(self):
         with pytest.raises(ThinTailError):
             empirical_es(np.arange(10_000.0), RiskParams(0.99))
+
+
+class TestThinSampleErrors:
+    @pytest.mark.parametrize("error_type", [ThinBandError, ThinTailError])
+    def test_count_is_kept(self, error_type):
+        exc = error_type("only 7 samples", count=7)
+        assert (str(exc), exc.count) == ("only 7 samples", 7)
+        assert error_type("no count given").count == 0
+        assert isinstance(exc, GaussRiskError) and isinstance(exc, RuntimeError)
+
+    def test_band_and_tail_stay_distinct_types(self):
+        assert not issubclass(ThinBandError, ThinTailError)
+        assert not issubclass(ThinTailError, ThinBandError)
 
 
 class TestRegressionSlopeIdentity:

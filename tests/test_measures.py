@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaussrisk.measures
 from gaussrisk.errors import (
     ConsistencyError,
     DegenerateModelError,
@@ -443,6 +444,38 @@ class TestFullReport:
         for name, value in vars(report).items():
             if value is not None:
                 assert math.isfinite(value), name
+
+    CHECK_NAMES = [
+        "spillover = stressed - unstressed",
+        "spillover = slope * mean-corrected VaR",
+        "spillover = -q * rho * std_a",
+        "spillover = conditional mean shift",
+        "ES spillover = slope * mean-corrected ES",
+        "system shift = own + spillover",
+        "system shift = system slope * mean-corrected VaR",
+        "contribution shift = slope * system mean-corrected VaR",
+        "system shift = (std_s / std_i) * contribution shift",
+        "contribution shift = conditional mean shift",
+        "contribution shift = -q * std allocation",
+    ]
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), 11), (unit_pair(-1.0), 7)],
+        ids=["general", "perfect-hedge"],
+    )
+    def test_cross_checks_run_in_a_fixed_order(self, monkeypatch, pair, expected):
+        # a perfect hedge has no contribution family, so its last 4 checks do not run
+        names = []
+        check = gaussrisk.measures._check
+
+        def record(name, a, b, scale):
+            names.append(name)
+            check(name, a, b, scale)
+
+        monkeypatch.setattr(gaussrisk.measures, "_check", record)
+        full_report(pair, P99)
+        assert names == self.CHECK_NAMES[:expected]
 
     def test_cross_checks_catch_corruption(self):
         # full_report re-derives each statistic two ways; feeding it an
