@@ -37,6 +37,16 @@ _TABLE_HEADERS = {
     "beta_ai": "beta_Ai", "beta_si": "beta_Si", "beta_is": "beta_iS", "rho": "rho",
 }
 _MODEL_FIELDS = tuple(field.name for field in dataclasses.fields(GaussianPair))
+# One format call writes a whole analyze row (csv cells, json numbers).
+_ROW_FORMAT = ",".join(["{:.12g}"] * len(_REPORT_FIELDS))
+# An available analyze row as json.dumps(..., indent=2) lays it out; "%" fills
+# its 14 slots in a third of the time str.format takes.
+_JSON_ROW = (
+    '    {\n      "bank": %s,\n      "available": true,\n      "statistics": {\n'
+    + ",\n".join(f'        "{field}": %s' for field in _REPORT_FIELDS)
+    + "\n      }\n    }"
+)
+_JSON_WORDS = {"n/a": "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _fmt(value: Optional[float], spec: str) -> str:
@@ -122,22 +132,46 @@ def _render_analyze_table(rows) -> str:
     return "\n".join(lines + notes)
 
 
+def _row_cells(report: Optional[BankRiskReport]) -> str:
+    """The report's fields as ``_fmt(value, ".12g")`` writes them, comma-separated."""
+    values = _report_values(report)
+    if None in values:
+        return ",".join(_fmt(v, ".12g") for v in values)
+    return _ROW_FORMAT.format(*[v + 0.0 for v in values])
+
+
+def _json_number(token: str) -> str:
+    """What ``json.dumps`` writes for ``float(token)``, a ``_row_cells`` token ("n/a": null)."""
+    if "e" in token:
+        exponent = int(token[token.index("e") + 1:])
+        # repr spells 1e12..1e16 without an exponent, and a subnormal in fewer digits
+        return repr(float(token)) if 12 <= exponent <= 15 or exponent < -307 else token
+    if "." in token:
+        return token
+    return _JSON_WORDS.get(token) or token + ".0"
+
+
 def _render_analyze_csv(rows) -> str:
     lines = ["bank," + ",".join(_REPORT_FIELDS)]
     for bank, report, _ in rows:
-        lines.append(bank + "," + ",".join(_fmt(v, ".12g") for v in _report_values(report)))
+        lines.append(bank + "," + _row_cells(report))
     return "\n".join(lines)
 
 
 def _render_analyze_json(rows, alpha: float) -> str:
+    """``json.dumps({"alpha": alpha, "reports": [...]}, indent=2)``, written row by row."""
     reports = []
     for bank, report, reason in rows:
         if report is None:
-            reports.append({"bank": bank, "available": False, "reason": reason})
+            reports.append(
+                f'    {{\n      "bank": {json.dumps(bank)},\n      "available": false,\n'
+                f'      "reason": {json.dumps(reason)}\n    }}'
+            )
         else:
-            statistics = {field: _json_value(getattr(report, field)) for field in _REPORT_FIELDS}
-            reports.append({"bank": bank, "available": True, "statistics": statistics})
-    return json.dumps({"alpha": alpha, "reports": reports}, indent=2)
+            numbers = map(_json_number, _row_cells(report).split(","))
+            reports.append(_JSON_ROW % (json.dumps(bank), *numbers))
+    body = "[\n" + ",\n".join(reports) + "\n  ]" if reports else "[]"
+    return f'{{\n  "alpha": {json.dumps(alpha)},\n  "reports": {body}\n}}'
 
 
 def _cmd_analyze(args) -> int:
@@ -298,9 +332,11 @@ def _attach_negative_model(argv: list[str]) -> list[str]:
     """``argv`` with ``--model SPEC`` as ``--model=SPEC`` when SPEC starts with a negative number.
 
     argparse takes ``-0.01,0,1,1,0`` for an option, so ``--model`` would lose its value.
+    The option may be any prefix argparse accepts for it, ``--m`` to ``--model``.
     """
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] == "--model" and re.match(r"-\.?\d", argv[i]):
+        option = argv[i - 1]
+        if len(option) > 2 and "--model".startswith(option) and re.match(r"-\.?\d", argv[i]):
             argv = argv[:i - 1] + [f"--model={argv[i]}"] + argv[i + 1:]
     return argv
 

@@ -118,29 +118,42 @@ class MomentEstimate:
             raise InvalidCovarianceError(
                 f"shape mismatch: {n} labels, means {means.shape}, covariance {cov.shape}"
             )
+        # before the other checks: allclose and LAPACK would let NaN and inf through
+        if not (np.isfinite(means).all() and np.isfinite(cov).all()):
+            raise InvalidCovarianceError("non-finite entry in the means or the covariance matrix")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise InvalidCovarianceError("covariance matrix is not symmetric")
         if np.any(np.diag(cov) < 0.0):
             raise InvalidCovarianceError("covariance matrix has a negative diagonal entry")
         # PSD up to rounding noise: smallest eigenvalue may only be a hair below zero.
+        # Cholesky of cov + slack*I succeeds only if it is above -slack, up to
+        # rounding, so it accepts at less cost; eigvalsh decides the rest.
         trace = float(np.trace(cov))
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig < -1e-10 * max(trace, 1e-300):
-            raise InvalidCovarianceError(
-                f"covariance matrix is not positive semidefinite "
-                f"(min eigenvalue {min_eig!r}, trace {trace!r})"
-            )
+        slack = 1e-10 * max(trace, 1e-300)
+        shifted = cov.copy()
+        shifted.flat[::n + 1] += slack
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
+            if min_eig < -slack:
+                raise InvalidCovarianceError(
+                    f"covariance matrix is not positive semidefinite "
+                    f"(min eigenvalue {min_eig!r}, trace {trace!r})"
+                ) from None
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "means", _freeze(means, self.means))
         object.__setattr__(self, "covariance", _freeze(cov, self.covariance))
         # 1'.cov.1, the variance of the whole system: pair_for_bank gets each
         # bank's rest-of-system variance from it without an (n-1)^2 sum.
         object.__setattr__(self, "_total", float(cov.sum()))
+        # label -> its first position, as tuple.index gives it, in O(1)
+        object.__setattr__(self, "_index", dict(zip(reversed(self.labels), range(n - 1, -1, -1))))
 
     def index_of(self, bank: str) -> int:
         try:
-            return self.labels.index(bank)
-        except ValueError:
+            return self._index[bank]
+        except KeyError:
             raise UnknownBankError(f"unknown bank label {bank!r}") from None
 
 
@@ -233,8 +246,8 @@ def _read_header(reader: Iterator[list[str]]) -> tuple[int, bool, tuple[str, ...
         raise PanelFormatError("header row contains no bank labels")
     if any(not label for label in labels):
         raise PanelFormatError("header row contains an empty bank label")
-    duplicates = {label for label in labels if labels.count(label) > 1}
-    if duplicates:
+    if len(set(labels)) != len(labels):
+        duplicates = {label for label in labels if labels.count(label) > 1}
         raise PanelFormatError(f"duplicate bank labels: {sorted(duplicates)}")
     return len(header), skip_first, tuple(labels)
 

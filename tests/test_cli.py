@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gaussrisk.cli
 from gaussrisk.cli import main
+from gaussrisk.estimation import estimate_moments, load_panel, pair_for_bank
 from gaussrisk.mc import RNG_METHOD, McConfig, validate_closed_forms
 from gaussrisk.measures import BankRiskReport, GaussianPair, full_report
 from gaussrisk.normal import RiskParams
@@ -151,6 +153,27 @@ class TestAnalyzeModel:
         assert excinfo.value.code == 2
         assert "argument --model: expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--mod", "--m"])
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_abbreviated_option_reads_a_negative_model(self, capsys, command, option):
+        extra = ["--samples", "20000", "--seed", "3"] if command == "validate" else []
+        abbreviated = run(capsys, [command, option, "-0.01,0,1,1,0.5", "--format", "json"] + extra)
+        joined = run(capsys, [command, "--model=-0.01,0,1,1,0.5", "--format", "json"] + extra)
+        assert abbreviated == joined
+        assert abbreviated[0] == 0
+
+    def test_option_after_abbreviated_model_stays_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--mod", "--alpha", "0.9"])
+        assert excinfo.value.code == 2
+        assert "argument --model: expected one argument" in capsys.readouterr().err
+
+    def test_stdin_dash_is_not_an_abbreviation(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--input", "-", "-0.5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: -0.5" in capsys.readouterr().err
+
 
 class TestAnalyzePanel:
     def test_reports_every_bank(self, capsys, panel_path):
@@ -257,6 +280,13 @@ class TestAnalyzePanel:
         assert by_bank["B"]["available"] is True
         assert "warning" in err
 
+    def test_overflowing_covariance_gives_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "overflow.csv"
+        path.write_text("A,B,C\n1e200,2e200,-1e200\n-1e200,1e200,2e200\n2e200,-1e200,1e200\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: non-finite entry in the means or the covariance matrix\n"
+
     def test_parse_error_names_coordinates(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n0.01,0.02\n0.03,oops\n0.01,0.00\n")
@@ -268,6 +298,70 @@ class TestAnalyzePanel:
         code, _, err = run(capsys, ["analyze", "--input", panel_path, "--alpha", "0.4"])
         assert code == 2
         assert "alpha" in err
+
+
+def json_dumps_rendering(rows, alpha):
+    """The analyze JSON as ``json.dumps(..., indent=2)`` writes it: the renderer's oracle."""
+    reports = []
+    for bank, report, reason in rows:
+        if report is None:
+            reports.append({"bank": bank, "available": False, "reason": reason})
+        else:
+            statistics = {
+                field.name: gaussrisk.cli._json_value(getattr(report, field.name))
+                for field in dataclasses.fields(BankRiskReport)
+            }
+            reports.append({"bank": bank, "available": True, "statistics": statistics})
+    return json.dumps({"alpha": alpha, "reports": reports}, indent=2)
+
+
+# Values whose text differs between ".12g", repr and json, or that are absent.
+report_values = st.one_of(
+    st.sampled_from([None, -0.0, 0.0, 1e12, -1e15, 1e16, 5e-324, 1e-5, np.inf, -np.inf, np.nan]),
+    st.integers(-10**17, 10**17).map(float),
+    st.floats(1e12, 1e16).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(-1e-4, 1e-4),
+    st.floats(allow_nan=False),
+)
+bank_labels = st.text(alphabet=st.sampled_from('AZ"\\\x00\x1f\x7f é€😀,'), min_size=1, max_size=6)
+bank_reports = st.builds(
+    BankRiskReport, **{field.name: report_values for field in dataclasses.fields(BankRiskReport)}
+)
+report_rows = st.lists(
+    st.tuples(bank_labels, st.none(), bank_labels)
+    | st.tuples(bank_labels, bank_reports, st.just("")),
+    max_size=4,
+)
+
+
+class TestAnalyzeRenderers:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=report_rows, alpha=st.sampled_from([0.9, 0.95, 0.99, 0.999]))
+    def test_json_equals_json_dumps(self, rows, alpha):
+        assert gaussrisk.cli._render_analyze_json(rows, alpha) == json_dumps_rendering(rows, alpha)
+        # csv: the row format call gives what one format call per cell gives
+        assert gaussrisk.cli._render_analyze_csv(rows).split("\n")[1:] == [
+            bank + "," + ",".join(
+                gaussrisk.cli._fmt(getattr(report, field.name, None), ".12g")
+                for field in dataclasses.fields(BankRiskReport)
+            )
+            for bank, report, _ in rows
+        ]
+
+    def test_wide_one_factor_panel(self, capsys, tmp_path):
+        rng = np.random.default_rng(400)
+        factor = rng.standard_normal((300, 1))
+        returns = 0.01 * (factor @ rng.uniform(0.2, 1.5, (1, 400)) + rng.standard_normal((300, 400)))
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, returns, delimiter=",", header=",".join(f"B{i}" for i in range(400)),
+                   comments="")
+        code, out, _ = run(capsys, ["analyze", "--input", str(path), "--format", "json"])
+        assert code == 0
+        est = estimate_moments(load_panel(path))
+        rows = [(bank, full_report(pair_for_bank(est, bank), RiskParams(0.99)), "")
+                for bank in est.labels]
+        assert out == json_dumps_rendering(rows, 0.99) + "\n"
 
 
 class TestValidateCommand:

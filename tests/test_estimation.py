@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaussrisk.errors import (
     DegenerateBankError,
     DegenerateSeriesWarning,
+    InvalidCovarianceError,
     PanelFormatError,
     UnknownBankError,
 )
@@ -66,6 +67,11 @@ class TestLoadPanel:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(PanelFormatError, match="duplicate"):
             panel_from_csv("A,A\n1,2\n3,4\n5,6\n")
+
+    def test_duplicate_label_message(self):
+        with pytest.raises(PanelFormatError) as excinfo:
+            panel_from_csv("A,B,A\n1,2,3\n4,5,6\n7,8,9\n")
+        assert excinfo.value.args == ("duplicate bank labels: ['A']",)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(PanelFormatError, match="at least 3"):
@@ -340,6 +346,27 @@ class TestEstimateMoments:
         assert np.allclose(est.covariance, est2.covariance, rtol=0, atol=1e-10)
 
 
+def spectrum_matrix(positive: np.ndarray, multiple: float, rng) -> np.ndarray:
+    """A symmetric matrix with eigenvalues ``positive`` and ``-multiple * 1e-10 * trace``."""
+    total = float(positive.sum()) / (1.0 + multiple * 1e-10)  # the trace of the result
+    eigenvalues = np.append(positive, -multiple * 1e-10 * total)
+    basis, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    cov = (basis * eigenvalues) @ basis.T
+    return 0.5 * (cov + cov.T)
+
+
+def eigvalsh_message(cov: np.ndarray):
+    """The PSD error decided by the smallest eigenvalue alone, or None where it accepts."""
+    trace = float(np.trace(cov))
+    min_eig = float(np.linalg.eigvalsh(cov)[0])
+    if min_eig >= -1e-10 * max(trace, 1e-300):
+        return None
+    return (
+        f"covariance matrix is not positive semidefinite "
+        f"(min eigenvalue {min_eig!r}, trace {trace!r})"
+    )
+
+
 class TestMomentEstimate:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(Exception, match="symmetric"):
@@ -349,6 +376,58 @@ class TestMomentEstimate:
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(Exception, match="positive semidefinite"):
             MomentEstimate(("A", "B"), np.zeros(2), cov, 10)
+
+    @pytest.mark.parametrize("where", ["mean", "variance", "covariance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_without_a_warning(self, where, value):
+        means = np.zeros(3)
+        cov = np.eye(3)
+        if where == "mean":
+            means[1] = value
+        elif where == "variance":
+            cov[1, 1] = value
+        else:
+            cov[0, 2] = cov[2, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCovarianceError, match="non-finite"):
+                MomentEstimate(("A", "B", "C"), means, cov, 10)
+
+    @pytest.mark.parametrize("multiple, accepted", [(2.0, False), (0.5, True)])
+    def test_smallest_eigenvalue_against_the_slack(self, multiple, accepted):
+        # eigenvalues 1..4 and one at -multiple * slack, slack = 1e-10 * trace
+        positive = np.array([1.0, 2.0, 3.0, 4.0])
+        cov = spectrum_matrix(positive, multiple, np.random.default_rng(5))
+        if accepted:
+            MomentEstimate(tuple("ABCDE"), np.zeros(5), cov, 10)
+        else:
+            with pytest.raises(InvalidCovarianceError) as excinfo:
+                MomentEstimate(tuple("ABCDE"), np.zeros(5), cov, 10)
+            assert excinfo.value.args == (eigvalsh_message(cov),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        positive=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=7),
+        multiple=st.floats(-5.0, 5.0).filter(lambda k: abs(k - 1.0) >= 1e-3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_psd_decision_equals_the_eigenvalue_decision(self, positive, multiple, seed):
+        cov = spectrum_matrix(np.array(positive), multiple, np.random.default_rng(seed))
+        assume(np.all(np.diag(cov) >= 0.0))
+        labels = tuple(f"B{i}" for i in range(len(cov)))
+        expected = eigvalsh_message(cov)
+        try:
+            MomentEstimate(labels, np.zeros(len(cov)), cov, 10)
+        except InvalidCovarianceError as exc:
+            assert exc.args == (expected,)
+        else:
+            assert expected is None
+
+    def test_index_of_is_the_first_position(self):
+        est = MomentEstimate(("A", "B", "A"), np.zeros(3), np.eye(3), 10)
+        assert [est.index_of(label) for label in "AB"] == [0, 1]
+        with pytest.raises(UnknownBankError):
+            est.index_of("C")
 
     def test_caller_arrays_left_writeable(self):
         means = np.array([0.1, 0.2])
