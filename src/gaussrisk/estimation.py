@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +48,9 @@ _CANCELLATION_LIMIT = 1e3
 
 # Characters of panel text that the fast parse checks at a time.
 _CHUNK_CHARS = 1 << 16
+
+# np.loadtxt opens a file whose name ends so through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 PanelSource = Union[str, Path, IO[str]]
 
@@ -118,6 +123,8 @@ class MomentEstimate:
             raise InvalidCovarianceError(
                 f"shape mismatch: {n} labels, means {means.shape}, covariance {cov.shape}"
             )
+        if len(set(self.labels)) != n:  # index_of could not single out a repeated bank
+            raise InvalidCovarianceError("bank labels must be distinct")
         # before the other checks: allclose and LAPACK would let NaN and inf through
         if not (np.isfinite(means).all() and np.isfinite(cov).all()):
             raise InvalidCovarianceError("non-finite entry in the means or the covariance matrix")
@@ -125,10 +132,13 @@ class MomentEstimate:
             raise InvalidCovarianceError("covariance matrix is not symmetric")
         if np.any(np.diag(cov) < 0.0):
             raise InvalidCovarianceError("covariance matrix has a negative diagonal entry")
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(cov))
+        if not math.isfinite(trace):  # the slack below would be inf and accept anything
+            raise InvalidCovarianceError("covariance matrix trace overflows to inf")
         # PSD up to rounding noise: smallest eigenvalue may only be a hair below zero.
         # Cholesky of cov + slack*I succeeds only if it is above -slack, up to
         # rounding, so it accepts at less cost; eigvalsh decides the rest.
-        trace = float(np.trace(cov))
         slack = 1e-10 * max(trace, 1e-300)
         shifted = cov.copy()
         shifted.flat[::n + 1] += slack
@@ -147,8 +157,7 @@ class MomentEstimate:
         # 1'.cov.1, the variance of the whole system: pair_for_bank gets each
         # bank's rest-of-system variance from it without an (n-1)^2 sum.
         object.__setattr__(self, "_total", float(cov.sum()))
-        # label -> its first position, as tuple.index gives it, in O(1)
-        object.__setattr__(self, "_index", dict(zip(reversed(self.labels), range(n - 1, -1, -1))))
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.labels)})
 
     def index_of(self, bank: str) -> int:
         try:
@@ -181,33 +190,53 @@ def load_panel(source: PanelSource) -> ReturnPanel:
         First row is the header of bank labels.  A leading ``date`` column
         (header compared case-insensitively) is skipped.  A UTF-8
         byte-order mark before the header is dropped.  A stream that cannot
-        tell its position, such as piped stdin, is read into memory first.
+        tell its position, such as piped stdin, is read into memory first;
+        so is a path that cannot seek, such as a FIFO.
 
     Raises
     ------
     PanelFormatError
-        On ragged rows, non-numeric or non-finite cells (including Python-only
-        float syntax such as ``1_0``), duplicate or empty labels, or fewer
-        than three data rows; messages name the offending row and column.
+        On text that is not UTF-8, ragged rows, non-numeric or non-finite
+        cells (including Python-only float syntax such as ``1_0``), duplicate
+        or empty labels, or fewer than three data rows; messages name the
+        offending row and column.
 
     Notes
     -----
     A plain body (see :func:`_parse_plain`) is parsed by one ``np.loadtxt``
-    pass.  Any other body, and any body that pass rejects, is read again
-    from the start by :func:`_parse_exact`, which alone decides what is
-    accepted and words every error.
+    call, which reads a regular file by its name.  Any other body, and any
+    body that call rejects, is read again from the start by
+    :func:`_parse_exact`, which alone decides what is accepted and words
+    every error.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return load_panel(handle)
+            opened = os.fstat(handle.fileno())
+            by_name = (
+                stat.S_ISREG(opened.st_mode)
+                and Path(source).suffix.lower() not in _COMPRESSED_SUFFIXES
+            )
+            return _load(handle, (os.path.abspath(source), _identity(opened)) if by_name else None)
+    return _load(source, None)
 
+
+def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
+    """What tells one version of a file from another: device, inode, size, mtime."""
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _load(source: IO[str], name: Optional[tuple[str, tuple[int, ...]]]) -> ReturnPanel:
+    """The panel of ``source``; ``name`` is the path and identity of the file it reads, if any."""
     try:
         start = source.tell()
-    except OSError:  # a pipe, or a file already read with next(): keep what is left
-        source = io.StringIO(source.read())
-        start = 0
+    except OSError:  # a pipe, a FIFO, or a file already read with next(): keep what is left
+        try:
+            source = io.StringIO(source.read())
+        except UnicodeDecodeError as exc:
+            raise PanelFormatError(f"input is not UTF-8 text: {exc}") from None
+        start, name = 0, None
     width, skip_first, labels = _read_header(_csv_rows(source))
-    observations = _parse_plain(source, width, skip_first)
+    observations = _parse_plain(source, start, name, width, skip_first)
     if observations is None:
         source.seek(start)
         labels, observations = _parse_exact(source)
@@ -220,7 +249,9 @@ def _csv_rows(source: IO[str]) -> Iterator[list[str]]:
 
     A row that ``csv`` cannot split (a cell over the csv field limit, for
     one) raises PanelFormatError naming the row, counted from 1 like every
-    other row number in a panel error.
+    other row number in a panel error.  So does text that is not UTF-8; a
+    stream decodes a block of text ahead, so the bad byte may be in a later
+    row than the one named.
     """
     row_no = 1
     try:
@@ -229,6 +260,8 @@ def _csv_rows(source: IO[str]) -> Iterator[list[str]]:
             row_no += 1
     except csv.Error as exc:
         raise PanelFormatError(f"unreadable row {row_no}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"input is not UTF-8 text at row {row_no} or later: {exc}") from None
 
 
 def _read_header(reader: Iterator[list[str]]) -> tuple[int, bool, tuple[str, ...]]:
@@ -252,58 +285,97 @@ def _read_header(reader: Iterator[list[str]]) -> tuple[int, bool, tuple[str, ...
     return len(header), skip_first, tuple(labels)
 
 
-def _parse_plain(source: IO[str], width: int, skip_first: bool) -> Optional[np.ndarray]:
-    """The rest of ``source`` as a T x n array in one ``np.loadtxt`` pass, or None.
+def _plain_commas(source: IO[str]) -> Optional[int]:
+    """The number of commas in the rest of ``source`` if that text is plain, else None.
 
-    ``np.loadtxt`` reads the lines through a guard that checks them a chunk
-    at a time and raises ValueError at a chunk that is not plain: one that
-    holds a non-ASCII character, a ``"``, NUL or U+001C..U+001F (which
-    ``np.loadtxt`` strips around a number and ``float()`` does not), a line
-    longer than the csv field limit, or other than ``width - 1`` commas per
-    non-empty line.  In such a body ``csv`` splits every line at its commas
-    alone, and ``np.loadtxt`` reads each cell to the same double as
-    ``float()`` or rejects it.  ``np.loadtxt`` also rejects a ``\\r`` inside
-    a line and a line with fewer cells than the header; as every counted line
-    must give one row, no line has more.
-
-    None means the body is not plain, holds a cell that is not a finite
-    number, or has fewer than three rows: the exact loop must decide and word
-    the error.
+    Plain text is ASCII and holds no ``"``, no NUL or U+001C..U+001F (which
+    ``np.loadtxt`` strips around a number and ``float()`` does not), no
+    ``\\r`` outside a ``\\r\\n`` and no line longer than the csv field limit.
+    The text is read to its end a chunk at a time, never whole.
     """
-    commas = width - 1
     limit = csv.field_size_limit()
-    data_lines = 0
-
-    def plain_lines() -> Iterator[str]:
-        nonlocal data_lines
-        while lines := source.readlines(_CHUNK_CHARS):
-            chunk = "".join(lines)
-            count = len(lines) - lines.count("\n") - lines.count("\r\n")
+    commas = 0
+    line = 0  # characters of the current line read so far
+    try:
+        while chunk := source.read(_CHUNK_CHARS):
+            if chunk[-1] == "\r":
+                chunk += source.read(1)  # a "\r\n" is checked in one chunk
             if (
                 not chunk.isascii() or '"' in chunk
                 or any(char in chunk for char in "\x00\x1c\x1d\x1e\x1f")
-                or chunk.count(",") != commas * count
-                or (len(chunk) > limit and max(map(len, lines)) > limit)
             ):
-                raise ValueError("not a plain body")
-            data_lines += count
-            yield from lines
+                return None
+            codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
+            if "\r" in chunk:
+                returns = codes == ord("\r")
+                if returns[-1] or (returns[:-1] & (codes[1:] != ord("\n"))).any():
+                    return None
+            # csv rejects a cell over its field limit: no line may be that long
+            first, last = chunk.find("\n"), chunk.rfind("\n")
+            if line + (len(chunk) if first < 0 else first) > limit or (
+                len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit
+            ):
+                return None
+            line = line + len(chunk) if last < 0 else len(chunk) - last - 1
+            commas += int(np.count_nonzero(codes == ord(",")))
+    except UnicodeDecodeError:
+        return None
+    return commas
 
+
+def _parse_plain(
+    source: IO[str],
+    start: int,
+    name: Optional[tuple[str, tuple[int, ...]]],
+    width: int,
+    skip_first: bool,
+) -> Optional[np.ndarray]:
+    """The body of ``source`` as a T x n array from one ``np.loadtxt`` call, or None.
+
+    The body must be plain (see :func:`_plain_commas`) and the header line
+    free of ``"``, since ``csv`` may join lines into a quoted header and
+    ``np.loadtxt`` skips one line.  In such text ``csv`` splits every line at
+    its commas alone, and ``np.loadtxt`` reads each cell to the same double
+    as ``float()`` or rejects it.  It also rejects a row with fewer cells than
+    the header, so a body with ``(width - 1) * rows`` commas has no row with
+    more.
+
+    A regular file named by ``name`` is read by ``np.loadtxt`` from its path,
+    in numpy's C reader; its identity must still be the one it had when
+    ``source`` opened it, so that numpy reads the text the guard read.  Any
+    other source is read from the line after its header.
+
+    None means the text is not plain, holds a cell that is not a finite
+    number, or has fewer than three rows: the exact loop must decide and word
+    the error.
+    """
+    commas = _plain_commas(source)
+    if commas is None:
+        return None
+    source.seek(start)
+    if '"' in source.readline():
+        return None
+    if name is not None:
+        path, identity = name
+        if _identity(os.stat(path)) != identity:
+            return None
     try:
         with warnings.catch_warnings():
             # a header-only body: the exact loop reports it as too few rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             observations = np.loadtxt(
-                plain_lines(),
+                source if name is None else path,
                 delimiter=",",
                 comments=None,
+                skiprows=0 if name is None else 1,
                 usecols=range(1, width) if skip_first else None,
                 ndmin=2,
+                encoding="latin-1",  # the header may be any UTF-8; the body is ASCII
             )
     except ValueError:
         return None
     rows = observations.shape[0]
-    if rows != data_lines or rows < _MIN_ROWS or not np.isfinite(observations).all():
+    if commas != (width - 1) * rows or rows < _MIN_ROWS or not np.isfinite(observations).all():
         return None
     return observations
 

@@ -311,6 +311,14 @@ def _difference(stressed: tuple, unstressed: tuple) -> tuple[float, float, int]:
     )
 
 
+def _tail_quantile(quantile: float, se: float, count: int) -> tuple[float, float, int]:
+    # The quantile is read from ``count`` tail samples; below the minimum
+    # its comparison is as noisy as the thin tails the other statistics skip.
+    if count < _MIN_TAIL:
+        raise ThinTailError(f"only {count} tail samples (need >= {_MIN_TAIL})", count=count)
+    return quantile, se, count
+
+
 def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[float, float, int]:
     # Tail-conditional mean: averaging the rest-of-system over the bank's
     # worst (1 - alpha) scenarios reproduces the ES spillover by the tower
@@ -391,7 +399,7 @@ def validate_closed_forms(
 
     plan: list[tuple[str, float, float, _Outcome]] = [
         ("var_i", var_normal(pair.mu_i, pair.var_i, params), std_i,
-         (q_i, se_q_i, math.ceil(p * n))),
+         _attempt(_tail_quantile, q_i, se_q_i, math.ceil(p * n))),
         ("covar_ai", covar_collateral(pair, params), std_a, covar),
         ("covare_ai", covar_at_mean(pair, params), std_a, covare),
         ("delta_coll_var", delta_coll_var(pair, params), std_a,

@@ -236,6 +236,23 @@ class TestAnalyzePanel:
             f"({csv.field_size_limit()})\n"
         )
 
+    def test_text_that_is_not_utf8_gives_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,A,B\nd1,1,2\nd2,3,\xff4\nd3,5,6\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not UTF-8 text at row 1 or later: ")
+        assert len(err.splitlines()) == 1
+
+    def test_piped_text_that_is_not_utf8_exits_2(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussrisk.cli", "analyze", "--input", "-"],
+            input=b"date,A,B\nd1,1,2\nd2,3,\xff4\nd3,5,6\n", capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: input is not UTF-8 text: ")
+
     def test_stdin_input(self, capsys, panel_path, monkeypatch):
         text = Path(panel_path).read_text(encoding="utf-8")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import io
 import math
 import os
+import re
+import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -32,6 +36,23 @@ from gaussrisk.normal import RiskParams, var_normal
 
 def panel_from_csv(text: str) -> ReturnPanel:
     return load_panel(io.StringIO(text))
+
+
+def refuse_exact_loop(monkeypatch) -> None:
+    def refuse(source):
+        raise AssertionError("plain body sent to the exact loop")
+
+    monkeypatch.setattr(gaussrisk.estimation, "_parse_exact", refuse)
+
+
+def loadtxt_sources(monkeypatch) -> list:
+    """The first argument of every later ``np.loadtxt`` call, in order."""
+    sources = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda source, **kwargs: sources.append(source) or loadtxt(source, **kwargs)
+    )
+    return sources
 
 
 class TestLoadPanel:
@@ -200,13 +221,113 @@ class TestLoadPanel:
         with pytest.raises(PanelFormatError, match=f"^unreadable row {row}: field larger than"):
             panel_from_csv(text)
 
-    def test_plain_body_parsed_without_the_exact_loop(self, monkeypatch):
-        def refuse(source):
-            raise AssertionError("plain body sent to the exact loop")
+    @pytest.mark.parametrize("limit", [None, 8], ids=["default-limit", "lowered-limit"])
+    def test_finite_cell_over_the_csv_field_limit_names_its_row(self, tmp_path, limit):
+        # np.loadtxt reads such a cell to 0.0; csv does not split its row
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            path = tmp_path / "long.csv"
+            path.write_text(f"A,B\n1,2\n3,{'0' * (csv.field_size_limit() + 1)}\n5,6\n")
+            with pytest.raises(PanelFormatError, match="^unreadable row 3: field larger than"):
+                load_panel(path)
+        finally:
+            csv.field_size_limit(default)
 
-        monkeypatch.setattr(gaussrisk.estimation, "_parse_exact", refuse)
+    def test_plain_body_parsed_without_the_exact_loop(self, monkeypatch):
+        refuse_exact_loop(monkeypatch)
         panel = panel_from_csv("date,A,B\nd1,1,2\r\n\nd2, 3 ,4e0\nd3,-5.,+.6\n")
         assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [-5.0, 0.6]]
+
+    @pytest.mark.parametrize(
+        "newline, encoding", [("\n", "utf-8"), ("\r\n", "utf-8"), ("\n", "utf-8-sig")],
+        ids=["lf", "crlf", "bom"],
+    )
+    def test_plain_file_read_by_name_without_the_exact_loop(
+        self, monkeypatch, tmp_path, newline, encoding
+    ):
+        refuse_exact_loop(monkeypatch)
+        sources = loadtxt_sources(monkeypatch)
+        path = tmp_path / "panel.csv"
+        text = newline.join(["date,A,B", "d1,1,2", "", "d2, 3 ,4e0", "d3,-5.,+.6", ""])
+        path.write_bytes(text.encode(encoding))
+        panel = load_panel(path)
+        assert panel.labels == ("A", "B")
+        assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [-5.0, 0.6]]
+        assert sources == [os.path.abspath(path)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_file_named_like_a_compressed_one(self, monkeypatch, tmp_path, suffix):
+        # np.loadtxt would open such a name through a decompressor
+        refuse_exact_loop(monkeypatch)
+        path = tmp_path / f"panel.csv{suffix}"
+        path.write_text("date,A,B\nd1,1,2\nd2,3,4\nd3,5,6\n")
+        assert load_panel(path).observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo(self, tmp_path):
+        path = tmp_path / "panel.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("A,B\n1,2\n3,4\n5,6\n",))
+        writer.start()
+        try:
+            panel = load_panel(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert panel.observations.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_file_rewritten_after_the_guard_read_it(self, monkeypatch, tmp_path):
+        # np.loadtxt would strip the U+001C that the guard never saw
+        path = tmp_path / "panel.csv"
+        path.write_text("A,B\n1,2\n3,4\n5,6\n")
+        guard = gaussrisk.estimation._plain_commas
+
+        def guard_then_rewrite(source):
+            commas = guard(source)
+            path.write_text("A,B\n1,2\n3,\x1c4\n5,6\n")
+            return commas
+
+        monkeypatch.setattr(gaussrisk.estimation, "_plain_commas", guard_then_rewrite)
+        with pytest.raises(PanelFormatError, match=r"^non-numeric cell '4' at row 3, column 'B'$"):
+            load_panel(path)
+
+    def test_quoted_header_takes_the_exact_loop(self, monkeypatch, tmp_path):
+        # csv joins the two physical lines of the header; np.loadtxt would skip one
+        sources = loadtxt_sources(monkeypatch)
+        path = tmp_path / "panel.csv"
+        path.write_text('A,"B\n1,2",C\n1,2,3\n4,5,6\n7,8,9\n')
+        panel = load_panel(path)
+        assert panel.labels == ("A", "B\n1,2", "C")
+        assert panel.observations.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+        assert sources == []
+
+    @pytest.mark.parametrize("source", ["file", "stream", "pipe"])
+    @pytest.mark.parametrize("row", [3, 3000], ids=["first-block", "past-the-first-block"])
+    def test_text_that_is_not_utf8_rejected(self, tmp_path, source, row):
+        data = b"date,A,B\n" + b"d,1,2\n" * (row - 2) + b"d,3,\xff4\nd,5,6\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        writer = None
+        if source == "pipe":
+            read_end, write_end = os.pipe()
+            writer = threading.Thread(target=lambda: (os.write(write_end, data), os.close(write_end)))
+            writer.start()
+            opened = os.fdopen(read_end, encoding="utf-8")
+        elif source == "stream":
+            opened = open(path, encoding="utf-8")
+        else:
+            opened = contextlib.nullcontext(path)
+        with opened as panel_source:
+            with pytest.raises(PanelFormatError, match="^input is not UTF-8 text") as excinfo:
+                load_panel(panel_source)
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        else:  # a named row is at or before the bad byte
+            named = int(re.search(r"at row (\d+) or later", str(excinfo.value)).group(1))
+            assert 1 <= named <= row
 
 
 # Decimal cells that float() and np.loadtxt both read, and characters on
@@ -240,23 +361,39 @@ def tricky_panel_texts(draw):
     return text
 
 
-def parse_outcome(parse, text: str):
+def parse_outcome(parse, source):
     try:
-        labels, observations = parse(io.StringIO(text))
+        labels, observations = parse(source)
     except PanelFormatError as exc:
         return type(exc), str(exc)
     return labels, observations.shape, observations.tobytes()
+
+
+def via_load_panel(source):
+    panel = load_panel(source)
+    return panel.labels, panel.observations
 
 
 class TestFastParseMatchesExactLoop:
     @settings(max_examples=500, deadline=None)
     @given(tricky_panel_texts())
     def test_same_outcome(self, text):
-        def via_load_panel(stream):
-            panel = load_panel(stream)
-            return panel.labels, panel.observations
+        assert parse_outcome(via_load_panel, io.StringIO(text)) == parse_outcome(
+            _parse_exact, io.StringIO(text)
+        )
 
-        assert parse_outcome(via_load_panel, text) == parse_outcome(_parse_exact, text)
+    @settings(max_examples=500, deadline=None)
+    @given(tricky_panel_texts(), st.sampled_from(["utf-8", "utf-8-sig"]))
+    def test_same_outcome_from_a_file(self, text, encoding):
+        # A file is read with newline="": "\r" alone ends a line, as it does
+        # for the exact loop on a StringIO made with newline="".
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "panel.csv")
+            with open(path, "w", encoding=encoding, newline="") as handle:
+                handle.write(text)
+            assert parse_outcome(via_load_panel, path) == parse_outcome(
+                _parse_exact, io.StringIO(text, newline="")
+            )
 
 
 class TestEstimateMoments:
@@ -423,11 +560,23 @@ class TestMomentEstimate:
         else:
             assert expected is None
 
-    def test_index_of_is_the_first_position(self):
-        est = MomentEstimate(("A", "B", "A"), np.zeros(3), np.eye(3), 10)
-        assert [est.index_of(label) for label in "AB"] == [0, 1]
+    def test_index_of_each_label(self):
+        est = MomentEstimate(("A", "B", "C"), np.zeros(3), np.eye(3), 10)
+        assert [est.index_of(label) for label in "ABC"] == [0, 1, 2]
         with pytest.raises(UnknownBankError):
-            est.index_of("C")
+            est.index_of("D")
+
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(InvalidCovarianceError, match="^bank labels must be distinct$"):
+            MomentEstimate(("A", "B", "A"), np.zeros(3), np.eye(3), 10)
+
+    def test_overflowing_trace_rejected_without_a_warning(self):
+        # eigenvalues -5e307 and inf: an inf PSD slack would accept the matrix
+        cov = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCovarianceError, match="^covariance matrix trace overflows to inf$"):
+                MomentEstimate(("A", "B"), np.zeros(2), cov, 10)
 
     def test_caller_arrays_left_writeable(self):
         means = np.array([0.1, 0.2])

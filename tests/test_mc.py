@@ -253,8 +253,20 @@ class TestValidateClosedForms:
             assert check.note
             assert check.empirical is None
         assert report.all_passed  # skipped statistics are not failures
-        evaluated = [check for check in report.checks if check.passed is not None]
-        assert any(check.name == "var_i" for check in evaluated)
+
+    @pytest.mark.parametrize(
+        "alpha, samples, tail",
+        [(0.9999, 10_000, 1), (0.99, 49_899, 499), (0.99, 49_900, 500)],
+    )
+    def test_var_i_needs_the_minimum_tail(self, alpha, samples, tail):
+        config = McConfig(sample_count=samples, seed=5, alpha=alpha)
+        var_i = validate_closed_forms(UNIT_HALF, config).checks[0]
+        assert (var_i.name, var_i.effective_tail_samples) == ("var_i", tail)
+        if tail < 500:
+            assert var_i.passed is None and var_i.empirical is None
+            assert var_i.note == f"only {tail} tail samples (need >= 500)"
+        else:
+            assert var_i.passed and var_i.note == ""
 
     def test_degenerate_system_rejected(self):
         with pytest.raises(DegenerateSystemError):
@@ -319,7 +331,7 @@ GOLDEN_REPORTS = [
         # Thin bands and a thin tail: a difference reports its stressed band's note.
         UNIT_HALF, McConfig(sample_count=20_000, seed=3, bandwidth=0.02),
         [
-            ("var_i", -2.326347874040841, -2.2635994197405593, 0.06274845430028186, 0.12202906387956838, 201, True, ""),
+            ("var_i", -2.326347874040841, None, None, None, 201, None, "only 201 tail samples (need >= 500)"),
             ("covar_ai", -3.17785029397971, None, None, None, 19, None, "only 19 samples within 0.0198746 of -2.2636 (need >= 1000); raise the sample count or the bandwidth"),
             ("covare_ai", -2.01467635695929, None, None, None, 310, None, "only 310 samples within 0.0198746 of 0.00171524 (need >= 1000); raise the sample count or the bandwidth"),
             ("delta_coll_var", -1.1631739370204206, None, None, None, 19, None, "only 19 samples within 0.0198746 of -2.2636 (need >= 1000); raise the sample count or the bandwidth"),
