@@ -20,8 +20,6 @@ from .errors import (
     GaussRiskError,
     InvalidCovarianceError,
     PanelFormatError,
-    ThinBandError,
-    ThinTailError,
     UnknownBankError,
 )
 from .estimation import (
@@ -49,8 +47,6 @@ from .mc import (
     McConfig,
     StatisticCheck,
     ValidationReport,
-    empirical_conditional_var,
-    empirical_es,
     empirical_quantile,
     sample_pair,
     validate_closed_forms,

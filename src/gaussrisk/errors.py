@@ -3,8 +3,9 @@
 Errors are split by failure mode so callers can react precisely: a numeric
 argument outside its domain, a degenerate model (zero variance where a
 positive one is required), a covariance that is not positive semidefinite,
-malformed panel input, a violated internal cross-check, and Monte Carlo
-preconditions (too few samples in a conditioning band or in a tail).
+malformed panel input, and a violated internal cross-check.  Too few Monte
+Carlo samples in a conditioning band or a tail is not an error to callers:
+the oracle reports that statistic as skipped, with a note.
 """
 
 
@@ -45,22 +46,11 @@ class ConsistencyError(GaussRiskError, RuntimeError):
 
 
 class _ThinSampleError(GaussRiskError, RuntimeError):
-    """Too few Monte Carlo samples for a statistic; ``count`` is how many there were."""
+    """Too few (``count``) Monte Carlo samples in a band or tail: the oracle skips that check."""
 
-    def __init__(self, message: str, count: int = 0):
+    def __init__(self, message: str, count: int):
         super().__init__(message)
         self.count = count
-
-
-class ThinBandError(_ThinSampleError):
-    """Too few Monte Carlo samples fall inside a conditioning band.
-
-    Raise the sample count or the bandwidth to fix it.
-    """
-
-
-class ThinTailError(_ThinSampleError):
-    """Too few Monte Carlo samples fall beyond the tail quantile."""
 
 
 class DegenerateSeriesWarning(UserWarning):

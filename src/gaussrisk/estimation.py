@@ -155,8 +155,10 @@ class MomentEstimate:
         object.__setattr__(self, "means", _freeze(means, self.means))
         object.__setattr__(self, "covariance", _freeze(cov, self.covariance))
         # 1'.cov.1, the variance of the whole system: pair_for_bank gets each
-        # bank's rest-of-system variance from it without an (n-1)^2 sum.
-        object.__setattr__(self, "_total", float(cov.sum()))
+        # bank's rest-of-system variance from it without an (n-1)^2 sum.  It
+        # may overflow where a bank's rest of the system does not.
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "_total", float(cov.sum()))
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.labels)})
 
     def index_of(self, bank: str) -> int:
@@ -460,7 +462,8 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     ``var_a`` is ``1'.cov.1 - 2 cov_ia - var_i`` with the total cached on
     ``est``, so a panel of n banks costs O(n^2) after the covariance, not
     O(n^3).  That difference cancels when the bank carries most of the system
-    variance; then ``var_a`` is summed over the other banks' block instead.
+    variance, and is not finite when the total overflows; then ``var_a`` is
+    summed over the other banks' block instead.
     """
     idx = est.index_of(bank)
     n = len(est.labels)
@@ -478,6 +481,8 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     mu_a = float(est.means[others].sum())
     cov_ia = float(cov[idx][others].sum())
     var_a = est._total - 2.0 * cov_ia - var_i
-    if abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a:
+    if not math.isfinite(var_a) or (
+        abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a
+    ):
         var_a = float(cov[np.ix_(others, others)].sum())
     return GaussianPair(mu_i=mu_i, mu_a=mu_a, var_i=var_i, var_a=var_a, cov_ia=cov_ia)

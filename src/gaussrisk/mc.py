@@ -24,24 +24,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateSystemError,
-    DomainError,
-    ThinBandError,
-    ThinTailError,
-    _ThinSampleError,
-)
-from .measures import (
-    GaussianPair,
-    covar_at_mean,
-    covar_collateral,
-    delta_coll_es,
-    delta_coll_var,
-    delta_cond_var,
-    delta_contr_var,
-    var_contribution,
-)
-from .normal import RiskParams, var_normal
+from .errors import DegenerateSystemError, DomainError, _ThinSampleError
+from .measures import GaussianPair, _report
+from .normal import RiskParams
 
 _BLOCK_SIZE = 1 << 19  # fixed block length; partition-independent merging relies on it
 _MIN_BAND = 1000
@@ -188,52 +173,17 @@ def _rank(p: float, n: int) -> int:
     return min(max(math.ceil(p * n), 1), n) - 1
 
 
-def empirical_conditional_var(samples, x: float, bandwidth: float, params: RiskParams) -> float:
-    """Band-conditioned empirical VaR of the second column given the first.
-
-    Conditioning on ``{first = x}`` is approximated by the window
-    ``|first - x| <= bandwidth * std(first)``; the statistic is the
-    ``1 - alpha`` lower quantile of the second column inside the window.
-    As the bandwidth shrinks and the sample grows this converges to the
-    conditional VaR.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError(f"samples must have shape (N, 2), got {arr.shape}")
-    cond, target = arr[:, 0], arr[:, 1]
-    half_width = bandwidth * float(cond.std(ddof=1))
-    values = target[_band_indices(cond, x, half_width)]
-    return empirical_quantile(values, 1.0 - params.alpha)
-
-
-def empirical_es(values, params: RiskParams) -> float:
-    """Mean-corrected empirical expected shortfall.
-
-    Average of the values at or below the empirical ``1 - alpha`` quantile,
-    minus the sample mean; location shifts therefore cancel.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    quantile = empirical_quantile(arr, 1.0 - params.alpha)
-    tail = arr[arr <= quantile]
-    if tail.size < _MIN_TAIL:
-        raise ThinTailError(
-            f"only {tail.size} tail samples (need >= {_MIN_TAIL}); raise the sample count",
-            count=int(tail.size),
-        )
-    return float(tail.mean() - arr.mean())
-
-
 def _band_indices(cond: np.ndarray, center: float, half_width: float) -> np.ndarray:
     """Ascending indices of the window ``|cond - center| <= half_width``.
 
-    Raises ThinBandError when too few samples fall inside.  Gathering a
+    Raises _ThinSampleError when too few samples fall inside.  Gathering a
     target through the indices reads only the band, not a full-length mask.
     """
     distance = cond - center
     inside = np.flatnonzero(np.abs(distance, out=distance) <= half_width)
     count = inside.size
     if count < _MIN_BAND:
-        raise ThinBandError(
+        raise _ThinSampleError(
             f"only {count} samples within {half_width:.6g} of {center:.6g} "
             f"(need >= {_MIN_BAND}); raise the sample count or the bandwidth",
             count=count,
@@ -315,7 +265,7 @@ def _tail_quantile(quantile: float, se: float, count: int) -> tuple[float, float
     # The quantile is read from ``count`` tail samples; below the minimum
     # its comparison is as noisy as the thin tails the other statistics skip.
     if count < _MIN_TAIL:
-        raise ThinTailError(f"only {count} tail samples (need >= {_MIN_TAIL})", count=count)
+        raise _ThinSampleError(f"only {count} tail samples (need >= {_MIN_TAIL})", count=count)
     return quantile, se, count
 
 
@@ -324,7 +274,7 @@ def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[fl
     # worst (1 - alpha) scenarios reproduces the ES spillover by the tower
     # property alone, with no Gaussian algebra involved.
     if tail.size < _MIN_TAIL:
-        raise ThinTailError(
+        raise _ThinSampleError(
             f"only {tail.size} tail samples (need >= {_MIN_TAIL})", count=int(tail.size)
         )
     se = math.sqrt(tail.var(ddof=1) / tail.size + mean_variance)
@@ -346,6 +296,7 @@ def validate_closed_forms(
     params = RiskParams(config.alpha)
     if pair.var_s <= 0.0:
         raise DegenerateSystemError("cannot validate a zero-variance system")
+    report = _report(pair, params)
 
     samples = sample_pair(pair, config, normals)
     xi = samples[:, 0]
@@ -397,24 +348,22 @@ def validate_closed_forms(
         p, std_s / math.sqrt(n), slope_is,
     )
 
-    plan: list[tuple[str, float, float, _Outcome]] = [
-        ("var_i", var_normal(pair.mu_i, pair.var_i, params), std_i,
-         _attempt(_tail_quantile, q_i, se_q_i, math.ceil(p * n))),
-        ("covar_ai", covar_collateral(pair, params), std_a, covar),
-        ("covare_ai", covar_at_mean(pair, params), std_a, covare),
-        ("delta_coll_var", delta_coll_var(pair, params), std_a,
-         _attempt(_difference, covar, covare)),
-        ("delta_coll_es", delta_coll_es(pair, params), std_a, coll_es),
-        ("delta_cond_var", delta_cond_var(pair, params), std_s,
-         _attempt(_difference, cond_stressed, cond_unstressed)),
-        ("delta_contr_var", delta_contr_var(pair, params), std_i,
-         _attempt(_difference, contr_stressed, contr_unstressed)),
-        ("var_contribution", var_contribution(pair, params), std_i,
-         _attempt(_band_mean, stressed_s, slope_is * se_q_s)),
+    # (report field, target's sample std, outcome): each closed form is read
+    # from the report analyze prints, by its field name.
+    plan: list[tuple[str, float, _Outcome]] = [
+        ("var_i", std_i, _attempt(_tail_quantile, q_i, se_q_i, math.ceil(p * n))),
+        ("covar_ai", std_a, covar),
+        ("covare_ai", std_a, covare),
+        ("delta_coll_var", std_a, _attempt(_difference, covar, covare)),
+        ("delta_coll_es", std_a, coll_es),
+        ("delta_cond_var", std_s, _attempt(_difference, cond_stressed, cond_unstressed)),
+        ("delta_contr_var", std_i, _attempt(_difference, contr_stressed, contr_unstressed)),
+        ("var_contribution", std_i, _attempt(_band_mean, stressed_s, slope_is * se_q_s)),
     ]
 
     checks = []
-    for name, closed, target_std, outcome in plan:
+    for name, target_std, outcome in plan:
+        closed = getattr(report, name)
         if isinstance(outcome, _ThinSampleError):
             checks.append(
                 StatisticCheck(

@@ -111,10 +111,17 @@ class GaussianPair:
     def var_s(self) -> float:
         """Variance of the whole system, ``var_i + 2 cov_ia + var_a``.
 
-        PSD of the pair forces it to be nonnegative up to rounding, so it is
-        clamped at 0; a perfect hedge gives exactly 0.
+        PSD of the pair forces it to be nonnegative up to rounding, so a sum
+        that is not positive is clamped at exactly 0 (a perfect hedge).  A
+        positive sum is kept at least ``cov_is**2 / var_i``, the bound PSD
+        puts on it (``var_s var_i - cov_is**2 = var_i var_a - cov_ia**2``):
+        near rho = -1 the sum is cancellation residue that may fall below it.
         """
-        return max(self.var_i + 2.0 * self.cov_ia + self.var_a, 0.0)
+        raw = self.var_i + 2.0 * self.cov_ia + self.var_a
+        if raw <= 0.0:
+            return 0.0
+        explained_sd = self.cov_is / self.std_i  # squared after dividing: cov_is**2 may overflow
+        return max(raw, explained_sd * explained_sd)
 
     @property
     def cov_is(self) -> float:
@@ -312,18 +319,16 @@ def _cross_checks(
     yield "contribution shift = -q * std allocation", d_contr, -q * std_allocation(pair)
 
 
-def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
-    """Compute every statistic for one bank and cross-check the results.
+def _report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
+    """Every closed-form statistic of one bank, unchecked.
 
-    Each statistic is derived twice (closed form and composition of the
-    conditional-moment primitives); any disagreement beyond 1e-9 relative to
-    the model's scale raises :class:`ConsistencyError` rather than returning
-    silently wrong numbers.  For a degenerate (zero-variance) system the
-    contribution-family fields are reported as ``None``.
+    The one place that says which closed form each report field holds:
+    :func:`full_report` cross-checks it and the Monte Carlo oracle compares
+    it with a simulation.
     """
     q = params.quantile
     degenerate_system = pair.var_s <= 0.0
-    report = BankRiskReport(
+    return BankRiskReport(
         var_i=var_normal(pair.mu_i, pair.var_i, params),
         var_mean_i=-q * pair.std_i,
         covar_ai=covar_collateral(pair, params),
@@ -338,6 +343,19 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
         beta_is=None if degenerate_system else beta_coefficient(pair.cov_is, pair.var_s),
         rho=pair.rho,
     )
+
+
+def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
+    """Compute every statistic for one bank and cross-check the results.
+
+    Each statistic is derived twice (closed form and composition of the
+    conditional-moment primitives); any disagreement beyond 1e-9 relative to
+    the model's scale raises :class:`ConsistencyError` rather than returning
+    silently wrong numbers.  For a degenerate (zero-variance) system the
+    contribution-family fields are reported as ``None``.
+    """
+    report = _report(pair, params)
+    q = params.quantile
     scale = abs(pair.mu_i) + abs(pair.mu_a) + q * (pair.std_i + pair.std_a + pair.std_s)
     for name, a, b in _cross_checks(pair, params, report, scale):
         _check(name, a, b, scale)

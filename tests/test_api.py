@@ -22,8 +22,6 @@ PUBLIC_NAMES = [
     "ReturnPanel",
     "RiskParams",
     "StatisticCheck",
-    "ThinBandError",
-    "ThinTailError",
     "UnknownBankError",
     "ValidationReport",
     "beta_coefficient",
@@ -34,8 +32,6 @@ PUBLIC_NAMES = [
     "delta_coll_var",
     "delta_cond_var",
     "delta_contr_var",
-    "empirical_conditional_var",
-    "empirical_es",
     "empirical_quantile",
     "es_mean_normal",
     "estimate_moments",

@@ -119,6 +119,17 @@ class TestAnalyzeModel:
         rho = json.loads(out)["reports"][0]["statistics"]["rho"]
         assert rho == 0.0
 
+    def test_rho_minus_one_within_the_slack_is_reported(self, capsys):
+        # cov_ia**2 exceeds var_i * var_a by 2.5e-15 relative, inside the PSD slack
+        code, out, err = run(
+            capsys, ["analyze", "--model", "0,0,1,1.0000001,-1.00000005", "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        statistics = json.loads(out)["reports"][0]["statistics"]
+        assert statistics["rho"] == -1.0
+        # the rho = -1 limit: the system is -5e-8 times the bank, so its stress lifts the bank by q sds
+        assert statistics["delta_contr_var"] == pytest.approx(RiskParams(0.99).quantile, rel=1e-9)
+
     @pytest.mark.parametrize(
         "model", ["1,2,3", "a,b,c,d,e", "0,0,0,1,0", "0,0,1,1,5"]
     )
@@ -296,6 +307,14 @@ class TestAnalyzePanel:
         assert by_bank["A"]["available"] is False
         assert by_bank["B"]["available"] is True
         assert "warning" in err
+
+    def test_overflowing_system_variance_gives_one_error_line(self, capsys, tmp_path):
+        # the covariance is finite, the whole system's variance is not
+        path = tmp_path / "overflow.csv"
+        path.write_text("A,B\n8.9e153,8.9e153\n-8.9e153,-8.9e153\n0,0\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: model magnitudes overflow double precision\n"
 
     def test_overflowing_covariance_gives_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "overflow.csv"

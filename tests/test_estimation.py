@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gaussrisk.errors import (
     DegenerateBankError,
     DegenerateSeriesWarning,
+    DomainError,
     InvalidCovarianceError,
     PanelFormatError,
     UnknownBankError,
@@ -614,6 +615,27 @@ class TestPairForBank:
         est = MomentEstimate(("A", "B"), np.zeros(2), np.eye(2), 100)
         with pytest.raises(UnknownBankError):
             pair_for_bank(est, "Z")
+
+    def test_overflowing_total_is_not_the_error(self):
+        # 1'.cov.1 overflows to inf; the pair's own magnitudes then say why it fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = MomentEstimate(("A", "B"), np.zeros(2), np.full((2, 2), 8e307), 10)
+        with pytest.raises(DomainError, match="^model magnitudes overflow double precision$"):
+            pair_for_bank(est, "A")
+
+    def test_overflowing_total_falls_back_to_the_block_sum(self):
+        est = MomentEstimate(("A", "B", "C"), np.zeros(3), np.diag([8e307, 8e307, 1.0]), 10)
+        assert pair_for_bank(est, "C").var_a == 1.6e308
+        # 1'.cov.1 is 1.62e308, but numpy's pairwise sum overflows on the way
+        loadings = np.array([1.0, -0.2, 1.0, 0.0])
+        cov = 5e307 * np.outer(loadings, loadings)
+        cov[3, 3] = 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = MomentEstimate(("B", "C", "D", "A"), np.zeros(4), cov, 10)
+        pair = pair_for_bank(est, "A")
+        assert (pair.var_i, pair.var_a, pair.cov_ia) == (1e-10, 1.62e308, 0.0)
 
     def test_degenerate_bank(self):
         cov = np.array([[0.0, 0.0], [0.0, 1.0]])

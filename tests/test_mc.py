@@ -1,35 +1,57 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussrisk.errors import (
-    DegenerateSystemError,
-    DomainError,
-    GaussRiskError,
-    ThinBandError,
-    ThinTailError,
-)
+from gaussrisk.errors import DegenerateSystemError, DomainError, _ThinSampleError
 from gaussrisk.mc import (
     McConfig,
     _band_indices,
     _centred_dot,
     _quantile_and_se,
-    empirical_conditional_var,
-    empirical_es,
+    _tail_shift,
     empirical_quantile,
     sample_pair,
     standard_normals,
     validate_closed_forms,
 )
-from gaussrisk.measures import GaussianPair, covar_at_mean, covar_collateral, delta_coll_var
+from gaussrisk.measures import (
+    BankRiskReport,
+    GaussianPair,
+    covar_at_mean,
+    covar_collateral,
+    delta_coll_var,
+    full_report,
+)
 from gaussrisk.normal import RiskParams
 
 from helpers import bias_validated_closed_forms
 
 UNIT_INDEPENDENT = GaussianPair(0.0, 0.0, 1.0, 1.0, 0.0)
 UNIT_HALF = GaussianPair(0.0, 0.0, 1.0, 1.0, 0.5)
+# The rest of the system of the first bank of scripts/make_demo_panel.py, in
+# population moments: drifts of 0.1 %, vols of 2 % and 7.1 %, correlation 0.58.
+DEMO_LIKE = GaussianPair(0.001, 0.0012, 0.0004, 0.00505, 0.00058)
+
+
+def band_var(samples, x: float, bandwidth: float, p: float) -> float:
+    """The oracle's band-conditioned VaR of the second column given the first at ``x``.
+
+    The ``p`` quantile of the second column inside the window
+    ``|first - x| <= bandwidth * std(first)``.
+    """
+    cond, target = samples[:, 0], samples[:, 1]
+    band = target[_band_indices(cond, x, bandwidth * float(cond.std(ddof=1)))]
+    return _quantile_and_se(band, p)[0]
+
+
+def tail_es(values, p: float) -> float:
+    """The oracle's mean-corrected ES: mean of the values at or below their ``p`` quantile, minus the mean."""
+    values = np.asarray(values, dtype=float)
+    tail = values[values <= empirical_quantile(values, p)]
+    return _tail_shift(tail, float(values.mean()), 0.0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +167,10 @@ class TestQuantileAndSe:
 
 
 class TestEmpiricalConditionalVar:
+    """The band-conditioned quantile the oracle compares conditional VaRs with."""
+
     def test_independence_matches_unconditional(self, independent_samples):
-        params = RiskParams(0.99)
-        conditional = empirical_conditional_var(independent_samples, 0.0, 0.05, params)
+        conditional = band_var(independent_samples, 0.0, 0.05, 0.01)
         unconditional = empirical_quantile(independent_samples[:, 1], 0.01)
         # conditioning is vacuous; allow two standard errors of each estimate
         band = independent_samples[:, 1][_band_indices(independent_samples[:, 0], 0.0, 0.05)]
@@ -159,53 +182,38 @@ class TestEmpiricalConditionalVar:
     def test_band_conditioning_matches_closed_form(self, correlated_samples):
         params = RiskParams(0.99)
         stress = empirical_quantile(correlated_samples[:, 0], 0.01)
-        value = empirical_conditional_var(correlated_samples, stress, 0.05, params)
+        value = band_var(correlated_samples, stress, 0.05, 0.01)
         assert value == pytest.approx(-3.178, abs=0.05)
         assert value == pytest.approx(covar_collateral(UNIT_HALF, params), abs=0.05)
 
     def test_unstressed_band_matches_covar_at_mean(self, correlated_samples):
-        params = RiskParams(0.99)
-        value = empirical_conditional_var(correlated_samples, 0.0, 0.05, params)
-        assert value == pytest.approx(covar_at_mean(UNIT_HALF, params), abs=0.05)
+        value = band_var(correlated_samples, 0.0, 0.05, 0.01)
+        assert value == pytest.approx(covar_at_mean(UNIT_HALF, RiskParams(0.99)), abs=0.05)
 
     def test_thin_band_raises(self, correlated_samples):
-        params = RiskParams(0.99)
-        with pytest.raises(ThinBandError):
-            empirical_conditional_var(correlated_samples[:20_000], -3.0, 0.01, params)
+        with pytest.raises(_ThinSampleError) as raised:
+            band_var(correlated_samples[:20_000], -3.0, 0.01, 0.01)
+        assert raised.value.count < 1000
 
 
 class TestEmpiricalEs:
+    """The tail mean the oracle compares expected shortfalls with."""
+
     def test_standard_normal(self, independent_samples):
-        value = empirical_es(independent_samples[:, 0], RiskParams(0.99))
-        assert value == pytest.approx(-2.665, abs=0.02)
+        assert tail_es(independent_samples[:, 0], 0.01) == pytest.approx(-2.665, abs=0.02)
 
     def test_constant_samples(self):
-        assert empirical_es([3.0] * 1000, RiskParams(0.6)) == 0.0
+        assert tail_es([3.0] * 1000, 0.4) == 0.0
 
     def test_location_shift_invariance(self):
         rng = np.random.default_rng(17)
         values = rng.standard_normal(100_000)
-        params = RiskParams(0.95)
-        base = empirical_es(values, params)
-        shifted = empirical_es(values + 42.0, params)
-        assert shifted == pytest.approx(base, abs=1e-9)
+        assert tail_es(values + 42.0, 0.05) == pytest.approx(tail_es(values, 0.05), abs=1e-9)
 
     def test_thin_tail_raises(self):
-        with pytest.raises(ThinTailError):
-            empirical_es(np.arange(10_000.0), RiskParams(0.99))
-
-
-class TestThinSampleErrors:
-    @pytest.mark.parametrize("error_type", [ThinBandError, ThinTailError])
-    def test_count_is_kept(self, error_type):
-        exc = error_type("only 7 samples", count=7)
-        assert (str(exc), exc.count) == ("only 7 samples", 7)
-        assert error_type("no count given").count == 0
-        assert isinstance(exc, GaussRiskError) and isinstance(exc, RuntimeError)
-
-    def test_band_and_tail_stay_distinct_types(self):
-        assert not issubclass(ThinBandError, ThinTailError)
-        assert not issubclass(ThinTailError, ThinBandError)
+        with pytest.raises(_ThinSampleError) as raised:
+            tail_es(np.arange(10_000.0), 0.01)
+        assert raised.value.count == 100
 
 
 class TestRegressionSlopeIdentity:
@@ -278,6 +286,23 @@ class TestValidateClosedForms:
         report = validate_closed_forms(UNIT_HALF, config)
         assert not report.all_passed
 
+    @pytest.mark.parametrize(
+        "pair",
+        [DEMO_LIKE, UNIT_HALF, UNIT_INDEPENDENT, GaussianPair(1.0, -2.0, 4.0, 0.25, -0.6)],
+    )
+    def test_closed_forms_are_the_analyze_report(self, pair, monkeypatch):
+        config = McConfig(sample_count=50_000, seed=2, alpha=0.95)
+        report = full_report(pair, RiskParams(config.alpha))
+        report_fields = {field.name for field in dataclasses.fields(BankRiskReport)}
+        checks = validate_closed_forms(pair, config).checks
+        assert len(checks) == 8
+        for check in checks:
+            assert check.name in report_fields
+            assert check.closed_form == getattr(report, check.name)  # bit for bit
+        # the one builder both read is the one seam a fault needs
+        bias_validated_closed_forms(monkeypatch, 0.5)
+        assert not validate_closed_forms(pair, config).all_passed
+
 
 class TestPropertySweep:
     @pytest.mark.parametrize("alpha", [0.95, 0.99])
@@ -292,8 +317,8 @@ class TestPropertySweep:
                 samples = sample_pair(pair, McConfig(sample_count=500_000, seed=seed, alpha=alpha))
                 xi, xa = samples[:, 0], samples[:, 1]
                 stress = empirical_quantile(xi, p)
-                stressed = empirical_conditional_var(samples, stress, 0.05, params)
-                unstressed = empirical_conditional_var(samples, float(xi.mean()), 0.05, params)
+                stressed = band_var(samples, stress, 0.05, p)
+                unstressed = band_var(samples, float(xi.mean()), 0.05, p)
                 empirical = stressed - unstressed
                 half = 0.05 * float(xi.std(ddof=1))
                 se = math.hypot(
@@ -305,10 +330,6 @@ class TestPropertySweep:
                     f"rho={rho}, var_a={var_a}, alpha={alpha}"
                 )
 
-
-# The rest of the system of the first bank of scripts/make_demo_panel.py, in
-# population moments: drifts of 0.1 %, vols of 2 % and 7.1 %, correlation 0.58.
-DEMO_LIKE = GaussianPair(0.001, 0.0012, 0.0004, 0.00505, 0.00058)
 
 # validate_closed_forms(...).checks as computed before the shared draw and the
 # single pass over the bands, as exact floats: (name, closed_form, empirical,

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -216,6 +217,21 @@ class TestSystemView:
         assert pair.std_s == 0.0
         with pytest.raises(DegenerateSystemError):
             delta_contr_var(pair, RiskParams(0.99))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rho_minus_one_pairs_report(self, seed):
+        # With close sds, var_s is cancellation residue; unfloored it fell
+        # below cov_is**2 / var_i, and the Euler cross-check's PSD test
+        # raised InvalidCovarianceError for about 1 pair in 23.
+        rng = np.random.default_rng(seed)
+        sd_i = rng.uniform(0.5, 2.0, 10_000)
+        sd_a = sd_i * rng.uniform(0.9, 1.1, 10_000)
+        for s_i, s_a in zip(sd_i.tolist(), sd_a.tolist()):
+            pair = GaussianPair(0.0, 0.0, s_i * s_i, s_a * s_a, -s_i * s_a)
+            assert pair.cov_is**2 <= pair.var_i * pair.var_s * (1.0 + 1e-12)
+            contribution = full_report(pair, P99).delta_contr_var
+            # |corr(i, s)| <= 1 bounds the contribution by the bank's own VaR shift
+            assert contribution is None or abs(contribution) <= Q99 * pair.std_i * (1.0 + 1e-12)
 
     @settings(max_examples=200)
     @given(gaussian_pairs())
