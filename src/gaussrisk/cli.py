@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from .errors import DegenerateModelError, DegenerateSeriesWarning, DomainError, GaussRiskError
 from .estimation import MomentEstimate, estimate_moments, load_panel, pair_for_bank
 from .measures import BankRiskReport, GaussianPair, full_report
-from .mc import RNG_METHOD, McConfig, standard_normals, validate_closed_forms
+from .mc import RNG_METHOD, McConfig, SharedDraw, validate_closed_forms
 from .normal import RiskParams
 
 # Column order of every analyze rendering; names are the stable JSON schema.
@@ -269,9 +269,9 @@ def _cmd_validate(args) -> int:
     pairs = [(bank, pair) for bank, pair, _ in _bank_pairs(args) if pair is not None]
     if not pairs:
         raise DegenerateModelError("no analyzable banks in the panel")
-    normals = standard_normals(config)  # every bank maps the same draw
+    draw = SharedDraw(config)  # every bank maps the same draw
     labeled_reports = [
-        (bank, validate_closed_forms(pair, config, normals)) for bank, pair in pairs
+        (bank, validate_closed_forms(pair, config, draw)) for bank, pair in pairs
     ]
     if args.format == "table":
         print(_render_validate_table(labeled_reports))

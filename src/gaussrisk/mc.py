@@ -14,11 +14,19 @@ variates from its ziggurat ``standard_normal``; the stream is generated in
 fixed-size blocks whose sub-seeds derive from (seed, block index), so any
 partitioning of blocks across workers merges to the same sample.
 ``RNG_METHOD`` identifies the generator; the CLI records it with every report.
+
+Every bank's own samples are a non-decreasing function of the first column
+of the shared draw, so the low tail of that column, selected once per run,
+indexes every bank's lowest samples: its VaR, its tail and, mostly, its
+stressed window are gathered from there instead of scanned for.  The
+system's VaR and stressed window are read the same way from its lowest
+samples, cut once per bank.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -29,6 +37,7 @@ from .measures import GaussianPair, _report
 from .normal import RiskParams
 
 _BLOCK_SIZE = 1 << 19  # fixed block length; partition-independent merging relies on it
+_CHUNK = 1 << 12  # rows generated at a time; divides _BLOCK_SIZE
 _MIN_BAND = 1000
 _MIN_TAIL = 500
 _FLOOR_FRACTION = 0.01  # tolerance floor as a fraction of the target's sample std
@@ -102,15 +111,46 @@ def standard_normals(config: McConfig) -> np.ndarray:
     fixed block length, so workers splitting the blocks would merge to the
     identical array.  The draw depends on the seed and the sample count
     alone, so one draw serves every bank validated with ``config``; it is
-    returned read-only because it is shared.
+    returned read-only because it is shared.  It is stored column-major, so
+    each column is contiguous: the stream fills a small row-major buffer
+    whose rows are copied into both columns.
     """
     n = config.sample_count
-    z = np.empty((n, 2))
-    for block, start in enumerate(range(0, n, _BLOCK_SIZE)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, block])))
-        rng.standard_normal(out=z[start:start + _BLOCK_SIZE])
+    z = np.empty((2, n)).T
+    rows = np.empty((min(n, _CHUNK), 2))
+    for start in range(0, n, _CHUNK):
+        if start % _BLOCK_SIZE == 0:
+            seed = np.random.SeedSequence([config.seed, start // _BLOCK_SIZE])
+            rng = np.random.Generator(np.random.PCG64(seed))
+        chunk = rows[:n - start]
+        rng.standard_normal(out=chunk)
+        z[start:start + len(chunk)] = chunk
     z.flags.writeable = False
     return z
+
+
+class SharedDraw:
+    """:func:`standard_normals` of one run, with the low tail of its first column.
+
+    Every bank's own samples are a non-decreasing function of the draw's
+    first column, so the positions of that column's lowest entries are
+    where every bank's lowest samples are.  They are selected on first use
+    and kept for the next bank; the CLI passes one ``SharedDraw`` to every
+    bank of a run.
+    """
+
+    def __init__(self, config: McConfig, normals: Optional[np.ndarray] = None) -> None:
+        self.normals = _checked_normals(normals, config)
+        self._lowest: Optional[tuple[int, np.ndarray]] = None  # (count, positions)
+
+    def lowest(self, count: int) -> np.ndarray:
+        """Ascending positions of at least the ``count`` lowest first-column entries.
+
+        No entry left out is lower than any entry selected.
+        """
+        if self._lowest is None or self._lowest[0] != count:
+            self._lowest = (count, _lowest(self.normals[:, 0], count))
+        return self._lowest[1]
 
 
 def sample_pair(
@@ -124,7 +164,8 @@ def sample_pair(
     has already drawn it; by default it is drawn here.
 
     Returns an array of shape (sample_count, 2); column 0 is the bank.  Each
-    column is contiguous in memory.
+    column is contiguous in memory.  Column 0 is ``mu_i + sqrt(var_i) * z0``,
+    rounded, which is non-decreasing in the draw's first column ``z0``.
     """
     z = _checked_normals(normals, config)
     l11 = math.sqrt(pair.var_i)
@@ -173,14 +214,93 @@ def _rank(p: float, n: int) -> int:
     return min(max(math.ceil(p * n), 1), n) - 1
 
 
-def _band_indices(cond: np.ndarray, center: float, half_width: float) -> np.ndarray:
+def _lowest(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending indices of at least the ``count`` lowest entries of ``values``.
+
+    No entry left out is lower than any entry selected.  The cut is guessed
+    at the quantile of an evenly spaced subsample that holds about
+    ``1.5 * count`` entries below it, which keeps a full-length partition
+    off the common path; a guess that selects too few gives way to it.
+    """
+    stride = max(values.size >> 13, 1)  # a subsample of about 8192 entries
+    sample = values[::stride]
+    rank = min(math.ceil(1.5 * count / stride), sample.size) - 1
+    inside = np.flatnonzero(values <= float(np.partition(sample, rank)[rank]))
+    if inside.size < count:
+        inside = np.flatnonzero(values <= float(np.partition(values, count - 1)[count - 1]))
+    return inside
+
+
+def _key(x: float) -> int:
+    """Position of ``x`` in the ascending order of the doubles; 0.0 and -0.0 share 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _double(key: int) -> float:
+    """The double at position ``key`` of :func:`_key`."""
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -(1 << 63) - key))[0]
+
+
+def _window(center: float, half_width: float) -> tuple[float, float]:
+    """The doubles ``x`` with ``abs(x - center) <= half_width``, as an interval ``[lo, hi]``.
+
+    ``x - center`` rounds monotonically in ``x``, so those doubles form an
+    interval, and two comparisons select a band without a full-length
+    distance array.  Each end is found among the ordered doubles by
+    galloping from the rounded ``center -+ half_width`` and then bisecting.
+    The interval is empty (``lo > hi``) when no double is inside.
+    """
+    anchor = center if math.isfinite(center) else 0.0
+    if not abs(anchor - center) <= half_width:
+        return math.inf, -math.inf
+
+    def edge(outward: float) -> float:
+        if abs(outward - center) <= half_width:
+            return outward
+        good, bad = _key(anchor), _key(outward)
+        step = 1 if bad > good else -1
+        probe = _key(center + step * half_width)
+        while abs(bad - good) > 1:
+            if not min(good, bad) < probe < max(good, bad):
+                probe = (good + bad) // 2
+            if abs(_double(probe) - center) <= half_width:
+                good, probe = probe, probe + step
+            else:
+                bad, probe = probe, probe - step
+            step *= 2
+        return _double(good)
+
+    return edge(-math.inf), edge(math.inf)
+
+
+def _within(
+    values: np.ndarray, lo: float, hi: float, lowest: Optional[tuple] = None
+) -> np.ndarray:
+    """Ascending indices of the entries of ``values`` in ``[lo, hi]``.
+
+    ``lowest`` is ``(indices, values.take(indices))`` for ascending indices
+    of entries no greater than any other entry.  When one of those exceeds
+    ``hi``, every other entry does too, and only they are scanned.
+    """
+    if lowest is not None:
+        indices, low_values = lowest
+        if low_values.max() > hi:
+            return indices[(low_values >= lo) & (low_values <= hi)]
+    inside = values >= lo
+    return np.flatnonzero(np.logical_and(inside, values <= hi, out=inside))
+
+
+def _band_indices(
+    cond: np.ndarray, center: float, half_width: float, lowest: Optional[tuple] = None
+) -> np.ndarray:
     """Ascending indices of the window ``|cond - center| <= half_width``.
 
     Raises _ThinSampleError when too few samples fall inside.  Gathering a
     target through the indices reads only the band, not a full-length mask.
+    ``lowest`` is as for :func:`_within`.
     """
-    distance = cond - center
-    inside = np.flatnonzero(np.abs(distance, out=distance) <= half_width)
+    inside = _within(cond, *_window(center, half_width), lowest)
     count = inside.size
     if count < _MIN_BAND:
         raise _ThinSampleError(
@@ -191,16 +311,20 @@ def _band_indices(cond: np.ndarray, center: float, half_width: float) -> np.ndar
     return inside
 
 
-def _quantile_and_se(values: np.ndarray, p: float) -> tuple[float, float]:
-    """:func:`empirical_quantile` of ``values`` at ``p`` and its standard error.
+def _quantile_and_se(
+    values: np.ndarray, p: float, n: Optional[int] = None
+) -> tuple[float, float]:
+    """:func:`empirical_quantile` at ``p`` of ``n`` values and its standard error.
 
-    Binomial standard error of an order-statistic quantile; the density at
-    the quantile is estimated from the spacing of the order statistics at
-    ``p/2`` and ``3p/2``, keeping the estimate free of any Gaussian closed
-    form.  One partition at the ``3p/2`` rank leaves the ``p/2`` and ``p``
-    order statistics in its head, which a second, in-place partition finds.
+    ``values`` holds all ``n`` values (the default), or any subset holding
+    their ``ceil(1.5 p n)`` smallest, the only ones read.  Binomial standard
+    error of an order-statistic quantile; the density at the quantile is
+    estimated from the spacing of the order statistics at ``p/2`` and
+    ``3p/2``, keeping the estimate free of any Gaussian closed form.  One
+    partition at the ``3p/2`` rank leaves the ``p/2`` and ``p`` order
+    statistics in its head, which a second, in-place partition finds.
     """
-    n = values.size
+    n = values.size if n is None else n
     k_lo, k, k_hi = _rank(0.5 * p, n), _rank(p, n), _rank(1.5 * p, n)
     head = np.partition(values, k_hi)[:k_hi + 1]
     hi = float(head[k_hi])
@@ -282,7 +406,9 @@ def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[fl
 
 
 def validate_closed_forms(
-    pair: GaussianPair, config: McConfig, normals: Optional[np.ndarray] = None
+    pair: GaussianPair,
+    config: McConfig,
+    normals: Union[np.ndarray, SharedDraw, None] = None,
 ) -> ValidationReport:
     """Compare every closed-form statistic against an independent simulation.
 
@@ -290,19 +416,25 @@ def validate_closed_forms(
     conditional VaR of the rest of the system, the three stressed-minus-
     unstressed differences, the ES spillover, and the Euler VaR
     contribution.  A statistic whose band or tail is too thin at this sample
-    count is reported as skipped, not failed.  ``normals`` is passed on to
-    :func:`sample_pair`; it is read, never written.
+    count is reported as skipped, not failed.  ``normals`` is
+    :func:`standard_normals` of ``config`` or a :class:`SharedDraw` of it,
+    which keeps the selection of its low tail for the next bank; it is
+    read, never written.
     """
     params = RiskParams(config.alpha)
     if pair.var_s <= 0.0:
         raise DegenerateSystemError("cannot validate a zero-variance system")
     report = _report(pair, params)
 
-    samples = sample_pair(pair, config, normals)
+    draw = normals if isinstance(normals, SharedDraw) else SharedDraw(config, normals)
+    n = config.sample_count
+    p = 1.0 - config.alpha
+    count = _rank(1.5 * p, n) + 1  # the lowest samples a VaR and its SE read
+    # Where the draw's first column is lowest, so is xi.
+    low = draw.lowest(count)
+    samples = sample_pair(pair, config, draw.normals)
     xi = samples[:, 0]
     xa = samples[:, 1]  # overwritten by xs = xi + xa after its last use
-    n = xi.size
-    p = 1.0 - config.alpha
 
     mean_i = float(xi.mean())
     ss_i = _centred_dot(xi, mean_i)
@@ -312,17 +444,22 @@ def validate_closed_forms(
     var_a = _centred_dot(xa, mean_a) / (n - 1)
     std_a = math.sqrt(var_a)
     slope_ai = _centred_dot(xi, mean_i, xa) / ss_i
-    q_i, se_q_i = _quantile_and_se(xi, p)
+    lowest_i = (low, xi.take(low))
+    q_i, se_q_i = _quantile_and_se(lowest_i[1], p, n)
     half_i = config.bandwidth * std_i
 
-    # The bank's stressed and unstressed windows, each conditioning xa and then xs.
-    stressed_i = _attempt(_band_indices, xi, q_i, half_i)
+    # The bank's tail, and its stressed and unstressed windows, each
+    # conditioning xa and then xs; the tail and the stressed window are
+    # mostly among its lowest samples.
+    tail_i = xa.take(_within(xi, -math.inf, q_i, lowest_i))
+    coll_es = _attempt(_tail_shift, tail_i, mean_a, var_a / n)
+    stressed_i = _attempt(_band_indices, xi, q_i, half_i, lowest_i)
+    del lowest_i, tail_i  # freed before the bands' indices and gathered values grow
     unstressed_i = _attempt(_band_indices, xi, mean_i, half_i)
     covar = _attempt(_band_quantile, _attempt(xa.take, stressed_i), p, se_q_i, slope_ai)
     covare = _attempt(
         _band_quantile, _attempt(xa.take, unstressed_i), p, se_mean_i, slope_ai
     )
-    coll_es = _attempt(_tail_shift, xa[xi <= q_i], mean_a, var_a / n)
 
     xs = np.add(xi, xa, out=xa)
     slope_si = _centred_dot(xi, mean_i, xs) / ss_i
@@ -338,10 +475,13 @@ def validate_closed_forms(
     ss_s = _centred_dot(xs, mean_s)
     std_s = math.sqrt(ss_s / (n - 1))
     slope_is = _centred_dot(xs, mean_s, xi) / ss_s
-    q_s, se_q_s = _quantile_and_se(xs, p)
+    low_s = _lowest(xs, count)
+    lowest_s = (low_s, xs.take(low_s))
+    q_s, se_q_s = _quantile_and_se(lowest_s[1], p, n)
     half_s = config.bandwidth * std_s
     # The system's stressed and unstressed windows, each conditioning xi.
-    stressed_s = _attempt(xi.take, _attempt(_band_indices, xs, q_s, half_s))
+    stressed_s = _attempt(xi.take, _attempt(_band_indices, xs, q_s, half_s, lowest_s))
+    del low_s, lowest_s
     contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, slope_is)
     contr_unstressed = _attempt(
         _band_quantile, _attempt(xi.take, _attempt(_band_indices, xs, mean_s, half_s)),

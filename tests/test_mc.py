@@ -4,14 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaussrisk.errors import DegenerateSystemError, DomainError, _ThinSampleError
 from gaussrisk.mc import (
     McConfig,
+    SharedDraw,
     _band_indices,
     _centred_dot,
+    _lowest,
     _quantile_and_se,
+    _rank,
     _tail_shift,
+    _window,
+    _within,
     empirical_quantile,
     sample_pair,
     standard_normals,
@@ -115,6 +121,23 @@ class TestSamplePair:
         rho = np.corrcoef(samples[:, 0], samples[:, 1])[0, 1]
         assert abs(rho) < bound
 
+    MONOTONE_CONFIG = McConfig(sample_count=10_000, seed=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(-3.0, 15.0), st.booleans())
+    @example(-300.0, 15.0, True)
+    @example(300.0, 15.0, False)
+    def test_bank_is_non_decreasing_in_the_first_normal(self, log_var_i, log_ratio, negative):
+        # The shared selection of the draw's low tail rests on this, ties
+        # from rounding included (at |mu_i| / sd_i = 1e15 the grid is 1/8 sd).
+        var_i = 10.0 ** log_var_i
+        mu_i = math.copysign(10.0 ** log_ratio * math.sqrt(var_i), -1.0 if negative else 1.0)
+        config = self.MONOTONE_CONFIG
+        normals = standard_normals(config)
+        bank = sample_pair(GaussianPair(mu_i, 0.0, var_i, 1.0, 0.0), config, normals)[:, 0]
+        ordered = bank[np.argsort(normals[:, 0])]
+        assert np.all(ordered[1:] >= ordered[:-1])
+
     def test_perfect_correlation_collapses_to_line(self):
         pair = GaussianPair(1.0, -2.0, 4.0, 1.0, 2.0)  # rho = 1, slope sd_a/sd_i = 0.5
         samples = sample_pair(pair, McConfig(sample_count=10_000, seed=9))
@@ -164,6 +187,101 @@ class TestQuantileAndSe:
         for values in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
             values.flags.writeable = False  # read, never written
             assert _quantile_and_se(values, p) == self.three_partitions(values, p)
+
+    @pytest.mark.parametrize("p", [0.01, 0.05])
+    def test_lowest_values_suffice(self, p):
+        rng = np.random.default_rng(6)
+        values = np.round(rng.standard_normal(100_000), 2)
+        keep = np.sort(values)[: _rank(1.5 * p, values.size) + 1 + 25]
+        lowest = rng.permutation(keep)
+        assert _quantile_and_se(lowest, p, values.size) == _quantile_and_se(values, p)
+
+
+class TestLowest:
+    @pytest.mark.parametrize("case", ["normal", "ties", "misleading-subsample", "small"])
+    def test_selects_entries_no_other_is_below(self, case):
+        rng = np.random.default_rng(2)
+        n, count = 1 << 16, 10_000
+        values = rng.standard_normal(n)
+        if case == "ties":
+            values = np.round(values, 1)
+        elif case == "misleading-subsample":
+            values[:: n >> 13] = -5.0  # the guessed cut selects only these 8192
+        elif case == "small":
+            values, count = values[:100], 7
+        low = _lowest(values, count)
+        rest = np.delete(values, low)
+        assert low.size >= count and np.all(np.diff(low) > 0)
+        assert values.take(low).max() <= rest.min()
+
+
+class TestWindow:
+    """The interval ``[lo, hi]`` selects what ``np.abs(x - c) <= h`` selects, to the ulp."""
+
+    @staticmethod
+    def neighbours(x: float) -> list[float]:
+        out = [x]
+        for direction in (-math.inf, math.inf):
+            y = x
+            for _ in range(3):
+                y = math.nextafter(y, direction)
+                out.append(y)
+        return out
+
+    @pytest.mark.parametrize(
+        "center, half_width",
+        [
+            (0.0, 0.05),
+            (-2.326, 0.049),
+            (1e15, 0.01),  # below ulp(c) = 0.125: the window is c alone
+            (-1e15, 0.01),
+            (-1e15, 0.2),
+            (0.0, 5e-324),  # subnormal
+            (-3e-310, 7e-321),
+            (-0.05, 0.05 + 1e-17),  # hi is 2**51 doubles above the rounded c + h
+            (1e-300, 1.0),
+            (3.0, 0.0),
+            (-7.5, 1e300),
+            (2.0, math.inf),
+            (math.inf, math.inf),
+            (math.inf, 1.0),
+            (math.nan, 1.0),
+        ],
+    )
+    def test_matches_the_distance_test(self, center, half_width):
+        lo, hi = _window(center, half_width)
+        planted = [center, center - half_width, center + half_width]
+        for edge in (lo, hi):
+            planted += self.neighbours(edge)
+        if math.isfinite(center) and math.isfinite(half_width):
+            planted += list(center + half_width * np.linspace(-1.5, 1.5, 61))
+        values = np.array(planted + [0.0, -math.inf, math.inf])
+        with np.errstate(invalid="ignore"):
+            expected = np.abs(values - center) <= half_width
+        assert np.array_equal((values >= lo) & (values <= hi), expected)
+        # both ends are inside and their outward neighbours are not
+        if lo <= hi:
+            assert abs(lo - center) <= half_width and abs(hi - center) <= half_width
+            below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            assert lo == -math.inf or not abs(below - center) <= half_width
+            assert hi == math.inf or not abs(above - center) <= half_width
+        else:
+            assert not expected.any()
+
+    @pytest.mark.parametrize("decimals", [1, 3])
+    def test_lowest_entries_give_the_full_scan(self, decimals):
+        # Heavy ties: some windows end inside the tie at the lowest entries' top.
+        values = np.round(np.random.default_rng(decimals).standard_normal(20_000), decimals)
+        cut = float(np.partition(values, 299)[299])
+        indices = np.flatnonzero(values <= cut)
+        lowest = (indices, values.take(indices))
+        for lo, hi in [
+            (-math.inf, cut), (-math.inf, cut - 0.1), (-math.inf, cut + 0.1),
+            (-3.0, -2.5), (cut - 0.05, cut + 0.05), (-1.0, 1.0), (5.0, 6.0),
+        ]:
+            expected = np.flatnonzero((values >= lo) & (values <= hi))
+            assert np.array_equal(_within(values, lo, hi, lowest), expected)
+            assert np.array_equal(_within(values, lo, hi), expected)
 
 
 class TestEmpiricalConditionalVar:
@@ -376,6 +494,50 @@ GOLDEN_REPORTS = [
             ("var_contribution", -0.027041420119124044, -0.02675303757300951, 0.0002883825461145323, 0.001604008476812196, 1687, True, ""),
         ],
     ),
+    (
+        # A stressed window wider than the bank's lowest 1.5 p N samples.
+        DEMO_LIKE, McConfig(sample_count=200_000, seed=0, alpha=0.99, bandwidth=0.5),
+        [
+            ("var_i", -0.045526957480816824, -0.04547269427988235, 5.426320093447623e-05, 0.0007271893250198723, 2001, True, ""),
+            ("covar_ai", -0.21719010883506357, -0.2130578415325459, 0.004132267302517673, 0.011262187158835866, 6403, True, ""),
+            ("covare_ai", -0.14972602048787917, -0.1520995574705017, 0.0023735369826225206, 0.003972024893429089, 76408, True, ""),
+            ("delta_coll_var", -0.0674640883471844, -0.060958284062044205, 0.006505804285140193, 0.011942103723995528, 6403, True, ""),
+            ("delta_coll_es", -0.07729121239002824, -0.07517207052029694, 0.002119141869731306, 0.005977870607303324, 2001, True, ""),
+            ("delta_cond_var", -0.11399104582800121, -0.1032424846271339, 0.010748561200867313, 0.012313422545676208, 6403, True, ""),
+            ("delta_contr_var", -0.028041420119124045, -0.02571343131382791, 0.002327988805296135, 0.0034024192185394533, 6296, True, ""),
+            ("var_contribution", -0.027041420119124044, -0.024790158225840117, 0.002251261893283927, 0.000922097197214601, 6296, False, ""),
+        ],
+    ),
+    (
+        # |mu_i| / sd_i = 1e15: the bank's samples lie on a grid of 0.125, in heavy ties.
+        GaussianPair(1e15, 0.0, 1.0, 1.0, 0.0), McConfig(sample_count=200_000, seed=0),
+        [
+            ("var_i", 999999999999997.6, 999999999999997.6, 0.0, 0.04449719092257396, 2001, True, ""),
+            ("covar_ai", -2.326347874040841, None, None, None, 586, None, "only 586 samples within 0.0501209 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("covare_ai", -2.326347874040841, -2.35208654628301, 0.025738672242168636, 0.152531324415872, 9911, True, ""),
+            ("delta_coll_var", -0.0, None, None, None, 586, None, "only 586 samples within 0.0501209 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("delta_coll_es", -0.0, 0.029955264713234016, 0.029955264713234016, 0.08928003329107743, 2073, True, ""),
+            ("delta_cond_var", -2.326347874040841, None, None, None, 586, None, "only 586 samples within 0.0501209 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("delta_contr_var", -1.644976357133187, None, None, None, 532, None, "only 532 samples within 0.0707235 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("var_contribution", 999999999999998.4, None, None, None, 532, None, "only 532 samples within 0.0707235 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+        ],
+    ),
+    (
+        # A grid of 0.25 sd: the tie at the bank's VaR reaches the top of its
+        # lowest 1.5 p N samples, so neither its tail nor its stressed window
+        # can be read from them alone.
+        GaussianPair(1e15, 0.0, 0.25, 1.0, 0.0), McConfig(sample_count=200_000, seed=0),
+        [
+            ("var_i", 999999999999998.9, 999999999999998.9, 0.0, 0.01112429773064349, 2001, True, ""),
+            ("covar_ai", -2.326347874040841, -2.2725770082584797, 0.053770865782361454, 0.3737097476630534, 1633, True, ""),
+            ("covare_ai", -2.326347874040841, -2.3413691555723224, 0.01502128153148119, 0.11953104852774867, 19793, True, ""),
+            ("delta_coll_var", -0.0, 0.06879214731384264, 0.06879214731384264, 0.3923603535788575, 1633, True, ""),
+            ("delta_coll_es", -0.0, 0.018500108922410906, 0.018500108922410906, 0.07028757452275013, 3368, True, ""),
+            ("delta_cond_var", -1.1631739370204206, -1.0, 0.1631739370204206, 26424190559.25464, 1633, True, ""),
+            ("delta_contr_var", -0.5201871985667439, None, None, None, 595, None, "only 595 samples within 0.0559406 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("var_contribution", 999999999999999.5, None, None, None, 595, None, "only 595 samples within 0.0559406 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+        ],
+    ),
 ]
 _GOLDEN_FIELDS = (
     "name", "closed_form", "empirical", "abs_error", "tolerance",
@@ -394,6 +556,7 @@ class TestSharedDraw:
         assert statistic_rows(report) == expected
         shared = validate_closed_forms(pair, config, standard_normals(config))
         assert shared.checks == report.checks
+        assert validate_closed_forms(pair, config, SharedDraw(config)).checks == report.checks
 
     @pytest.mark.parametrize("sample_count", [50_000, 600_000])
     def test_sample_pair_maps_the_shared_draw(self, sample_count):
@@ -403,6 +566,27 @@ class TestSharedDraw:
             samples = sample_pair(pair, config, normals)
             assert np.array_equal(samples, sample_pair(pair, config))
             assert samples.shape == (sample_count, 2)
+
+    def test_draw_is_column_major_with_the_streams_values(self):
+        config = McConfig(sample_count=600_000, seed=6)  # two blocks
+        normals = standard_normals(config)
+        assert normals.flags.f_contiguous
+        blocks = [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence([6, block])))
+            .standard_normal((rows, 2))
+            for block, rows in ((0, 1 << 19), (1, 600_000 - (1 << 19)))
+        ]
+        assert np.array_equal(normals, np.concatenate(blocks))
+
+    def test_lowest_positions_are_selected_once(self):
+        config = McConfig(sample_count=50_000, seed=4)
+        draw = SharedDraw(config)
+        low = draw.lowest(750)
+        first = draw.normals[:, 0]
+        assert low.size >= 750 and np.all(np.diff(low) > 0)
+        assert first.take(low).max() <= np.delete(first, low).min()
+        assert draw.lowest(750) is low
+        assert draw.lowest(1500).size >= 1500
 
     def test_draw_is_read_only(self):
         normals = standard_normals(McConfig(sample_count=10_000))
