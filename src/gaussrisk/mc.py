@@ -15,12 +15,17 @@ fixed-size blocks whose sub-seeds derive from (seed, block index), so any
 partitioning of blocks across workers merges to the same sample.
 ``RNG_METHOD`` identifies the generator; the CLI records it with every report.
 
-Every bank's own samples are a non-decreasing function of the first column
-of the shared draw, so the low tail of that column, selected once per run,
-indexes every bank's lowest samples: its VaR, its tail and, mostly, its
-stressed window are gathered from there instead of scanned for.  The
-system's VaR and stressed window are read the same way from its lowest
-samples, cut once per bank.
+Every bank's samples are affine maps of the two columns ``z0`` and ``z1`` of
+the shared draw: ``xi = mu_i + l11 z0`` and ``xa = mu_a + l21 z0 + l22 z1``.
+So the draw's two column means and its 2x2 sample covariance, taken once per
+run, give every bank's means, variances and regression slopes, which set the
+oracle's band centres, band widths and standard errors.  And every bank's
+own samples are a non-decreasing function of ``z0``: the low tail of that
+column, selected once per run, indexes every bank's lowest samples, so its
+VaR, its tail and, mostly, its stressed window are gathered from there
+instead of scanned for; the entries of ``z0`` near its mean index every
+bank's unstressed window the same way.  The system's VaR and stressed
+window are read from its lowest samples, cut once per bank.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -38,6 +43,8 @@ from .normal import RiskParams
 
 _BLOCK_SIZE = 1 << 19  # fixed block length; partition-independent merging relies on it
 _CHUNK = 1 << 12  # rows generated at a time; divides _BLOCK_SIZE
+_SPAN = 1 << 16  # rows per step of the draw's centred sums; keeps their temporaries small
+_NEAR_MARGIN = 1.0 / 32  # how much wider than a bank's unstressed window its candidates reach
 _MIN_BAND = 1000
 _MIN_TAIL = 500
 _FLOOR_FRACTION = 0.01  # tolerance floor as a fraction of the target's sample std
@@ -116,7 +123,7 @@ def standard_normals(config: McConfig) -> np.ndarray:
     whose rows are copied into both columns.
     """
     n = config.sample_count
-    z = np.empty((2, n)).T
+    z = _columns(n)
     rows = np.empty((min(n, _CHUNK), 2))
     for start in range(0, n, _CHUNK):
         if start % _BLOCK_SIZE == 0:
@@ -129,19 +136,85 @@ def standard_normals(config: McConfig) -> np.ndarray:
     return z
 
 
-class SharedDraw:
-    """:func:`standard_normals` of one run, with the low tail of its first column.
+def _columns(n: int) -> np.ndarray:
+    """An uninitialised (n, 2) array stored column-major, so each column is contiguous.
 
-    Every bank's own samples are a non-decreasing function of the draw's
-    first column, so the positions of that column's lowest entries are
-    where every bank's lowest samples are.  They are selected on first use
-    and kept for the next bank; the CLI passes one ``SharedDraw`` to every
-    bank of a run.
+    A sample count too large for the machine is an input error, not a
+    defect: it raises DomainError with the bytes it asked for.
+    """
+    try:
+        return np.empty((2, n)).T
+    except MemoryError:
+        raise DomainError(
+            f"{n} samples need {16 * n} bytes for each two-column array, more than "
+            "can be allocated; lower the sample count"
+        ) from None
+
+
+class _Moments(NamedTuple):
+    """Sample means, variances (ddof 1) and least-squares slopes of ``xi``, ``xa`` and ``xs``."""
+
+    mean_i: float
+    mean_a: float
+    mean_s: float
+    var_i: float
+    var_a: float
+    var_s: float
+    slope_ai: float  # of xa on xi
+    slope_si: float  # of xs on xi
+    slope_is: float  # of xi on xs
+
+
+class SharedDraw:
+    """:func:`standard_normals` of one run, with what every bank reads from it.
+
+    A bank's samples ``xi = mu_i + l11 z0`` and ``xa = mu_a + l21 z0 + l22 z1``
+    are affine in the draw's columns ``z0`` and ``z1``, so their sample
+    means, variances and covariances follow from the draw's own, taken here
+    once: see :meth:`moments`.  ``xi`` is non-decreasing in ``z0``, so the
+    positions of that column's lowest entries are where every bank's lowest
+    samples are, and ``near_mean``, the ascending positions of ``z0`` within
+    a little more than ``bandwidth`` sample standard deviations of its mean,
+    holds every bank's unstressed window.  The lowest positions are
+    selected on first use and kept for the next bank; the CLI passes one
+    ``SharedDraw`` to every bank of a run.
     """
 
     def __init__(self, config: McConfig, normals: Optional[np.ndarray] = None) -> None:
         self.normals = _checked_normals(normals, config)
+        self._means, self._cov = _draw_moments(self.normals)
+        z0, center = self.normals[:, 0], self._means[0]
+        reach = (1.0 + _NEAR_MARGIN) * config.bandwidth * math.sqrt(self._cov[0])
+        near = _within(z0, center - reach, center + reach)
+        # 4-byte positions halve what this holds for the run and what each
+        # bank's unstressed window gathers through it
+        self.near_mean = near.astype(np.int32) if z0.size <= 2**31 else near
         self._lowest: Optional[tuple[int, np.ndarray]] = None  # (count, positions)
+
+    def moments(self, pair: GaussianPair) -> _Moments:
+        """The sample moments of ``sample_pair(pair, config, self.normals)`` and of its row sums.
+
+        The bank, the rest of the system and the whole system load
+        ``(l11, 0)``, ``(l21, l22)`` and ``(l11 + l21, l22)`` on ``(z0, z1)``,
+        so each moment is a bilinear form in the draw's: O(1) per bank.
+        """
+        l11, l21, l22 = _loadings(pair)
+        c_i, c_a, c_s = (l11, 0.0), (l21, l22), (l11 + l21, l22)
+        (m0, m1), (c00, c01, c11) = self._means, self._cov
+
+        def mean(c: tuple[float, float]) -> float:
+            return c[0] * m0 + c[1] * m1
+
+        def cov(u: tuple[float, float], v: tuple[float, float]) -> float:
+            return u[0] * v[0] * c00 + (u[0] * v[1] + u[1] * v[0]) * c01 + u[1] * v[1] * c11
+
+        var_i, var_s = cov(c_i, c_i), cov(c_s, c_s)
+        return _Moments(
+            mean_i=pair.mu_i + mean(c_i), mean_a=pair.mu_a + mean(c_a),
+            mean_s=pair.mu_s + mean(c_s), var_i=var_i, var_a=cov(c_a, c_a), var_s=var_s,
+            slope_ai=cov(c_i, c_a) / var_i, slope_si=cov(c_i, c_s) / var_i,
+            slope_is=cov(c_s, c_i) / var_s,
+        )
 
     def lowest(self, count: int) -> np.ndarray:
         """Ascending positions of at least the ``count`` lowest first-column entries.
@@ -151,6 +224,32 @@ class SharedDraw:
         if self._lowest is None or self._lowest[0] != count:
             self._lowest = (count, _lowest(self.normals[:, 0], count))
         return self._lowest[1]
+
+
+def _draw_moments(z: np.ndarray) -> tuple[tuple[float, float], tuple[float, float, float]]:
+    """The column means ``(m0, m1)`` of ``z`` and its sample covariance ``(c00, c01, c11)``.
+
+    Each sum of products is centred on both columns' means and summed by
+    numpy's own ``sum``, span by span: a BLAS dot would sum in an order set by
+    the build and the thread count.
+    """
+    n = z.shape[0]
+    m0, m1 = float(z[:, 0].mean()), float(z[:, 1].mean())
+    s00 = s01 = s11 = 0.0
+    for start in range(0, n, _SPAN):
+        d0 = z[start:start + _SPAN, 0] - m0
+        d1 = z[start:start + _SPAN, 1] - m1
+        s01 += float((d0 * d1).sum())
+        s00 += float(np.square(d0, out=d0).sum())
+        s11 += float(np.square(d1, out=d1).sum())
+    return (m0, m1), (s00 / (n - 1), s01 / (n - 1), s11 / (n - 1))
+
+
+def _loadings(pair: GaussianPair) -> tuple[float, float, float]:
+    """``(l11, l21, l22)``: the Cholesky factor that maps the draw to ``(xi, xa)``."""
+    l11 = math.sqrt(pair.var_i)
+    l21 = pair.cov_ia / l11
+    return l11, l21, math.sqrt(max(pair.var_a - l21 * l21, 0.0))
 
 
 def sample_pair(
@@ -168,10 +267,8 @@ def sample_pair(
     rounded, which is non-decreasing in the draw's first column ``z0``.
     """
     z = _checked_normals(normals, config)
-    l11 = math.sqrt(pair.var_i)
-    l21 = pair.cov_ia / l11
-    l22 = math.sqrt(max(pair.var_a - l21 * l21, 0.0))
-    out = np.empty((2, config.sample_count)).T
+    l11, l21, l22 = _loadings(pair)
+    out = _columns(config.sample_count)
     xi, xa = out[:, 0], out[:, 1]
     # mu_a + l21 * z0 + l22 * z1, rounded step by step as that expression
     # rounds, with the bank's column as the scratch space for l22 * z1.
@@ -275,32 +372,34 @@ def _window(center: float, half_width: float) -> tuple[float, float]:
 
 
 def _within(
-    values: np.ndarray, lo: float, hi: float, lowest: Optional[tuple] = None
+    values: np.ndarray, lo: float, hi: float, candidates: Optional[tuple] = None
 ) -> np.ndarray:
     """Ascending indices of the entries of ``values`` in ``[lo, hi]``.
 
-    ``lowest`` is ``(indices, values.take(indices))`` for ascending indices
-    of entries no greater than any other entry.  When one of those exceeds
-    ``hi``, every other entry does too, and only they are scanned.
+    ``candidates`` is ``(indices, values.take(indices), lowest)`` for
+    ascending ``indices`` such that every other entry is at least the
+    greatest candidate or, unless ``lowest``, at most the least.  When the
+    greatest exceeds ``hi`` and, unless ``lowest``, the least is below
+    ``lo``, no other entry is inside, and only the candidates are scanned.
     """
-    if lowest is not None:
-        indices, low_values = lowest
-        if low_values.max() > hi:
-            return indices[(low_values >= lo) & (low_values <= hi)]
+    if candidates is not None:
+        indices, taken, lowest = candidates
+        if taken.size and taken.max() > hi and (lowest or taken.min() < lo):
+            return indices[(taken >= lo) & (taken <= hi)]
     inside = values >= lo
     return np.flatnonzero(np.logical_and(inside, values <= hi, out=inside))
 
 
 def _band_indices(
-    cond: np.ndarray, center: float, half_width: float, lowest: Optional[tuple] = None
+    cond: np.ndarray, center: float, half_width: float, candidates: Optional[tuple] = None
 ) -> np.ndarray:
     """Ascending indices of the window ``|cond - center| <= half_width``.
 
     Raises _ThinSampleError when too few samples fall inside.  Gathering a
     target through the indices reads only the band, not a full-length mask.
-    ``lowest`` is as for :func:`_within`.
+    ``candidates`` is as for :func:`_within`.
     """
-    inside = _within(cond, *_window(center, half_width), lowest)
+    inside = _within(cond, *_window(center, half_width), candidates)
     count = inside.size
     if count < _MIN_BAND:
         raise _ThinSampleError(
@@ -331,16 +430,6 @@ def _quantile_and_se(
     head.partition((k_lo, k))
     spread = hi - float(head[k_lo])
     return float(head[k]), math.sqrt(p * (1.0 - p) / n) * (spread / p)
-
-
-def _centred_dot(x: np.ndarray, mean: float, y: Optional[np.ndarray] = None) -> float:
-    """``sum((x - mean) * y)``, or ``sum((x - mean) ** 2)`` without ``y``, in one temporary.
-
-    The sum of squares is the one ``x.var()`` takes, and a ratio of two of
-    these sums is the ordinary least-squares slope of ``y`` on ``x``.
-    """
-    product = x - mean
-    return float(np.multiply(product, product if y is None else y, out=product).sum())
 
 
 # The empirical value of a statistic, its standard error and its effective
@@ -418,7 +507,7 @@ def validate_closed_forms(
     contribution.  A statistic whose band or tail is too thin at this sample
     count is reported as skipped, not failed.  ``normals`` is
     :func:`standard_normals` of ``config`` or a :class:`SharedDraw` of it,
-    which keeps the selection of its low tail for the next bank; it is
+    which keeps its moments and its selections for the next bank; it is
     read, never written.
     """
     params = RiskParams(config.alpha)
@@ -429,63 +518,56 @@ def validate_closed_forms(
     draw = normals if isinstance(normals, SharedDraw) else SharedDraw(config, normals)
     n = config.sample_count
     p = 1.0 - config.alpha
+    m = draw.moments(pair)  # the samples' means, variances and slopes
+    std_i, std_a, std_s = math.sqrt(m.var_i), math.sqrt(m.var_a), math.sqrt(m.var_s)
+    se_mean_i = std_i / math.sqrt(n)
+
     count = _rank(1.5 * p, n) + 1  # the lowest samples a VaR and its SE read
     # Where the draw's first column is lowest, so is xi.
     low = draw.lowest(count)
     samples = sample_pair(pair, config, draw.normals)
     xi = samples[:, 0]
     xa = samples[:, 1]  # overwritten by xs = xi + xa after its last use
-
-    mean_i = float(xi.mean())
-    ss_i = _centred_dot(xi, mean_i)
-    std_i = math.sqrt(ss_i / (n - 1))  # as xi.std(ddof=1) computes it
-    se_mean_i = std_i / math.sqrt(n)
-    mean_a = float(xa.mean())
-    var_a = _centred_dot(xa, mean_a) / (n - 1)
-    std_a = math.sqrt(var_a)
-    slope_ai = _centred_dot(xi, mean_i, xa) / ss_i
-    lowest_i = (low, xi.take(low))
+    lowest_i = (low, xi.take(low), True)
     q_i, se_q_i = _quantile_and_se(lowest_i[1], p, n)
     half_i = config.bandwidth * std_i
 
     # The bank's tail, and its stressed and unstressed windows, each
     # conditioning xa and then xs; the tail and the stressed window are
-    # mostly among its lowest samples.
+    # mostly among its lowest samples, the unstressed window among the
+    # samples where the draw's first column is near its mean.
     tail_i = xa.take(_within(xi, -math.inf, q_i, lowest_i))
-    coll_es = _attempt(_tail_shift, tail_i, mean_a, var_a / n)
+    coll_es = _attempt(_tail_shift, tail_i, m.mean_a, m.var_a / n)
     stressed_i = _attempt(_band_indices, xi, q_i, half_i, lowest_i)
     del lowest_i, tail_i  # freed before the bands' indices and gathered values grow
-    unstressed_i = _attempt(_band_indices, xi, mean_i, half_i)
-    covar = _attempt(_band_quantile, _attempt(xa.take, stressed_i), p, se_q_i, slope_ai)
+    near_i = (draw.near_mean, xi.take(draw.near_mean), False)
+    unstressed_i = _attempt(_band_indices, xi, m.mean_i, half_i, near_i)
+    del near_i
+    covar = _attempt(_band_quantile, _attempt(xa.take, stressed_i), p, se_q_i, m.slope_ai)
     covare = _attempt(
-        _band_quantile, _attempt(xa.take, unstressed_i), p, se_mean_i, slope_ai
+        _band_quantile, _attempt(xa.take, unstressed_i), p, se_mean_i, m.slope_ai
     )
 
     xs = np.add(xi, xa, out=xa)
-    slope_si = _centred_dot(xi, mean_i, xs) / ss_i
     cond_stressed = _attempt(
-        _band_quantile, _attempt(xs.take, stressed_i), p, se_q_i, slope_si
+        _band_quantile, _attempt(xs.take, stressed_i), p, se_q_i, m.slope_si
     )
     cond_unstressed = _attempt(
-        _band_quantile, _attempt(xs.take, unstressed_i), p, se_mean_i, slope_si
+        _band_quantile, _attempt(xs.take, unstressed_i), p, se_mean_i, m.slope_si
     )
     del stressed_i, unstressed_i  # a wide band's indices take memory
 
-    mean_s = float(xs.mean())
-    ss_s = _centred_dot(xs, mean_s)
-    std_s = math.sqrt(ss_s / (n - 1))
-    slope_is = _centred_dot(xs, mean_s, xi) / ss_s
     low_s = _lowest(xs, count)
-    lowest_s = (low_s, xs.take(low_s))
+    lowest_s = (low_s, xs.take(low_s), True)
     q_s, se_q_s = _quantile_and_se(lowest_s[1], p, n)
     half_s = config.bandwidth * std_s
     # The system's stressed and unstressed windows, each conditioning xi.
     stressed_s = _attempt(xi.take, _attempt(_band_indices, xs, q_s, half_s, lowest_s))
     del low_s, lowest_s
-    contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, slope_is)
+    contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, m.slope_is)
     contr_unstressed = _attempt(
-        _band_quantile, _attempt(xi.take, _attempt(_band_indices, xs, mean_s, half_s)),
-        p, std_s / math.sqrt(n), slope_is,
+        _band_quantile, _attempt(xi.take, _attempt(_band_indices, xs, m.mean_s, half_s)),
+        p, std_s / math.sqrt(n), m.slope_is,
     )
 
     # (report field, target's sample std, outcome): each closed form is read
@@ -498,7 +580,7 @@ def validate_closed_forms(
         ("delta_coll_es", std_a, coll_es),
         ("delta_cond_var", std_s, _attempt(_difference, cond_stressed, cond_unstressed)),
         ("delta_contr_var", std_i, _attempt(_difference, contr_stressed, contr_unstressed)),
-        ("var_contribution", std_i, _attempt(_band_mean, stressed_s, slope_is * se_q_s)),
+        ("var_contribution", std_i, _attempt(_band_mean, stressed_s, m.slope_is * se_q_s)),
     ]
 
     checks = []

@@ -509,6 +509,21 @@ class TestValidateCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_a_draw_too_large_to_allocate_exits_2(self, capsys):
+        # 16 bytes a sample put the draw past the 47-bit address space, so its
+        # allocation fails before any page is touched, whatever the overcommit
+        # setting.
+        samples = 10**13
+        code, out, err = run(
+            capsys, ["validate", "--model", "0,0,1,1,0", "--samples", str(samples)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {samples} samples need {16 * samples} bytes for each two-column "
+            "array, more than can be allocated; lower the sample count\n"
+        )
+
     def test_default_config_on_reference_pair(self, capsys):
         # default sample count (2,000,000), the model exercised by the
         # acceptance suite

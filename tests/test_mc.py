@@ -10,8 +10,8 @@ from gaussrisk.errors import DegenerateSystemError, DomainError, _ThinSampleErro
 from gaussrisk.mc import (
     McConfig,
     SharedDraw,
+    _NEAR_MARGIN,
     _band_indices,
-    _centred_dot,
     _lowest,
     _quantile_and_se,
     _rank,
@@ -274,7 +274,7 @@ class TestWindow:
         values = np.round(np.random.default_rng(decimals).standard_normal(20_000), decimals)
         cut = float(np.partition(values, 299)[299])
         indices = np.flatnonzero(values <= cut)
-        lowest = (indices, values.take(indices))
+        lowest = (indices, values.take(indices), True)
         for lo, hi in [
             (-math.inf, cut), (-math.inf, cut - 0.1), (-math.inf, cut + 0.1),
             (-3.0, -2.5), (cut - 0.05, cut + 0.05), (-1.0, 1.0), (5.0, 6.0),
@@ -338,8 +338,8 @@ class TestRegressionSlopeIdentity:
     def test_ols_slope_matches_beta(self, correlated_samples):
         n = correlated_samples.shape[0]
         xi, xa = correlated_samples[:, 0], correlated_samples[:, 1]
-        mean_i = float(xi.mean())
-        slope = _centred_dot(xi, mean_i, xa) / _centred_dot(xi, mean_i)
+        centred = xi - xi.mean()
+        slope = float((centred * (xa - xa.mean())).sum() / (centred * centred).sum())
         residual_sd = math.sqrt(0.75)
         assert abs(slope - 0.5) < 4.0 * residual_sd / math.sqrt(n)
 
@@ -451,7 +451,10 @@ class TestPropertySweep:
 
 # validate_closed_forms(...).checks as computed before the shared draw and the
 # single pass over the bands, as exact floats: (name, closed_form, empirical,
-# abs_error, tolerance, effective_tail_samples, passed, note).
+# abs_error, tolerance, effective_tail_samples, passed, note).  The 600k row
+# and the two 1e15 rows were re-recorded when the samples' moments came to be
+# read from the draw's: one tolerance moved by an ulp, and at 1e15 the draw's
+# moments leave out the rounding of the samples to their grid.
 GOLDEN_REPORTS = [
     (
         DEMO_LIKE, McConfig(sample_count=200_000, seed=0, alpha=0.95),
@@ -488,7 +491,7 @@ GOLDEN_REPORTS = [
             ("covar_ai", -0.21719010883506357, -0.2241554408624125, 0.006965332027348947, 0.03290543864486849, 1616, True, ""),
             ("covare_ai", -0.14972602048787917, -0.14902523404995335, 0.0007007864379258155, 0.006374912172658265, 23876, True, ""),
             ("delta_coll_var", -0.0674640883471844, -0.07513020681245916, 0.007666118465274763, 0.03351727013974006, 1616, True, ""),
-            ("delta_coll_es", -0.07729121239002824, -0.0771937629971216, 9.744939290663723e-05, 0.003438878219561365, 6001, True, ""),
+            ("delta_coll_es", -0.07729121239002824, -0.0771937629971216, 9.744939290663723e-05, 0.0034388782195613654, 6001, True, ""),
             ("delta_cond_var", -0.11399104582800121, -0.12119155080784405, 0.007200504979842842, 0.032908968656270396, 1616, True, ""),
             ("delta_contr_var", -0.028041420119124045, -0.027658176510076342, 0.000383243609047703, 0.005262502176259049, 1687, True, ""),
             ("var_contribution", -0.027041420119124044, -0.02675303757300951, 0.0002883825461145323, 0.001604008476812196, 1687, True, ""),
@@ -513,29 +516,30 @@ GOLDEN_REPORTS = [
         GaussianPair(1e15, 0.0, 1.0, 1.0, 0.0), McConfig(sample_count=200_000, seed=0),
         [
             ("var_i", 999999999999997.6, 999999999999997.6, 0.0, 0.04449719092257396, 2001, True, ""),
-            ("covar_ai", -2.326347874040841, None, None, None, 586, None, "only 586 samples within 0.0501209 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
-            ("covare_ai", -2.326347874040841, -2.35208654628301, 0.025738672242168636, 0.152531324415872, 9911, True, ""),
-            ("delta_coll_var", -0.0, None, None, None, 586, None, "only 586 samples within 0.0501209 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("covar_ai", -2.326347874040841, None, None, None, 586, None, "only 586 samples within 0.0500837 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("covare_ai", -2.326347874040841, -2.35208654628301, 0.025738672242168636, 0.15253132418080767, 9911, True, ""),
+            ("delta_coll_var", -0.0, None, None, None, 586, None, "only 586 samples within 0.0500837 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
             ("delta_coll_es", -0.0, 0.029955264713234016, 0.029955264713234016, 0.08928003329107743, 2073, True, ""),
-            ("delta_cond_var", -2.326347874040841, None, None, None, 586, None, "only 586 samples within 0.0501209 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
-            ("delta_contr_var", -1.644976357133187, None, None, None, 532, None, "only 532 samples within 0.0707235 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
-            ("var_contribution", 999999999999998.4, None, None, None, 532, None, "only 532 samples within 0.0707235 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("delta_cond_var", -2.326347874040841, None, None, None, 586, None, "only 586 samples within 0.0500837 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("delta_contr_var", -1.644976357133187, None, None, None, 532, None, "only 532 samples within 0.07068 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("var_contribution", 999999999999998.4, None, None, None, 532, None, "only 532 samples within 0.07068 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
         ],
     ),
     (
         # A grid of 0.25 sd: the tie at the bank's VaR reaches the top of its
         # lowest 1.5 p N samples, so neither its tail nor its stressed window
-        # can be read from them alone.
+        # can be read from them alone; nor can its unstressed window be read
+        # from the draw's entries near its mean.
         GaussianPair(1e15, 0.0, 0.25, 1.0, 0.0), McConfig(sample_count=200_000, seed=0),
         [
             ("var_i", 999999999999998.9, 999999999999998.9, 0.0, 0.01112429773064349, 2001, True, ""),
-            ("covar_ai", -2.326347874040841, -2.2725770082584797, 0.053770865782361454, 0.3737097476630534, 1633, True, ""),
-            ("covare_ai", -2.326347874040841, -2.3413691555723224, 0.01502128153148119, 0.11953104852774867, 19793, True, ""),
-            ("delta_coll_var", -0.0, 0.06879214731384264, 0.06879214731384264, 0.3923603535788575, 1633, True, ""),
+            ("covar_ai", -2.326347874040841, -2.2725770082584797, 0.053770865782361454, 0.3737097472136311, 1633, True, ""),
+            ("covare_ai", -2.326347874040841, -2.3413691555723224, 0.01502128153148119, 0.11953104827895614, 19793, True, ""),
+            ("delta_coll_var", -0.0, 0.06879214731384264, 0.06879214731384264, 0.3923603530750045, 1633, True, ""),
             ("delta_coll_es", -0.0, 0.018500108922410906, 0.018500108922410906, 0.07028757452275013, 3368, True, ""),
-            ("delta_cond_var", -1.1631739370204206, -1.0, 0.1631739370204206, 26424190559.25464, 1633, True, ""),
-            ("delta_contr_var", -0.5201871985667439, None, None, None, 595, None, "only 595 samples within 0.0559406 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
-            ("var_contribution", 999999999999999.5, None, None, None, 595, None, "only 595 samples within 0.0559406 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("delta_cond_var", -1.1631739370204206, -1.0, 0.1631739370204206, 0.3956692976545823, 1633, True, ""),
+            ("delta_contr_var", -0.5201871985667439, None, None, None, 595, None, "only 595 samples within 0.0558883 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
+            ("var_contribution", 999999999999999.5, None, None, None, 595, None, "only 595 samples within 0.0558883 of 1e+15 (need >= 1000); raise the sample count or the bandwidth"),
         ],
     ),
 ]
@@ -610,6 +614,137 @@ class TestSharedDraw:
         validate_closed_forms(UNIT_HALF, config, normals)
         validate_closed_forms(DEMO_LIKE, config, normals)
         assert np.array_equal(normals, before)
+
+
+class TestDrawMoments:
+    """The draw's moments give the samples' own, centred on both factors."""
+
+    # Chosen before the first run: at |mu| / sd <= 1e3 the samples' rounding
+    # moves their moments by about 1e-13 of the scale each is compared at,
+    # and a loading off by more than this bound is a wrong map.
+    REL = 1e-9
+    CONFIG = McConfig(sample_count=20_000, seed=14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-0.99, 0.99),
+        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+    )
+    @example(0.0, 0.0, -0.99, 1e3, -1e3)
+    @example(-3.0, 3.0, 0.99, -1e3, 0.0)
+    def test_match_the_two_sided_centred_sample_moments(
+        self, log_sd_i, log_sd_a, rho, mean_ratio_i, mean_ratio_a
+    ):
+        sd_i, sd_a = 10.0 ** log_sd_i, 10.0 ** log_sd_a
+        pair = GaussianPair(
+            mean_ratio_i * sd_i, mean_ratio_a * sd_a, sd_i * sd_i, sd_a * sd_a, rho * sd_i * sd_a
+        )
+        draw = SharedDraw(self.CONFIG)
+        m = draw.moments(pair)
+        samples = sample_pair(pair, self.CONFIG, draw.normals)
+        xi, xa = samples[:, 0], samples[:, 1]
+        xs = xi + xa
+        di, da, ds = xi - xi.mean(), xa - xa.mean(), xs - xs.mean()
+        ss = {"i": float((di * di).sum()), "a": float((da * da).sum()), "s": float((ds * ds).sum())}
+        for got, x, mu, sd in [
+            (m.mean_i, xi, pair.mu_i, pair.std_i),
+            (m.mean_a, xa, pair.mu_a, pair.std_a),
+            (m.mean_s, xs, pair.mu_s, pair.std_s),
+        ]:
+            assert abs(got - float(x.mean())) <= self.REL * (abs(mu) + sd)
+        n = self.CONFIG.sample_count
+        for var, key in [(m.var_i, "i"), (m.var_a, "a"), (m.var_s, "s")]:
+            assert abs(var * (n - 1) - ss[key]) <= self.REL * ss[key]
+        for slope, dy, y, dx, x in [
+            (m.slope_ai, da, "a", di, "i"), (m.slope_si, ds, "s", di, "i"),
+            (m.slope_is, di, "i", ds, "s"),
+        ]:
+            ols = float((dx * dy).sum()) / ss[x]
+            assert abs(slope - ols) <= self.REL * math.sqrt(ss[y] / ss[x])
+
+    def test_one_sided_centring_no_longer_swamps_a_tolerance(self):
+        # |mu_i| / sd_i = 2e15: centring only xi let mean_s times the rounding
+        # residue of sum(xi - mean_i) into slope_si (2.2e12, not 1), and the
+        # delta_cond_var tolerance became 2.6e10, a check that could not fail.
+        pair = GaussianPair(1e15, 0.0, 0.25, 1.0, 0.0)
+        config = McConfig(sample_count=200_000, seed=0)
+        assert SharedDraw(config).moments(pair).slope_si == pytest.approx(1.0, abs=0.01)
+        checks = {check.name: check for check in validate_closed_forms(pair, config).checks}
+        assert checks["delta_cond_var"].passed
+        assert checks["delta_cond_var"].tolerance < 1.0
+
+    def test_huge_variance_gives_finite_tolerances(self):
+        # The samples' sum of squares overflowed at var_i = 1e306: inf and nan
+        # tolerances, and false FAILs.  The draw's moments are O(1).
+        report = validate_closed_forms(
+            GaussianPair(0.0, 0.0, 1e306, 1e-3, 0.0), McConfig(sample_count=100_000, seed=0)
+        )
+        assert report.all_passed and report.evaluated
+        assert all(math.isfinite(check.tolerance) for check in report.evaluated)
+
+
+class TestNearMean:
+    """Each bank's unstressed window, gathered where the draw's first column is near its mean."""
+
+    CONFIG = McConfig(sample_count=50_000, seed=4)
+
+    def test_positions_bracket_every_other_entry(self):
+        draw = SharedDraw(self.CONFIG)
+        z0, near = draw.normals[:, 0], draw.near_mean
+        assert np.all(np.diff(near) > 0)
+        taken, rest = z0.take(near), np.delete(z0, near)
+        assert np.all((rest < taken.min()) | (rest > taken.max()))
+        reach = (1.0 + _NEAR_MARGIN) * self.CONFIG.bandwidth * float(z0.std(ddof=1))
+        assert np.abs(taken - z0.mean()).max() == pytest.approx(reach, rel=0.01)
+
+    @pytest.mark.parametrize("pair", [DEMO_LIKE, UNIT_HALF, GaussianPair(-3e3, 1.0, 1e-4, 1.0, 0.0)])
+    def test_planted_window_edges_give_the_full_scan(self, pair):
+        draw = SharedDraw(self.CONFIG)
+        m = draw.moments(pair)
+        xi = sample_pair(pair, self.CONFIG, draw.normals)[:, 0]
+        lo, hi = _window(m.mean_i, self.CONFIG.bandwidth * math.sqrt(m.var_i))
+        # Plant two entries at each end of the window and two just outside
+        # it, keeping xi non-decreasing in the draw's first column.
+        order = np.argsort(draw.normals[:, 0])
+        ranked = xi[order]
+        first_in = int(np.searchsorted(ranked, lo))
+        first_above = int(np.searchsorted(ranked, hi, side="right"))
+        ranked[first_in - 2:first_in] = math.nextafter(lo, -math.inf)
+        ranked[first_in:first_in + 2] = lo
+        ranked[first_above - 2:first_above] = hi
+        ranked[first_above:first_above + 2] = math.nextafter(hi, math.inf)
+        xi[order] = ranked
+        assert np.isin(order[first_in - 2:first_above + 2], draw.near_mean).all()
+
+        taken = xi.take(draw.near_mean)
+        assert taken.min() < lo and taken.max() > hi  # the candidates decide
+        expected = np.flatnonzero(np.abs(xi - m.mean_i) <= self.CONFIG.bandwidth * math.sqrt(m.var_i))
+        assert np.array_equal(_within(xi, lo, hi), expected)
+        assert np.array_equal(_within(xi, lo, hi, (draw.near_mean, taken, False)), expected)
+        assert np.count_nonzero(xi[expected] == lo) == 2 and np.count_nonzero(xi[expected] == hi) == 2
+
+    @pytest.mark.parametrize("lo, hi", [(-0.3, 0.2), (-0.2, 0.3)])
+    def test_a_tie_at_either_end_past_the_candidates_takes_the_full_scan(self, lo, hi):
+        z = np.random.default_rng(9).standard_normal(10_000)
+        values = np.round(z, 1)  # non-decreasing in z, in ties of about 400
+        near = np.flatnonzero(np.abs(z) <= 0.26)  # the ties at -0.3 and 0.3 reach past them
+        expected = np.flatnonzero((values >= lo) & (values <= hi))
+        assert np.array_equal(_within(values, lo, hi, (near, values.take(near), False)), expected)
+        assert not np.isin(expected, near).all()
+
+    def test_a_window_inside_one_grid_step_takes_the_full_scan(self):
+        # At |mu_i| / sd_i = 2e15 the samples lie on a grid of 0.25 sd, so the
+        # window is the one grid point 1e15, and every candidate rounds to it.
+        pair = GaussianPair(1e15, 0.0, 0.25, 1.0, 0.0)
+        draw = SharedDraw(self.CONFIG)
+        m = draw.moments(pair)
+        xi = sample_pair(pair, self.CONFIG, draw.normals)[:, 0]
+        lo, hi = _window(m.mean_i, self.CONFIG.bandwidth * math.sqrt(m.var_i))
+        taken = xi.take(draw.near_mean)
+        assert lo == hi == taken.min() == taken.max() == 1e15  # the candidates cannot decide
+        expected = _within(xi, lo, hi)
+        assert expected.size > taken.size  # the tie reaches past them
+        assert np.array_equal(_within(xi, lo, hi, (draw.near_mean, taken, False)), expected)
 
 
 def traced_peak(compute) -> int:
