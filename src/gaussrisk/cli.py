@@ -22,7 +22,9 @@ import sys
 import warnings
 from typing import Iterator, Optional
 
-from .errors import DegenerateModelError, DegenerateSeriesWarning, DomainError, GaussRiskError
+from .errors import (
+    DegenerateModelError, DegenerateSeriesWarning, DomainError, GaussRiskError, PanelFormatError,
+)
 from .estimation import MomentEstimate, estimate_moments, load_panel, pair_for_bank
 from .measures import BankRiskReport, GaussianPair, full_report
 from .mc import RNG_METHOD, McConfig, SharedDraw, validate_closed_forms
@@ -78,7 +80,11 @@ def _load_estimate(path: str) -> MomentEstimate:
         warnings.simplefilter("always")
         # a selected zero-variance bank gets its own "skipped" warning line
         warnings.simplefilter("ignore", DegenerateSeriesWarning)
-        est = estimate_moments(load_panel(sys.stdin if path == "-" else path))
+        try:
+            panel = load_panel(sys.stdin if path == "-" else path)
+        except OSError as exc:  # a missing, unreadable or directory input, not a defect
+            raise PanelFormatError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
+        est = estimate_moments(panel)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return est

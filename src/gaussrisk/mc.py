@@ -31,7 +31,6 @@ window are read from its lowest samples, cut once per bank.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -166,22 +165,23 @@ class _Moments(NamedTuple):
 
 
 class SharedDraw:
-    """:func:`standard_normals` of one run, with what every bank reads from it.
+    """The :func:`standard_normals` draw of one run, with what every bank reads from it.
 
     A bank's samples ``xi = mu_i + l11 z0`` and ``xa = mu_a + l21 z0 + l22 z1``
     are affine in the draw's columns ``z0`` and ``z1``, so their sample
     means, variances and covariances follow from the draw's own, taken here
-    once: see :meth:`moments`.  ``xi`` is non-decreasing in ``z0``, so the
-    positions of that column's lowest entries are where every bank's lowest
-    samples are, and ``near_mean``, the ascending positions of ``z0`` within
-    a little more than ``bandwidth`` sample standard deviations of its mean,
-    holds every bank's unstressed window.  The lowest positions are
-    selected on first use and kept for the next bank; the CLI passes one
-    ``SharedDraw`` to every bank of a run.
+    once: see :meth:`moments`.  ``xi`` is non-decreasing in ``z0``, so
+    ``lowest``, the ascending positions of at least the ``tail_count``
+    lowest entries of that column, is where every bank's lowest samples
+    are, and ``near_mean``, the ascending positions of ``z0`` within a
+    little more than ``bandwidth`` sample standard deviations of its mean,
+    holds every bank's unstressed window.  All of it is taken at
+    construction; the CLI passes one ``SharedDraw`` to every bank of a run.
     """
 
-    def __init__(self, config: McConfig, normals: Optional[np.ndarray] = None) -> None:
-        self.normals = _checked_normals(normals, config)
+    def __init__(self, config: McConfig) -> None:
+        self.config = config
+        self.normals = standard_normals(config)
         self._means, self._cov = _draw_moments(self.normals)
         z0, center = self.normals[:, 0], self._means[0]
         reach = (1.0 + _NEAR_MARGIN) * config.bandwidth * math.sqrt(self._cov[0])
@@ -189,7 +189,9 @@ class SharedDraw:
         # 4-byte positions halve what this holds for the run and what each
         # bank's unstressed window gathers through it
         self.near_mean = near.astype(np.int32) if z0.size <= 2**31 else near
-        self._lowest: Optional[tuple[int, np.ndarray]] = None  # (count, positions)
+        # the lowest samples a VaR and its SE read
+        self.tail_count = _rank(1.5 * (1.0 - config.alpha), config.sample_count) + 1
+        self.lowest = _lowest(z0, self.tail_count)
 
     def moments(self, pair: GaussianPair) -> _Moments:
         """The sample moments of ``sample_pair(pair, config, self.normals)`` and of its row sums.
@@ -215,15 +217,6 @@ class SharedDraw:
             slope_ai=cov(c_i, c_a) / var_i, slope_si=cov(c_i, c_s) / var_i,
             slope_is=cov(c_s, c_i) / var_s,
         )
-
-    def lowest(self, count: int) -> np.ndarray:
-        """Ascending positions of at least the ``count`` lowest first-column entries.
-
-        No entry left out is lower than any entry selected.
-        """
-        if self._lowest is None or self._lowest[0] != count:
-            self._lowest = (count, _lowest(self.normals[:, 0], count))
-        return self._lowest[1]
 
 
 def _draw_moments(z: np.ndarray) -> tuple[tuple[float, float], tuple[float, float, float]]:
@@ -266,7 +259,9 @@ def sample_pair(
     column is contiguous in memory.  Column 0 is ``mu_i + sqrt(var_i) * z0``,
     rounded, which is non-decreasing in the draw's first column ``z0``.
     """
-    z = _checked_normals(normals, config)
+    z = standard_normals(config) if normals is None else np.asarray(normals, dtype=float)
+    if z.shape != (config.sample_count, 2):
+        raise DomainError(f"normals must have shape ({config.sample_count}, 2), got {z.shape}")
     l11, l21, l22 = _loadings(pair)
     out = _columns(config.sample_count)
     xi, xa = out[:, 0], out[:, 1]
@@ -278,17 +273,6 @@ def sample_pair(
     np.multiply(z[:, 0], l11, out=xi)
     xi += pair.mu_i
     return out
-
-
-def _checked_normals(normals: Optional[np.ndarray], config: McConfig) -> np.ndarray:
-    if normals is None:
-        return standard_normals(config)
-    z = np.asarray(normals, dtype=float)
-    if z.shape != (config.sample_count, 2):
-        raise DomainError(
-            f"normals must have shape ({config.sample_count}, 2), got {z.shape}"
-        )
-    return z
 
 
 def empirical_quantile(values, p: float) -> float:
@@ -328,49 +312,6 @@ def _lowest(values: np.ndarray, count: int) -> np.ndarray:
     return inside
 
 
-def _key(x: float) -> int:
-    """Position of ``x`` in the ascending order of the doubles; 0.0 and -0.0 share 0."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _double(key: int) -> float:
-    """The double at position ``key`` of :func:`_key`."""
-    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -(1 << 63) - key))[0]
-
-
-def _window(center: float, half_width: float) -> tuple[float, float]:
-    """The doubles ``x`` with ``abs(x - center) <= half_width``, as an interval ``[lo, hi]``.
-
-    ``x - center`` rounds monotonically in ``x``, so those doubles form an
-    interval, and two comparisons select a band without a full-length
-    distance array.  Each end is found among the ordered doubles by
-    galloping from the rounded ``center -+ half_width`` and then bisecting.
-    The interval is empty (``lo > hi``) when no double is inside.
-    """
-    anchor = center if math.isfinite(center) else 0.0
-    if not abs(anchor - center) <= half_width:
-        return math.inf, -math.inf
-
-    def edge(outward: float) -> float:
-        if abs(outward - center) <= half_width:
-            return outward
-        good, bad = _key(anchor), _key(outward)
-        step = 1 if bad > good else -1
-        probe = _key(center + step * half_width)
-        while abs(bad - good) > 1:
-            if not min(good, bad) < probe < max(good, bad):
-                probe = (good + bad) // 2
-            if abs(_double(probe) - center) <= half_width:
-                good, probe = probe, probe + step
-            else:
-                bad, probe = probe, probe - step
-            step *= 2
-        return _double(good)
-
-    return edge(-math.inf), edge(math.inf)
-
-
 def _within(
     values: np.ndarray, lo: float, hi: float, candidates: Optional[tuple] = None
 ) -> np.ndarray:
@@ -390,6 +331,27 @@ def _within(
     return np.flatnonzero(np.logical_and(inside, values <= hi, out=inside))
 
 
+def _window(
+    values: np.ndarray, center: float, half_width: float, candidates: Optional[tuple] = None
+) -> np.ndarray:
+    """Ascending indices of the entries ``x`` of ``values`` with ``abs(x - center) <= half_width``.
+
+    ``x - center`` rounds monotonically in ``x``, so those entries fill an
+    interval of doubles.  :func:`_within` cuts one a few ulps wider, which
+    the rounding of ``x - center`` and of its ends cannot reach past, and
+    the distance test, read only on that cut, keeps exactly the entries
+    inside.  An end that is not finite cuts everything.  ``candidates`` is
+    as for :func:`_within`.
+    """
+    slack = 2.0**-48 * (abs(center) + half_width) + 2.0**-1070
+    lo, hi = center - half_width - slack, center + half_width + slack
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        lo, hi = -math.inf, math.inf
+    cut = _within(values, lo, hi, candidates)
+    with np.errstate(invalid="ignore"):  # inf - inf: no entry is inside
+        return cut[np.abs(values.take(cut) - center) <= half_width]
+
+
 def _band_indices(
     cond: np.ndarray, center: float, half_width: float, candidates: Optional[tuple] = None
 ) -> np.ndarray:
@@ -399,7 +361,7 @@ def _band_indices(
     target through the indices reads only the band, not a full-length mask.
     ``candidates`` is as for :func:`_within`.
     """
-    inside = _within(cond, *_window(center, half_width), candidates)
+    inside = _window(cond, center, half_width, candidates)
     count = inside.size
     if count < _MIN_BAND:
         raise _ThinSampleError(
@@ -497,7 +459,7 @@ def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[fl
 def validate_closed_forms(
     pair: GaussianPair,
     config: McConfig,
-    normals: Union[np.ndarray, SharedDraw, None] = None,
+    draw: Optional[SharedDraw] = None,
 ) -> ValidationReport:
     """Compare every closed-form statistic against an independent simulation.
 
@@ -505,30 +467,30 @@ def validate_closed_forms(
     conditional VaR of the rest of the system, the three stressed-minus-
     unstressed differences, the ES spillover, and the Euler VaR
     contribution.  A statistic whose band or tail is too thin at this sample
-    count is reported as skipped, not failed.  ``normals`` is
-    :func:`standard_normals` of ``config`` or a :class:`SharedDraw` of it,
-    which keeps its moments and its selections for the next bank; it is
-    read, never written.
+    count is reported as skipped, not failed.  ``draw`` is the
+    :class:`SharedDraw` of ``config`` that every bank of a run reads, or by
+    default one made here; a draw of another config raises DomainError.
     """
     params = RiskParams(config.alpha)
     if pair.var_s <= 0.0:
         raise DegenerateSystemError("cannot validate a zero-variance system")
     report = _report(pair, params)
 
-    draw = normals if isinstance(normals, SharedDraw) else SharedDraw(config, normals)
+    if draw is None:
+        draw = SharedDraw(config)
+    elif draw.config != config:
+        raise DomainError(f"the draw is of {draw.config}, not of {config}")
     n = config.sample_count
     p = 1.0 - config.alpha
     m = draw.moments(pair)  # the samples' means, variances and slopes
     std_i, std_a, std_s = math.sqrt(m.var_i), math.sqrt(m.var_a), math.sqrt(m.var_s)
     se_mean_i = std_i / math.sqrt(n)
 
-    count = _rank(1.5 * p, n) + 1  # the lowest samples a VaR and its SE read
-    # Where the draw's first column is lowest, so is xi.
-    low = draw.lowest(count)
     samples = sample_pair(pair, config, draw.normals)
     xi = samples[:, 0]
     xa = samples[:, 1]  # overwritten by xs = xi + xa after its last use
-    lowest_i = (low, xi.take(low), True)
+    # Where the draw's first column is lowest, so is xi.
+    lowest_i = (draw.lowest, xi.take(draw.lowest), True)
     q_i, se_q_i = _quantile_and_se(lowest_i[1], p, n)
     half_i = config.bandwidth * std_i
 
@@ -557,7 +519,7 @@ def validate_closed_forms(
     )
     del stressed_i, unstressed_i  # a wide band's indices take memory
 
-    low_s = _lowest(xs, count)
+    low_s = _lowest(xs, draw.tail_count)
     lowest_s = (low_s, xs.take(low_s), True)
     q_s, se_q_s = _quantile_and_se(lowest_s[1], p, n)
     half_s = config.bandwidth * std_s

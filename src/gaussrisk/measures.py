@@ -74,11 +74,14 @@ class GaussianPair:
             raise DegenerateModelError(f"var_i must be positive, got {self.var_i!r}")
         if self.var_a <= 0.0:
             raise DegenerateModelError(f"var_a must be positive, got {self.var_a!r}")
-        # keep every derived statistic representable: no silent overflow to inf
+        # keep every derived statistic representable: no silent overflow to
+        # inf, in the variances or in the report's slopes on the bank
         if not (
             math.isfinite(self.var_i * self.var_a)
             and math.isfinite(self.var_i + 2.0 * self.cov_ia + self.var_a)
             and math.isfinite(self.mu_i + self.mu_a)
+            and math.isfinite(self.cov_ia / self.var_i)
+            and math.isfinite(self.cov_is / self.var_i)
         ):
             raise DomainError("model magnitudes overflow double precision")
         if self.cov_ia * self.cov_ia > self.var_i * self.var_a * (1.0 + _PSD_SLACK):

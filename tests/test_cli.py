@@ -316,6 +316,13 @@ class TestAnalyzePanel:
         assert (code, out) == (2, "")
         assert err == "error: model magnitudes overflow double precision\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_overflowing_slope_gives_one_error_line(self, capsys, command):
+        # beta_ai = cov_ia / var_i is about 1.7e312; every input number is finite
+        code, out, err = run(capsys, [command, "--model=0,0,5e-321,1.38e304,-8.3e-09"])
+        assert (code, out) == (2, "")
+        assert err == "error: model magnitudes overflow double precision\n"
+
     def test_overflowing_covariance_gives_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "overflow.csv"
         path.write_text("A,B,C\n1e200,2e200,-1e200\n-1e200,1e200,2e200\n2e200,-1e200,1e200\n")
@@ -598,6 +605,16 @@ class TestUsageErrors:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, "")
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize(
+        "name, reason", [("no-such-file.csv", "No such file or directory"), ("", "Is a directory")]
+    )
+    def test_unreadable_input_exits_2_naming_the_path(self, capsys, tmp_path, command, name, reason):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, [command, "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read input {path!r}: {reason}\n"
 
     def test_missing_source_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gaussrisk.mc
 from gaussrisk.errors import DegenerateSystemError, DomainError, _ThinSampleError
 from gaussrisk.mc import (
     McConfig,
@@ -215,18 +216,59 @@ class TestLowest:
         assert values.take(low).max() <= rest.min()
 
 
+def distance_edges(center: float, half_width: float) -> tuple[float, float]:
+    """The least and greatest doubles ``x`` with ``abs(x - center) <= half_width``.
+
+    Found by bisection on the values of doubles, apart from the code under
+    test; ``center`` and ``center -+ 2 half_width`` must be finite.
+    """
+
+    def inside(x: float) -> bool:
+        return abs(x - center) <= half_width
+
+    def edge(direction: float) -> float:
+        good, bad = center, center + 2.0 * direction * half_width
+        while inside(bad):
+            bad = math.nextafter(bad, direction * math.inf)
+        while math.nextafter(good, bad) != bad:
+            mid = good + (bad - good) / 2
+            if mid in (good, bad):
+                mid = math.nextafter(good, bad)
+            good, bad = (mid, bad) if inside(mid) else (good, mid)
+        return good
+
+    return edge(-1.0), edge(1.0)
+
+
+def planted_near_edges(center: float, half_width: float) -> list[float]:
+    """Values at the edges of the window ``abs(x - center) <= half_width`` and next to them.
+
+    ``center -+ half_width`` and a few ulps of ``half_width`` around them;
+    when both are finite, also the exact edges and their neighbours.
+    """
+    out = [center]
+    step = math.ulp(half_width) if math.isfinite(half_width) else 0.0
+    for sign in (-1.0, 1.0):
+        out += [center + sign * (half_width + k * step) for k in range(-3, 4)]
+    if math.isfinite(center) and math.isfinite(2.0 * half_width + abs(center)):
+        for edge in distance_edges(center, half_width):
+            out.append(edge)
+            for direction in (-math.inf, math.inf):
+                y = edge
+                for _ in range(3):
+                    y = math.nextafter(y, direction)
+                    out.append(y)
+        out += list(center + half_width * np.linspace(-1.5, 1.5, 61))
+    return out
+
+
 class TestWindow:
-    """The interval ``[lo, hi]`` selects what ``np.abs(x - c) <= h`` selects, to the ulp."""
+    """The band selects exactly what ``np.abs(x - c) <= h`` selects."""
 
     @staticmethod
-    def neighbours(x: float) -> list[float]:
-        out = [x]
-        for direction in (-math.inf, math.inf):
-            y = x
-            for _ in range(3):
-                y = math.nextafter(y, direction)
-                out.append(y)
-        return out
+    def distance_test(values: np.ndarray, center: float, half_width: float) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return np.flatnonzero(np.abs(values - center) <= half_width)
 
     @pytest.mark.parametrize(
         "center, half_width",
@@ -238,7 +280,7 @@ class TestWindow:
             (-1e15, 0.2),
             (0.0, 5e-324),  # subnormal
             (-3e-310, 7e-321),
-            (-0.05, 0.05 + 1e-17),  # hi is 2**51 doubles above the rounded c + h
+            (-0.05, 0.05 + 1e-17),  # the upper edge is 2**51 doubles above the rounded c + h
             (1e-300, 1.0),
             (3.0, 0.0),
             (-7.5, 1e300),
@@ -249,24 +291,31 @@ class TestWindow:
         ],
     )
     def test_matches_the_distance_test(self, center, half_width):
-        lo, hi = _window(center, half_width)
-        planted = [center, center - half_width, center + half_width]
-        for edge in (lo, hi):
-            planted += self.neighbours(edge)
-        if math.isfinite(center) and math.isfinite(half_width):
-            planted += list(center + half_width * np.linspace(-1.5, 1.5, 61))
-        values = np.array(planted + [0.0, -math.inf, math.inf])
-        with np.errstate(invalid="ignore"):
-            expected = np.abs(values - center) <= half_width
-        assert np.array_equal((values >= lo) & (values <= hi), expected)
-        # both ends are inside and their outward neighbours are not
-        if lo <= hi:
-            assert abs(lo - center) <= half_width and abs(hi - center) <= half_width
-            below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-            assert lo == -math.inf or not abs(below - center) <= half_width
-            assert hi == math.inf or not abs(above - center) <= half_width
-        else:
-            assert not expected.any()
+        values = np.array(planted_near_edges(center, half_width) + [0.0, -math.inf, math.inf])
+        expected = self.distance_test(values, center, half_width)
+        assert np.array_equal(_window(values, center, half_width), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-1e300, 1e300), st.floats(5e-324, 1e300), st.floats(1.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(-0.05, 0.05 + 1e-17, 1.5, 0)
+    @example(1e15, 0.01, 1.5, 1)
+    @example(-3e-310, 7e-321, 2.0, 2)
+    @example(0.0, 5e-324, 1.0, 3)
+    def test_exact_for_any_width(self, center, half_width, reach, seed):
+        # Sorted values, so the entries within any distance of the centre
+        # are valid candidates; whether or not they decide, the result is exact.
+        spread = np.random.default_rng(seed).uniform(-2.0, 2.0, 200)
+        values = np.sort(np.concatenate([
+            planted_near_edges(center, half_width), center + half_width * spread,
+        ]))
+        expected = self.distance_test(values, center, half_width)
+        assert np.array_equal(_window(values, center, half_width), expected)
+        near = self.distance_test(values, center, reach * half_width)
+        candidates = (near, values.take(near), False)
+        assert np.array_equal(_window(values, center, half_width, candidates), expected)
 
     @pytest.mark.parametrize("decimals", [1, 3])
     def test_lowest_entries_give_the_full_scan(self, decimals):
@@ -558,8 +607,6 @@ class TestSharedDraw:
     def test_reports_match_golden_values(self, pair, config, expected):
         report = validate_closed_forms(pair, config)
         assert statistic_rows(report) == expected
-        shared = validate_closed_forms(pair, config, standard_normals(config))
-        assert shared.checks == report.checks
         assert validate_closed_forms(pair, config, SharedDraw(config)).checks == report.checks
 
     @pytest.mark.parametrize("sample_count", [50_000, 600_000])
@@ -582,15 +629,37 @@ class TestSharedDraw:
         ]
         assert np.array_equal(normals, np.concatenate(blocks))
 
-    def test_lowest_positions_are_selected_once(self):
+    def test_lowest_positions_are_selected_once(self, monkeypatch):
         config = McConfig(sample_count=50_000, seed=4)
         draw = SharedDraw(config)
-        low = draw.lowest(750)
-        first = draw.normals[:, 0]
-        assert low.size >= 750 and np.all(np.diff(low) > 0)
+        low, first = draw.lowest, draw.normals[:, 0]
+        assert draw.tail_count == math.ceil(1.5 * (1.0 - 0.99) * 50_000) == 751
+        assert low.size >= 751 and np.all(np.diff(low) > 0)
         assert first.take(low).max() <= np.delete(first, low).min()
-        assert draw.lowest(750) is low
-        assert draw.lowest(1500).size >= 1500
+        # the banks cut only their own system's samples
+        cuts = []
+
+        def lowest(values, count):
+            cuts.append((np.shares_memory(values, draw.normals), count))
+            return _lowest(values, count)
+
+        monkeypatch.setattr(gaussrisk.mc, "_lowest", lowest)
+        for pair in (UNIT_HALF, DEMO_LIKE):
+            validate_closed_forms(pair, config, draw)
+        assert cuts == [(False, 751)] * 2
+        assert draw.lowest is low
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"seed": 2}, {"sample_count": 60_000}, {"bandwidth": 0.1}, {"alpha": 0.95},
+        ],
+    )
+    def test_a_draw_of_another_config_is_rejected(self, other):
+        config = McConfig(sample_count=50_000, seed=1)
+        draw = SharedDraw(dataclasses.replace(config, **other))
+        with pytest.raises(DomainError, match="^the draw is of McConfig"):
+            validate_closed_forms(UNIT_HALF, config, draw)
 
     def test_draw_is_read_only(self):
         normals = standard_normals(McConfig(sample_count=10_000))
@@ -604,16 +673,6 @@ class TestSharedDraw:
         normals = np.zeros(shape)
         with pytest.raises(DomainError, match="normals must have shape"):
             sample_pair(UNIT_HALF, config, normals)
-        with pytest.raises(DomainError, match="normals must have shape"):
-            validate_closed_forms(UNIT_HALF, config, normals)
-
-    def test_validate_leaves_a_writeable_draw_unchanged(self):
-        config = McConfig(sample_count=50_000, seed=8)
-        normals = standard_normals(config).copy()
-        before = normals.copy()
-        validate_closed_forms(UNIT_HALF, config, normals)
-        validate_closed_forms(DEMO_LIKE, config, normals)
-        assert np.array_equal(normals, before)
 
 
 class TestDrawMoments:
@@ -702,7 +761,8 @@ class TestNearMean:
         draw = SharedDraw(self.CONFIG)
         m = draw.moments(pair)
         xi = sample_pair(pair, self.CONFIG, draw.normals)[:, 0]
-        lo, hi = _window(m.mean_i, self.CONFIG.bandwidth * math.sqrt(m.var_i))
+        half_width = self.CONFIG.bandwidth * math.sqrt(m.var_i)
+        lo, hi = distance_edges(m.mean_i, half_width)
         # Plant two entries at each end of the window and two just outside
         # it, keeping xi non-decreasing in the draw's first column.
         order = np.argsort(draw.normals[:, 0])
@@ -718,9 +778,12 @@ class TestNearMean:
 
         taken = xi.take(draw.near_mean)
         assert taken.min() < lo and taken.max() > hi  # the candidates decide
-        expected = np.flatnonzero(np.abs(xi - m.mean_i) <= self.CONFIG.bandwidth * math.sqrt(m.var_i))
+        expected = np.flatnonzero(np.abs(xi - m.mean_i) <= half_width)
         assert np.array_equal(_within(xi, lo, hi), expected)
         assert np.array_equal(_within(xi, lo, hi, (draw.near_mean, taken, False)), expected)
+        assert np.array_equal(
+            _window(xi, m.mean_i, half_width, (draw.near_mean, taken, False)), expected
+        )
         assert np.count_nonzero(xi[expected] == lo) == 2 and np.count_nonzero(xi[expected] == hi) == 2
 
     @pytest.mark.parametrize("lo, hi", [(-0.3, 0.2), (-0.2, 0.3)])
@@ -739,12 +802,16 @@ class TestNearMean:
         draw = SharedDraw(self.CONFIG)
         m = draw.moments(pair)
         xi = sample_pair(pair, self.CONFIG, draw.normals)[:, 0]
-        lo, hi = _window(m.mean_i, self.CONFIG.bandwidth * math.sqrt(m.var_i))
+        half_width = self.CONFIG.bandwidth * math.sqrt(m.var_i)
+        lo, hi = distance_edges(m.mean_i, half_width)
         taken = xi.take(draw.near_mean)
         assert lo == hi == taken.min() == taken.max() == 1e15  # the candidates cannot decide
         expected = _within(xi, lo, hi)
         assert expected.size > taken.size  # the tie reaches past them
         assert np.array_equal(_within(xi, lo, hi, (draw.near_mean, taken, False)), expected)
+        assert np.array_equal(
+            _window(xi, m.mean_i, half_width, (draw.near_mean, taken, False)), expected
+        )
 
 
 def traced_peak(compute) -> int:
@@ -775,8 +842,8 @@ class TestMemory:
     )
     def test_validation_reuses_its_buffers(self, alpha, bandwidth, arrays):
         config = McConfig(sample_count=self.N, seed=0, alpha=alpha, bandwidth=bandwidth)
-        normals = standard_normals(config)
-        peak = traced_peak(lambda: validate_closed_forms(DEMO_LIKE, config, normals))
+        draw = SharedDraw(config)
+        peak = traced_peak(lambda: validate_closed_forms(DEMO_LIKE, config, draw))
         # 2 for the samples, 1 for one full-length temporary at a time, and
         # the band indices and gathered band values; a wide band's indices
         # take up to 3 bytes a sample

@@ -62,6 +62,16 @@ class TestGaussianPair:
         with pytest.raises(DomainError):
             GaussianPair(0.0, 0.0, 1e308, 1e308, 0.0)
 
+    @pytest.mark.parametrize("cov_ia", [-8.3e-09, 8.3e-09])
+    def test_rejects_overflowing_slopes(self, cov_ia):
+        # cov_ia / var_i and cov_is / var_i, the report's slopes on the bank, pass 1.7e308
+        with pytest.raises(DomainError, match="^model magnitudes overflow double precision$"):
+            GaussianPair(0.0, 0.0, 5e-321, 1.38e304, cov_ia)
+
+    def test_huge_finite_slope_is_kept(self):
+        pair = GaussianPair(0.0, 0.0, 1e-300, 1.0, 1e-160)
+        assert pair.cov_ia / pair.var_i == pytest.approx(1e140)
+
     def test_rho_clamped_at_boundary(self):
         assert unit_pair(1.0).rho == 1.0
         assert unit_pair(-1.0).rho == -1.0
