@@ -29,20 +29,7 @@ from .estimation import (
     load_panel,
     pair_for_bank,
 )
-from .measures import (
-    BankRiskReport,
-    GaussianPair,
-    beta_coefficient,
-    covar_at_mean,
-    covar_collateral,
-    delta_coll_es,
-    delta_coll_var,
-    delta_cond_var,
-    delta_contr_var,
-    full_report,
-    std_allocation,
-    var_contribution,
-)
+from .measures import BankRiskReport, GaussianPair, full_report
 from .mc import (
     McConfig,
     StatisticCheck,

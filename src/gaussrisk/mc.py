@@ -238,6 +238,8 @@ def _draw_moments(z: np.ndarray) -> tuple[tuple[float, float], tuple[float, floa
     return (m0, m1), (s00 / (n - 1), s01 / (n - 1), s11 / (n - 1))
 
 
+# The oracle keeps its own factor rather than the report's loadings of the same
+# moments: a shared factor would let a wrong loading pass its own simulation.
 def _loadings(pair: GaussianPair) -> tuple[float, float, float]:
     """``(l11, l21, l22)``: the Cholesky factor that maps the draw to ``(xi, xa)``."""
     l11 = math.sqrt(pair.var_i)

@@ -2,27 +2,29 @@
 
 One bank ``i`` is singled out of a banking system; ``a`` is the aggregate of
 all the others and ``s = i + a`` is the whole system.  Under joint normality
-every statistic below has a closed form, and each one compares a *stressed*
-situation (conditioning variable at its VaR) with an *unstressed* benchmark
-(conditioning variable at its mean):
+each statistic is a mean plus an alpha multiplier times one of four
+alpha-free loadings of the bank:
 
-``covar_collateral``   VaR of the rest of the system given the bank at its VaR.
-``covar_at_mean``      the unstressed benchmark of the same conditional VaR.
-``delta_coll_var``     their difference: the spillover the bank exerts on the
-                       others; equals ``beta_ai * (-q * std_i)``.
-``delta_coll_es``      expected-shortfall analogue of the spillover.
-``delta_cond_var``     stressed-minus-unstressed VaR of the *whole system*
-                       given the bank: own risk plus spillover.
-``delta_contr_var``    stressed-minus-unstressed VaR of the *bank* given the
-                       system at its VaR: the top-down contribution view.
-``var_contribution``   Euler allocation of system VaR to the bank,
-                       ``E(X_i | X_s = VaR(X_s))``.
-``std_allocation``     covariance-over-std capital allocation weight; times
-                       ``-q`` it reproduces ``delta_contr_var``.
+``s_i  = sd_i``                    the bank's own scale;
+``b_ai = cov_ia / sd_i``           the spillover loading of the others on it;
+``c_ai = sqrt(var_a - b_ai**2)``   the others' sd given the bank;
+``b_is = cov_is / sd_s``           its loading on the whole system.
 
-All functions are pure; :func:`full_report` additionally re-derives every
-statistic a second way and raises :class:`ConsistencyError` if the two
-routes disagree.
+The multiplier is the quantile ``q`` for a VaR and ``m = pdf(q) / (1 - alpha)``
+for an expected shortfall.  A stressed statistic puts the conditioning
+variable at its VaR, an unstressed one at its mean:
+
+``covar_ai``          ``mu_a - q b_ai - q c_ai``: VaR of the others given the bank at its VaR.
+``covare_ai``         ``mu_a - q c_ai``: the same given the bank at its mean.
+``delta_coll_var``    ``-q b_ai``: their difference, the spillover on the others.
+``delta_coll_es``     ``-m b_ai``: its expected-shortfall analogue.
+``delta_cond_var``    ``-q (b_ai + s_i)``: the same shift of the whole system.
+``delta_contr_var``   ``-q b_is``: the bank's shift given the system at its VaR.
+``var_contribution``  ``mu_i - q b_is``: the Euler allocation of the system's VaR.
+
+:func:`full_report` builds every field from the loadings and re-derives
+each one through the conditional law that defines it, raising
+:class:`ConsistencyError` if the two routes disagree.
 """
 
 from __future__ import annotations
@@ -31,15 +33,10 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
-from .errors import (
-    ConsistencyError,
-    DegenerateModelError,
-    DegenerateSystemError,
-    DomainError,
-    InvalidCovarianceError,
-)
+from .errors import ConsistencyError, DegenerateModelError, DomainError, InvalidCovarianceError
 from .normal import (
     _PSD_SLACK,
+    ConditionalMoments,
     RiskParams,
     conditional_moments,
     es_mean_normal,
@@ -84,10 +81,11 @@ class GaussianPair:
             and math.isfinite(self.cov_is / self.var_i)
         ):
             raise DomainError("model magnitudes overflow double precision")
-        if self.cov_ia * self.cov_ia > self.var_i * self.var_a * (1.0 + _PSD_SLACK):
+        # sds, not variances: their products underflow at tiny scales
+        if abs(self.cov_ia) > self.std_i * self.std_a * (1.0 + _PSD_SLACK):
             raise InvalidCovarianceError(
-                f"cov_ia^2 = {self.cov_ia**2!r} exceeds var_i * var_a = "
-                f"{self.var_i * self.var_a!r}: not a valid covariance matrix"
+                f"|cov_ia| = {abs(self.cov_ia)!r} exceeds std_i * std_a = "
+                f"{self.std_i * self.std_a!r}: not a valid covariance matrix"
             )
 
     @property
@@ -169,106 +167,6 @@ class BankRiskReport:
     rho: float
 
 
-def beta_coefficient(cov: float, var: float) -> float:
-    """Regression slope ``cov / var`` of one variable on another."""
-    if not (math.isfinite(cov) and math.isfinite(var)):
-        raise DomainError(f"cov and var must be finite, got {cov!r}, {var!r}")
-    if var <= 0.0:
-        raise DegenerateModelError(f"var must be positive, got {var!r}")
-    return cov / var
-
-
-def covar_collateral(pair: GaussianPair, params: RiskParams) -> float:
-    """VaR of the rest of the system given the bank sits at its own VaR.
-
-    Closed form ``mu_a - q * cov_ia / std_i - q * conditional_std``: the first
-    two terms are the conditional mean at the stress point, the third the
-    conditional standard deviation (which does not depend on the condition).
-    """
-    q = params.quantile
-    cond_var = conditional_moments(
-        pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, pair.mu_i
-    ).variance
-    return pair.mu_a - q * pair.cov_ia / pair.std_i - q * math.sqrt(cond_var)
-
-
-def covar_at_mean(pair: GaussianPair, params: RiskParams) -> float:
-    """VaR of the rest of the system given the bank at its expected value.
-
-    The unstressed benchmark: ``mu_a - q * conditional_std``.
-    """
-    cond = conditional_moments(
-        pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, pair.mu_i
-    )
-    return var_normal(cond.mean, cond.variance, params)
-
-
-def delta_coll_var(pair: GaussianPair, params: RiskParams) -> float:
-    """Spillover VaR shift the bank exerts on the others: ``-q * cov_ia / std_i``.
-
-    Equals the stressed-minus-unstressed difference of the conditional VaR
-    (the conditional variance cancels), the regression slope times the
-    bank's mean-corrected VaR, and ``-q * rho * std_a``.  Independent of the
-    bank's own scale.
-    """
-    return -params.quantile * pair.cov_ia / pair.std_i
-
-
-def delta_coll_es(pair: GaussianPair, params: RiskParams) -> float:
-    """Expected-shortfall analogue of the spillover: ``-(pdf(q)/(1-alpha)) * cov_ia / std_i``.
-
-    Same shape as :func:`delta_coll_var` with the ES multiplier in place of
-    the quantile, hence always at least as large in magnitude.
-    """
-    multiplier = std_normal_pdf(params.quantile) / (1.0 - params.alpha)
-    return -multiplier * pair.cov_ia / pair.std_i
-
-
-def delta_cond_var(pair: GaussianPair, params: RiskParams) -> float:
-    """Stressed-minus-unstressed VaR of the whole system given the bank.
-
-    ``-q * (cov_ia + var_i) / std_i``: the bank's own mean-corrected VaR plus
-    the spillover it exerts on the others.
-    """
-    return -params.quantile * (pair.cov_ia + pair.var_i) / pair.std_i
-
-
-def delta_contr_var(pair: GaussianPair, params: RiskParams) -> float:
-    """Stressed-minus-unstressed VaR of the bank given the whole system.
-
-    ``-q * (cov_ia + var_i) / std_s``: the bank's share of a system-wide
-    stress event, the top-down counterpart of :func:`delta_cond_var`.
-    """
-    if pair.var_s <= 0.0:
-        raise DegenerateSystemError(
-            "system variance is zero (perfect hedge): the contribution-family "
-            "statistics are undefined"
-        )
-    return -params.quantile * pair.cov_is / pair.std_s
-
-
-def var_contribution(pair: GaussianPair, params: RiskParams) -> float:
-    """Euler allocation of system VaR to the bank: ``E(X_i | X_s = VaR(X_s))``.
-
-    Equals ``mu_i + delta_contr_var``; contributions over all banks sum to
-    the system VaR.
-    """
-    return pair.mu_i + delta_contr_var(pair, params)
-
-
-def std_allocation(pair: GaussianPair) -> float:
-    """Capital allocation weight ``cov(X_s, X_i) / std(X_s)`` of the bank.
-
-    The allocation principle when the standard deviation measures aggregate
-    risk; multiplied by ``-q`` it reproduces :func:`delta_contr_var`.
-    """
-    if pair.var_s <= 0.0:
-        raise DegenerateSystemError(
-            "system variance is zero (perfect hedge): std allocation is undefined"
-        )
-    return pair.cov_is / pair.std_s
-
-
 def _check(name: str, a: float, b: float, scale: float) -> None:
     tol = 1e-9 * max(abs(a), abs(b), scale)
     if not abs(a - b) <= tol:
@@ -282,20 +180,32 @@ def _cross_checks(
 ) -> Iterator[tuple[str, float, float]]:
     """The ``(name, statistic, second route)`` rows that :func:`full_report` checks, in order.
 
-    A route is computed only when its row is reached, after every earlier
-    row has passed, so the first disagreement is the error raised.
+    The second routes go through the conditional laws that define the
+    statistics: X_a given X_i at the bank's VaR and at its mean, and X_i
+    given X_s at the system's VaR and at its mean.  Each is taken at zero
+    means and the location added after: ``report.var_i - mu_i`` would lose
+    the stress to rounding when ``|mu_i|`` dwarfs ``std_i``.  A route is
+    computed only when its row is reached, after every earlier row has
+    passed, so the first disagreement is the error raised.
     """
     q = params.quantile
     var_mean, d_coll, d_coll_es = report.var_mean_i, report.delta_coll_var, report.delta_coll_es
     d_cond, d_contr, std_s = report.delta_cond_var, report.delta_contr_var, pair.std_s
 
+    def var_given(law: ConditionalMoments) -> float:
+        return var_normal(law.mean, law.variance, params)
+
+    def given_bank(x: float) -> ConditionalMoments:
+        return conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, x)
+
+    stressed, unstressed = given_bank(var_mean), given_bank(0.0)
+    yield "CoVaR = VaR given the bank at its VaR", report.covar_ai, pair.mu_a + var_given(stressed)
+    yield "CoVaRe = VaR given the bank at its mean", report.covare_ai, (
+        pair.mu_a + var_given(unstressed)
+    )
     yield "spillover = stressed - unstressed", d_coll, report.covar_ai - report.covare_ai
-    yield "spillover = slope * mean-corrected VaR", d_coll, report.beta_ai * var_mean
     yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
-    # Mean shifts at zero means: they do not depend on location, and
-    # report.var_i - mu_i loses the shift to rounding when |mu_i| dwarfs std_i.
-    stress_shift = conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, var_mean)
-    yield "spillover = conditional mean shift", d_coll, stress_shift.mean
+    yield "spillover = conditional mean shift", d_coll, stressed.mean - unstressed.mean
     es_mean = es_mean_normal(pair.var_i, params)
     yield "ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean
     if abs(d_coll_es) + 1e-9 * scale < abs(d_coll):
@@ -307,55 +217,72 @@ def _cross_checks(
 
     if d_contr is None:  # a perfect hedge has no contribution family to check
         return
-    yield (
-        "contribution shift = slope * system mean-corrected VaR",
-        d_contr, report.beta_is * (-q * std_s),
+
+    def given_system(x: float) -> ConditionalMoments:
+        return conditional_moments(0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, x)
+
+    stressed, unstressed = given_system(-q * std_s), given_system(0.0)
+    yield "contribution shift = stressed - unstressed", d_contr, (
+        var_given(stressed) - var_given(unstressed)
     )
     yield (
         "system shift = (std_s / std_i) * contribution shift",
         d_cond, (std_s / pair.std_i) * d_contr,
     )
-    allocation_shift = conditional_moments(
-        0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, -q * std_s
+    yield "VaR contribution = mean + conditional mean shift", report.var_contribution, (
+        pair.mu_i + stressed.mean
     )
-    yield "contribution shift = conditional mean shift", d_contr, allocation_shift.mean
-    yield "contribution shift = -q * std allocation", d_contr, -q * std_allocation(pair)
+
+
+def _loadings(pair: GaussianPair) -> tuple[float, float, float, Optional[float]]:
+    """``(s_i, b_ai, c_ai, b_is)``: the four alpha-free loadings of the bank.
+
+    Each divides before it squares, so none underflows where the statistics
+    do not.  ``b_is`` is None for a perfect hedge, which has no system sd.
+    """
+    s_i = pair.std_i
+    b_ai = pair.cov_ia / s_i
+    c_ai = math.sqrt(max(pair.var_a - b_ai * b_ai, 0.0))
+    b_is = None if pair.var_s <= 0.0 else pair.cov_is / pair.std_s
+    return s_i, b_ai, c_ai, b_is
 
 
 def _report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
-    """Every closed-form statistic of one bank, unchecked.
+    """Every statistic of one bank, unchecked: a mean plus a multiplier times a loading.
 
     The one place that says which closed form each report field holds:
     :func:`full_report` cross-checks it and the Monte Carlo oracle compares
     it with a simulation.
     """
     q = params.quantile
-    degenerate_system = pair.var_s <= 0.0
+    m = std_normal_pdf(q) / (1.0 - params.alpha)
+    s_i, b_ai, c_ai, b_is = _loadings(pair)
+    hedged = b_is is None
     return BankRiskReport(
-        var_i=var_normal(pair.mu_i, pair.var_i, params),
-        var_mean_i=-q * pair.std_i,
-        covar_ai=covar_collateral(pair, params),
-        covare_ai=covar_at_mean(pair, params),
-        delta_coll_var=delta_coll_var(pair, params),
-        delta_coll_es=delta_coll_es(pair, params),
-        delta_cond_var=delta_cond_var(pair, params),
-        delta_contr_var=None if degenerate_system else delta_contr_var(pair, params),
-        var_contribution=None if degenerate_system else var_contribution(pair, params),
-        beta_ai=beta_coefficient(pair.cov_ia, pair.var_i),
-        beta_si=beta_coefficient(pair.cov_is, pair.var_i),
-        beta_is=None if degenerate_system else beta_coefficient(pair.cov_is, pair.var_s),
+        var_i=pair.mu_i - q * s_i,
+        var_mean_i=-q * s_i,
+        covar_ai=pair.mu_a - q * b_ai - q * c_ai,
+        covare_ai=pair.mu_a - q * c_ai,
+        delta_coll_var=-q * b_ai,
+        delta_coll_es=-m * b_ai,
+        delta_cond_var=-q * (b_ai + s_i),
+        delta_contr_var=None if hedged else -q * b_is,
+        var_contribution=None if hedged else pair.mu_i - q * b_is,
+        beta_ai=pair.cov_ia / pair.var_i,
+        beta_si=pair.cov_is / pair.var_i,
+        beta_is=None if hedged else pair.cov_is / pair.var_s,
         rho=pair.rho,
     )
 
 
 def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
-    """Compute every statistic for one bank and cross-check the results.
+    """Every statistic of one bank, each cross-checked: the per-statistic API.
 
-    Each statistic is derived twice (closed form and composition of the
-    conditional-moment primitives); any disagreement beyond 1e-9 relative to
-    the model's scale raises :class:`ConsistencyError` rather than returning
-    silently wrong numbers.  For a degenerate (zero-variance) system the
-    contribution-family fields are reported as ``None``.
+    Each field is built from the bank's loadings and derived a second time
+    through the conditional law that defines it; a disagreement beyond 1e-9
+    relative to the model's scale raises :class:`ConsistencyError` rather
+    than returning silently wrong numbers.  For a degenerate (zero-variance)
+    system the contribution-family fields are reported as ``None``.
     """
     report = _report(pair, params)
     q = params.quantile

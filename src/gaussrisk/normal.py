@@ -136,7 +136,7 @@ def conditional_moments(
     """Moments of ``X_a`` given ``X_i = x`` for jointly Gaussian ``(X_i, X_a)``.
 
     mean     = mu_a + (cov_ai / var_i) * (x - mu_i)
-    variance = var_a - cov_ai**2 / var_i
+    variance = var_a - b**2, with b = cov_ai / sqrt(var_i)
 
     The conditional variance does not depend on ``x`` and never exceeds the
     unconditional ``var_a`` (variance reduction by conditioning); it equals
@@ -149,12 +149,15 @@ def conditional_moments(
         raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
     if not (math.isfinite(var_a) and var_a > 0.0):
         raise DegenerateModelError(f"var_a must be positive, got {var_a!r}")
-    if cov_ai * cov_ai > var_i * var_a * (1.0 + _PSD_SLACK):
+    # sds and b, not cov_ai**2: squares of tiny moments underflow to 0
+    std_i, std_a = math.sqrt(var_i), math.sqrt(var_a)
+    if abs(cov_ai) > std_i * std_a * (1.0 + _PSD_SLACK):
         raise InvalidCovarianceError(
-            f"cov_ai^2 = {cov_ai * cov_ai!r} exceeds var_i * var_a = {var_i * var_a!r}"
+            f"|cov_ai| = {abs(cov_ai)!r} exceeds std_i * std_a = {std_i * std_a!r}"
         )
     mean = mu_a + (cov_ai / var_i) * (x - mu_i)
-    variance = var_a - (cov_ai * cov_ai) / var_i
+    b = cov_ai / std_i
+    variance = var_a - b * b
     return ConditionalMoments(mean=mean, variance=max(variance, 0.0))
 
 

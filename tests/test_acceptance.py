@@ -12,19 +12,7 @@ import pytest
 from gaussrisk.errors import DegenerateSystemError
 from gaussrisk.estimation import MomentEstimate, ReturnPanel, estimate_moments, pair_for_bank
 from gaussrisk.mc import McConfig, validate_closed_forms
-from gaussrisk.measures import (
-    GaussianPair,
-    beta_coefficient,
-    covar_at_mean,
-    covar_collateral,
-    delta_coll_es,
-    delta_coll_var,
-    delta_cond_var,
-    delta_contr_var,
-    full_report,
-    std_allocation,
-    var_contribution,
-)
+from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import (
     RiskParams,
     conditional_moments,
@@ -100,10 +88,12 @@ def test_criterion_2_identity_suite():
         scale = abs(mu_i) + abs(mu_a) + q * (pair.std_i + pair.std_a + pair.std_s)
         count += 1
 
-        spill = delta_coll_var(pair, params)
+        report, other = full_report(pair, params), full_report(swapped, params)
+
+        spill = report.delta_coll_var
         # triple identity and the expected-value form
-        close(spill, covar_collateral(pair, params) - covar_at_mean(pair, params), scale)
-        close(spill, beta_coefficient(pair.cov_ia, pair.var_i) * (-q * pair.std_i), scale)
+        close(spill, report.covar_ai - report.covare_ai, scale)
+        close(spill, report.beta_ai * (-q * pair.std_i), scale)
         close(spill, -q * pair.rho * pair.std_a, scale)
         stressed_mean = conditional_moments(
             pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia,
@@ -114,48 +104,32 @@ def test_criterion_2_identity_suite():
         rescaled = GaussianPair(
             2.0 * pair.mu_i, pair.mu_a, 4.0 * pair.var_i, pair.var_a, 2.0 * pair.cov_ia
         )
-        close(spill, delta_coll_var(rescaled, params), scale)
+        close(spill, full_report(rescaled, params).delta_coll_var, scale)
         # ES analogue and dominance
-        close(
-            delta_coll_es(pair, params),
-            beta_coefficient(pair.cov_ia, pair.var_i) * es_mean_normal(pair.var_i, params),
-            scale,
-        )
-        assert abs(delta_coll_es(pair, params)) >= abs(spill)
+        close(report.delta_coll_es, report.beta_ai * es_mean_normal(pair.var_i, params), scale)
+        assert abs(report.delta_coll_es) >= abs(spill)
         # own-plus-spillover decomposition and the system-slope form
-        close(delta_cond_var(pair, params), spill + (-q * pair.std_i), scale)
-        close(
-            delta_cond_var(pair, params),
-            beta_coefficient(pair.cov_is, pair.var_i) * (-q * pair.std_i),
-            scale,
-        )
+        close(report.delta_cond_var, spill + (-q * pair.std_i), scale)
+        close(report.delta_cond_var, report.beta_si * (-q * pair.std_i), scale)
         # beta shares sum to one
-        b_is = beta_coefficient(pair.cov_is, pair.var_s)
-        b_as = beta_coefficient(swapped.cov_is, swapped.var_s)
-        assert abs(b_is + b_as - 1.0) <= 1e-12
+        assert abs(report.beta_is + other.beta_is - 1.0) <= 1e-12
         # contribution shifts aggregate to the system's mean-corrected VaR
-        close(
-            delta_contr_var(pair, params) + delta_contr_var(swapped, params),
-            -q * pair.std_s, scale,
-        )
+        close(report.delta_contr_var + other.delta_contr_var, -q * pair.std_s, scale)
         # ratio between the two perspectives
-        close(
-            delta_cond_var(pair, params),
-            (pair.std_s / pair.std_i) * delta_contr_var(pair, params), scale,
-        )
+        close(report.delta_cond_var, (pair.std_s / pair.std_i) * report.delta_contr_var, scale)
         # weighted system shifts aggregate
         close(
-            (pair.std_i / pair.std_s) * delta_cond_var(pair, params)
-            + (pair.std_a / pair.std_s) * delta_cond_var(swapped, params),
+            (pair.std_i / pair.std_s) * report.delta_cond_var
+            + (pair.std_a / pair.std_s) * other.delta_cond_var,
             -q * pair.std_s, scale,
         )
         # contributions sum to the system VaR
         close(
-            var_contribution(pair, params) + var_contribution(swapped, params),
+            report.var_contribution + other.var_contribution,
             var_normal(pair.mu_s, pair.var_s, params), scale,
         )
-        # std-allocation link
-        close(-q * std_allocation(pair), delta_contr_var(pair, params), scale)
+        # std-allocation link: the allocation cov_is / std_s is beta_is * std_s
+        close(-q * report.beta_is * pair.std_s, report.delta_contr_var, scale)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -197,12 +171,12 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_degenerate_and_boundary():
     params = RiskParams(0.99)
     independent = GaussianPair(0.0, 0.0, 1.0, 1.0, 0.0)
-    assert delta_coll_var(independent, params) == 0.0
+    assert full_report(independent, params).delta_coll_var == 0.0
     hedged = GaussianPair(0.0, 0.0, 1.0, 1.0, -1.0)
-    assert delta_cond_var(hedged, params) == 0.0
-    with pytest.raises(DegenerateSystemError):
-        delta_contr_var(hedged, params)
     report = full_report(hedged, params)
+    assert report.delta_cond_var == 0.0
+    with pytest.raises(DegenerateSystemError):
+        validate_closed_forms(hedged, McConfig(sample_count=10_000))
     assert report.delta_contr_var is None and report.var_contribution is None
     print(
         "ACCEPTANCE 4 PASS: independence spillover is exactly 0; perfect hedge gives "
@@ -233,7 +207,9 @@ def test_criterion_5_estimation_consistency(estimated_panel_moments):
 def test_criterion_6_aggregation_identity(estimated_panel_moments):
     params = RiskParams(0.99)
     est = estimated_panel_moments
-    total = sum(var_contribution(pair_for_bank(est, bank), params) for bank in est.labels)
+    total = sum(
+        full_report(pair_for_bank(est, bank), params).var_contribution for bank in est.labels
+    )
     system_var = var_normal(float(est.means.sum()), float(est.covariance.sum()), params)
     error = abs(total - system_var)
     assert error < 1e-9

@@ -24,14 +24,7 @@ PUBLIC_NAMES = [
     "StatisticCheck",
     "UnknownBankError",
     "ValidationReport",
-    "beta_coefficient",
     "conditional_moments",
-    "covar_at_mean",
-    "covar_collateral",
-    "delta_coll_es",
-    "delta_coll_var",
-    "delta_cond_var",
-    "delta_contr_var",
     "empirical_quantile",
     "es_mean_normal",
     "estimate_moments",
@@ -39,12 +32,10 @@ PUBLIC_NAMES = [
     "load_panel",
     "pair_for_bank",
     "sample_pair",
-    "std_allocation",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
     "validate_closed_forms",
-    "var_contribution",
     "var_normal",
 ]
 

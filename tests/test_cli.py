@@ -130,6 +130,21 @@ class TestAnalyzeModel:
         # the rho = -1 limit: the system is -5e-8 times the bank, so its stress lifts the bank by q sds
         assert statistics["delta_contr_var"] == pytest.approx(RiskParams(0.99).quantile, rel=1e-9)
 
+    def test_tiny_invalid_covariance_is_rejected(self, capsys):
+        # rho = 5: cov_ia**2 and var_i * var_a both underflow to 0, sds do not
+        code, out, err = run(capsys, ["analyze", "--model=0,0,1e-200,1e-200,5e-200"])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: .* not a valid covariance matrix\n", err)
+
+    def test_tiny_rho_minus_one_model_reports_its_conditional_sd(self, capsys):
+        # rho = -1 at variances near 1e-270: the rest of the system is a fixed
+        # multiple of the bank, so it has no sd left given the bank
+        model = "0,0,1.814717748474295e-273,1.3023192742846255e-270,-4.861421501191265e-272"
+        code, out, err = run(capsys, ["analyze", f"--model={model}", "--format", "csv"])
+        assert (code, err) == (0, "")
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert (row["covar_ai"], row["covare_ai"]) == ("2.65480967829e-135", "0")
+
     @pytest.mark.parametrize(
         "model", ["1,2,3", "a,b,c,d,e", "0,0,0,1,0", "0,0,1,1,5"]
     )

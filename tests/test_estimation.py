@@ -31,7 +31,7 @@ from gaussrisk.estimation import (
     pair_for_bank,
 )
 from gaussrisk.mc import McConfig, sample_pair
-from gaussrisk.measures import GaussianPair, var_contribution
+from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import RiskParams, var_normal
 
 
@@ -658,7 +658,9 @@ class TestPairForBank:
         obs = rng.standard_normal((600, 3)) @ root.T + rng.uniform(-0.1, 0.1, 3)
         est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
         params = RiskParams(0.99)
-        total = sum(var_contribution(pair_for_bank(est, bank), params) for bank in est.labels)
+        total = sum(
+            full_report(pair_for_bank(est, bank), params).var_contribution for bank in est.labels
+        )
         mu_s = float(est.means.sum())
         var_s = float(est.covariance.sum())
         assert abs(total - var_normal(mu_s, var_s, params)) < 1e-9

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gaussrisk.mc
+import gaussrisk.measures
 from gaussrisk.errors import DegenerateSystemError, DomainError, _ThinSampleError
 from gaussrisk.mc import (
     McConfig,
@@ -24,14 +25,7 @@ from gaussrisk.mc import (
     standard_normals,
     validate_closed_forms,
 )
-from gaussrisk.measures import (
-    BankRiskReport,
-    GaussianPair,
-    covar_at_mean,
-    covar_collateral,
-    delta_coll_var,
-    full_report,
-)
+from gaussrisk.measures import BankRiskReport, GaussianPair, full_report
 from gaussrisk.normal import RiskParams
 
 from helpers import bias_validated_closed_forms
@@ -351,11 +345,11 @@ class TestEmpiricalConditionalVar:
         stress = empirical_quantile(correlated_samples[:, 0], 0.01)
         value = band_var(correlated_samples, stress, 0.05, 0.01)
         assert value == pytest.approx(-3.178, abs=0.05)
-        assert value == pytest.approx(covar_collateral(UNIT_HALF, params), abs=0.05)
+        assert value == pytest.approx(full_report(UNIT_HALF, params).covar_ai, abs=0.05)
 
     def test_unstressed_band_matches_covar_at_mean(self, correlated_samples):
         value = band_var(correlated_samples, 0.0, 0.05, 0.01)
-        assert value == pytest.approx(covar_at_mean(UNIT_HALF, RiskParams(0.99)), abs=0.05)
+        assert value == pytest.approx(full_report(UNIT_HALF, RiskParams(0.99)).covare_ai, abs=0.05)
 
     def test_thin_band_raises(self, correlated_samples):
         with pytest.raises(_ThinSampleError) as raised:
@@ -399,7 +393,7 @@ class TestRegressionSlopeIdentity:
         xi, xa = correlated_samples[:, 0], correlated_samples[:, 1]
         stress = empirical_quantile(xi, 0.01)
         band = xa[_band_indices(xi, stress, 0.05)]
-        predicted = 0.0 + delta_coll_var(UNIT_HALF, params)
+        predicted = 0.0 + full_report(UNIT_HALF, params).delta_coll_var
         tolerance = 4.0 * float(band.std()) / math.sqrt(band.size) + 0.01
         assert abs(float(band.mean()) - predicted) <= tolerance
 
@@ -470,6 +464,19 @@ class TestValidateClosedForms:
         bias_validated_closed_forms(monkeypatch, 0.5)
         assert not validate_closed_forms(pair, config).all_passed
 
+    def test_a_wrong_conditional_sd_in_the_report_fails(self, monkeypatch):
+        # The oracle maps its draw through its own Cholesky factor, so a report
+        # loading 5 % off is measured against the simulation, not against itself.
+        loadings = gaussrisk.measures._loadings
+
+        def widened(pair):
+            s_i, b_ai, c_ai, b_is = loadings(pair)
+            return s_i, b_ai, 1.05 * c_ai, b_is
+
+        monkeypatch.setattr(gaussrisk.measures, "_loadings", widened)
+        report = validate_closed_forms(GaussianPair(0, 0, 1, 4, 1), McConfig(500_000, seed=1))
+        assert {check.name: check.passed for check in report.checks}["covare_ai"] is False
+
 
 class TestPropertySweep:
     @pytest.mark.parametrize("alpha", [0.95, 0.99])
@@ -492,7 +499,7 @@ class TestPropertySweep:
                     _quantile_and_se(xa[_band_indices(xi, stress, half)], p)[1],
                     _quantile_and_se(xa[_band_indices(xi, float(xi.mean()), half)], p)[1],
                 )
-                closed = delta_coll_var(pair, params)
+                closed = full_report(pair, params).delta_coll_var
                 assert abs(closed - empirical) <= max(4.0 * se, 0.01 * math.sqrt(var_a)), (
                     f"rho={rho}, var_a={var_a}, alpha={alpha}"
                 )
@@ -503,7 +510,10 @@ class TestPropertySweep:
 # abs_error, tolerance, effective_tail_samples, passed, note).  The 600k row
 # and the two 1e15 rows were re-recorded when the samples' moments came to be
 # read from the draw's: one tolerance moved by an ulp, and at 1e15 the draw's
-# moments leave out the rounding of the samples to their grid.
+# moments leave out the rounding of the samples to their grid.  The 20k, 600k
+# and bandwidth-0.5 rows were re-recorded when the report came to be built
+# from the bank's loadings: 8 closed forms moved by an ulp, and 6 absolute
+# errors by the same amount.
 GOLDEN_REPORTS = [
     (
         DEMO_LIKE, McConfig(sample_count=200_000, seed=0, alpha=0.95),
@@ -528,8 +538,8 @@ GOLDEN_REPORTS = [
             ("delta_coll_var", -1.1631739370204206, None, None, None, 19, None, "only 19 samples within 0.0198746 of -2.2636 (need >= 1000); raise the sample count or the bandwidth"),
             ("delta_coll_es", -1.3326071101729007, None, None, None, 201, None, "only 201 tail samples (need >= 500)"),
             ("delta_cond_var", -3.4895218110612616, None, None, None, 19, None, "only 19 samples within 0.0198746 of -2.2636 (need >= 1000); raise the sample count or the bandwidth"),
-            ("delta_contr_var", -2.01467635695929, None, None, None, 25, None, "only 25 samples within 0.034491 of -3.98649 (need >= 1000); raise the sample count or the bandwidth"),
-            ("var_contribution", -2.01467635695929, None, None, None, 25, None, "only 25 samples within 0.034491 of -3.98649 (need >= 1000); raise the sample count or the bandwidth"),
+            ("delta_contr_var", -2.0146763569592903, None, None, None, 25, None, "only 25 samples within 0.034491 of -3.98649 (need >= 1000); raise the sample count or the bandwidth"),
+            ("var_contribution", -2.0146763569592903, None, None, None, 25, None, "only 25 samples within 0.034491 of -3.98649 (need >= 1000); raise the sample count or the bandwidth"),
         ],
     ),
     (
@@ -539,9 +549,9 @@ GOLDEN_REPORTS = [
             ("var_i", -0.045526957480816824, -0.04554157640780007, 1.461892698324807e-05, 0.0004163164288272672, 6001, True, ""),
             ("covar_ai", -0.21719010883506357, -0.2241554408624125, 0.006965332027348947, 0.03290543864486849, 1616, True, ""),
             ("covare_ai", -0.14972602048787917, -0.14902523404995335, 0.0007007864379258155, 0.006374912172658265, 23876, True, ""),
-            ("delta_coll_var", -0.0674640883471844, -0.07513020681245916, 0.007666118465274763, 0.03351727013974006, 1616, True, ""),
-            ("delta_coll_es", -0.07729121239002824, -0.0771937629971216, 9.744939290663723e-05, 0.0034388782195613654, 6001, True, ""),
-            ("delta_cond_var", -0.11399104582800121, -0.12119155080784405, 0.007200504979842842, 0.032908968656270396, 1616, True, ""),
+            ("delta_coll_var", -0.06746408834718438, -0.07513020681245916, 0.007666118465274777, 0.03351727013974006, 1616, True, ""),
+            ("delta_coll_es", -0.07729121239002823, -0.0771937629971216, 9.744939290662336e-05, 0.0034388782195613654, 6001, True, ""),
+            ("delta_cond_var", -0.11399104582800122, -0.12119155080784405, 0.007200504979842828, 0.032908968656270396, 1616, True, ""),
             ("delta_contr_var", -0.028041420119124045, -0.027658176510076342, 0.000383243609047703, 0.005262502176259049, 1687, True, ""),
             ("var_contribution", -0.027041420119124044, -0.02675303757300951, 0.0002883825461145323, 0.001604008476812196, 1687, True, ""),
         ],
@@ -553,9 +563,9 @@ GOLDEN_REPORTS = [
             ("var_i", -0.045526957480816824, -0.04547269427988235, 5.426320093447623e-05, 0.0007271893250198723, 2001, True, ""),
             ("covar_ai", -0.21719010883506357, -0.2130578415325459, 0.004132267302517673, 0.011262187158835866, 6403, True, ""),
             ("covare_ai", -0.14972602048787917, -0.1520995574705017, 0.0023735369826225206, 0.003972024893429089, 76408, True, ""),
-            ("delta_coll_var", -0.0674640883471844, -0.060958284062044205, 0.006505804285140193, 0.011942103723995528, 6403, True, ""),
-            ("delta_coll_es", -0.07729121239002824, -0.07517207052029694, 0.002119141869731306, 0.005977870607303324, 2001, True, ""),
-            ("delta_cond_var", -0.11399104582800121, -0.1032424846271339, 0.010748561200867313, 0.012313422545676208, 6403, True, ""),
+            ("delta_coll_var", -0.06746408834718438, -0.060958284062044205, 0.006505804285140179, 0.011942103723995528, 6403, True, ""),
+            ("delta_coll_es", -0.07729121239002823, -0.07517207052029694, 0.002119141869731292, 0.005977870607303324, 2001, True, ""),
+            ("delta_cond_var", -0.11399104582800122, -0.1032424846271339, 0.010748561200867326, 0.012313422545676208, 6403, True, ""),
             ("delta_contr_var", -0.028041420119124045, -0.02571343131382791, 0.002327988805296135, 0.0034024192185394533, 6296, True, ""),
             ("var_contribution", -0.027041420119124044, -0.024790158225840117, 0.002251261893283927, 0.000922097197214601, 6296, False, ""),
         ],

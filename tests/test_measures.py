@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,24 +11,11 @@ import gaussrisk.measures
 from gaussrisk.errors import (
     ConsistencyError,
     DegenerateModelError,
-    DegenerateSystemError,
     DomainError,
     GaussRiskError,
     InvalidCovarianceError,
 )
-from gaussrisk.measures import (
-    GaussianPair,
-    beta_coefficient,
-    covar_at_mean,
-    covar_collateral,
-    delta_coll_es,
-    delta_coll_var,
-    delta_cond_var,
-    delta_contr_var,
-    full_report,
-    std_allocation,
-    var_contribution,
-)
+from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import (
     RiskParams,
     conditional_moments,
@@ -86,27 +76,24 @@ class TestGaussianPair:
 class TestBetaCoefficient:
     @pytest.mark.parametrize("cov,var,expected", [(0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (3.0, 4.0, 0.75)])
     def test_values(self, cov, var, expected):
-        assert beta_coefficient(cov, var) == expected
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(DegenerateModelError):
-            beta_coefficient(1.0, 0.0)
+        assert full_report(GaussianPair(0.0, 0.0, var, 4.0, cov), P99).beta_ai == expected
 
 
 class TestCovarCollateral:
     def test_independence_reduces_to_plain_var(self):
-        value = covar_collateral(unit_pair(0.0), P999)
+        value = full_report(unit_pair(0.0), P999).covar_ai
         assert value == pytest.approx(-3.09, abs=0.005)
         assert value == var_normal(0.0, 1.0, P999)
 
     def test_full_correlation_collapses_conditional_variance(self):
-        assert covar_collateral(unit_pair(1.0), P99) == pytest.approx(-Q99, abs=1e-9)
-        assert covar_collateral(unit_pair(1.0), P99) == pytest.approx(-2.3263, abs=1e-3)
+        value = full_report(unit_pair(1.0), P99).covar_ai
+        assert value == pytest.approx(-Q99, abs=1e-9)
+        assert value == pytest.approx(-2.3263, abs=1e-3)
 
     def test_half_correlation(self):
         oracle = -0.5 * Q99 - Q99 * math.sqrt(0.75)
         assert oracle == pytest.approx(-3.1779, abs=1e-3)
-        assert covar_collateral(unit_pair(0.5), P99) == pytest.approx(oracle, abs=1e-9)
+        assert full_report(unit_pair(0.5), P99).covar_ai == pytest.approx(oracle, abs=1e-9)
 
     @settings(max_examples=200)
     @given(gaussian_pairs(), alphas)
@@ -117,43 +104,45 @@ class TestCovarCollateral:
         cm = conditional_moments(pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, stress)
         composed = var_normal(cm.mean, cm.variance, params)
         assert_close(
-            covar_collateral(pair, params), composed,
+            full_report(pair, params).covar_ai, composed,
             pair_scale(pair, params.quantile), label="covar composition",
         )
 
 
 class TestCovarAtMean:
     def test_independence(self):
-        assert covar_at_mean(unit_pair(0.0), P999) == covar_collateral(unit_pair(0.0), P999)
+        report = full_report(unit_pair(0.0), P999)
+        assert report.covare_ai == report.covar_ai
 
     def test_zero_conditional_variance(self):
-        assert covar_at_mean(unit_pair(1.0, mu_a=1.0), P99) == 1.0
+        assert full_report(unit_pair(1.0, mu_a=1.0), P99).covare_ai == 1.0
 
     def test_half_correlation(self):
         oracle = -Q99 * math.sqrt(0.75)
         assert oracle == pytest.approx(-2.0147, abs=1e-3)
-        assert covar_at_mean(unit_pair(0.5), P99) == pytest.approx(oracle, abs=1e-9)
+        assert full_report(unit_pair(0.5), P99).covare_ai == pytest.approx(oracle, abs=1e-9)
 
     @settings(max_examples=200)
     @given(gaussian_pairs(), alphas)
     def test_not_below_stressed_value_for_positive_dependence(self, pair, alpha):
-        params = RiskParams(alpha)
+        report = full_report(pair, RiskParams(alpha))
         if pair.cov_ia >= 0.0:
-            assert covar_at_mean(pair, params) >= covar_collateral(pair, params)
+            assert report.covare_ai >= report.covar_ai
 
 
 class TestDeltaCollVar:
     def test_independence_kills_spillover(self):
-        assert delta_coll_var(unit_pair(0.0), P99) == 0.0
+        assert full_report(unit_pair(0.0), P99).delta_coll_var == 0.0
 
     def test_half_correlation(self):
-        assert delta_coll_var(unit_pair(0.5), P99) == pytest.approx(-0.5 * Q99, abs=1e-9)
-        assert delta_coll_var(unit_pair(0.5), P99) == pytest.approx(-1.1632, abs=1e-3)
+        value = full_report(unit_pair(0.5), P99).delta_coll_var
+        assert value == pytest.approx(-0.5 * Q99, abs=1e-9)
+        assert value == pytest.approx(-1.1632, abs=1e-3)
 
     def test_size_of_bank_drops_out(self):
         base = GaussianPair(0.0, 0.0, 1.0, 1.0, 0.5)
         doubled = GaussianPair(0.0, 0.0, 4.0, 1.0, 1.0)  # bank scaled by 2
-        assert delta_coll_var(doubled, P99) == delta_coll_var(base, P99)
+        assert full_report(doubled, P99).delta_coll_var == full_report(base, P99).delta_coll_var
 
     @settings(max_examples=200)
     @given(gaussian_pairs(), alphas, st.floats(0.1, 7.0))
@@ -163,39 +152,39 @@ class TestDeltaCollVar:
             pair.mu_i * c, pair.mu_a, pair.var_i * c * c, pair.var_a, pair.cov_ia * c
         )
         assert_close(
-            delta_coll_var(rescaled, params), delta_coll_var(pair, params),
+            full_report(rescaled, params).delta_coll_var, full_report(pair, params).delta_coll_var,
             pair_scale(pair, params.quantile), label="size invariance",
         )
 
 
 class TestDeltaCollEs:
     def test_independence(self):
-        assert delta_coll_es(unit_pair(0.0), P99) == 0.0
+        assert full_report(unit_pair(0.0), P99).delta_coll_es == 0.0
 
     def test_half_correlation(self):
         oracle = 0.5 * es_mean_normal(1.0, P99)  # es_mean_normal pinned to quadrature
         assert oracle == pytest.approx(-1.3326, abs=1e-3)
-        assert delta_coll_es(unit_pair(0.5), P99) == pytest.approx(oracle, abs=1e-12)
+        assert full_report(unit_pair(0.5), P99).delta_coll_es == pytest.approx(oracle, abs=1e-12)
 
     def test_unit_beta(self):
-        assert delta_coll_es(unit_pair(1.0), P99) == pytest.approx(-2.6652, abs=1e-3)
+        assert full_report(unit_pair(1.0), P99).delta_coll_es == pytest.approx(-2.6652, abs=1e-3)
 
     @settings(max_examples=200)
     @given(gaussian_pairs(), alphas)
     def test_beta_times_mean_corrected_es(self, pair, alpha):
         params = RiskParams(alpha)
-        expected = beta_coefficient(pair.cov_ia, pair.var_i) * es_mean_normal(pair.var_i, params)
+        report = full_report(pair, params)
         assert_close(
-            delta_coll_es(pair, params), expected,
+            report.delta_coll_es, report.beta_ai * es_mean_normal(pair.var_i, params),
             pair_scale(pair, params.quantile), label="ES spillover",
         )
 
     @settings(max_examples=200)
     @given(gaussian_pairs(), alphas)
     def test_dominates_var_spillover(self, pair, alpha):
-        params = RiskParams(alpha)
-        es_value = abs(delta_coll_es(pair, params))
-        var_value = abs(delta_coll_var(pair, params))
+        report = full_report(pair, RiskParams(alpha))
+        es_value = abs(report.delta_coll_es)
+        var_value = abs(report.delta_coll_var)
         assert es_value >= var_value
         if pair.cov_ia == 0.0:
             assert es_value == var_value == 0.0
@@ -225,8 +214,7 @@ class TestSystemView:
         assert pair.var_i + 2.0 * pair.cov_ia + pair.var_a < 0.0
         assert pair.var_s == 0.0
         assert pair.std_s == 0.0
-        with pytest.raises(DegenerateSystemError):
-            delta_contr_var(pair, RiskParams(0.99))
+        assert full_report(pair, RiskParams(0.99)).delta_contr_var is None
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rho_minus_one_pairs_report(self, seed):
@@ -250,26 +238,26 @@ class TestSystemView:
         assert_close(pair.var_s, rebuilt, pair.var_i + pair.var_a, label="var_s rebuild")
         assert pair.cov_is**2 <= pair.var_i * pair.var_s * (1.0 + 1e-12)
 
-
 class TestDeltaCondVar:
     def test_independence_keeps_only_own_risk(self):
-        value = delta_cond_var(unit_pair(0.0), P999)
+        value = full_report(unit_pair(0.0), P999).delta_cond_var
         assert value == pytest.approx(-3.09, abs=0.005)
         assert value == -P999.quantile
 
     def test_half_correlation(self):
-        assert delta_cond_var(unit_pair(0.5), P99) == pytest.approx(-1.5 * Q99, abs=1e-9)
-        assert delta_cond_var(unit_pair(0.5), P99) == pytest.approx(-3.4895, abs=1e-3)
+        value = full_report(unit_pair(0.5), P99).delta_cond_var
+        assert value == pytest.approx(-1.5 * Q99, abs=1e-9)
+        assert value == pytest.approx(-3.4895, abs=1e-3)
 
     def test_perfect_hedge_is_neutral(self):
-        assert delta_cond_var(unit_pair(-1.0), P99) == 0.0
+        assert full_report(unit_pair(-1.0), P99).delta_cond_var == 0.0
 
 
 class TestDeltaContrVar:
     def test_independent_equal_banks(self):
         oracle = -Q99 / math.sqrt(2.0)
         assert oracle == pytest.approx(-1.6450, abs=1e-3)
-        assert delta_contr_var(unit_pair(0.0), P99) == pytest.approx(oracle, abs=1e-9)
+        assert full_report(unit_pair(0.0), P99).delta_contr_var == pytest.approx(oracle, abs=1e-9)
 
     @settings(max_examples=200)
     @given(st.floats(0.1, 4.0), st.floats(-0.8, 0.95), alphas)
@@ -277,35 +265,34 @@ class TestDeltaContrVar:
         params = RiskParams(alpha)
         pair = GaussianPair(0.0, 0.0, sd * sd, sd * sd, rho * sd * sd)
         assert_close(
-            delta_contr_var(pair, params), 0.5 * (-params.quantile * pair.std_s),
+            full_report(pair, params).delta_contr_var, 0.5 * (-params.quantile * pair.std_s),
             pair_scale(pair, params.quantile), label="symmetric split",
         )
 
     def test_uneven_banks(self):
-        pair = GaussianPair(0.0, 0.0, 1.0, 4.0, 1.0)
-        assert delta_contr_var(pair, P99) == pytest.approx(-2.0 * Q99 / math.sqrt(7.0), abs=1e-9)
-        assert delta_contr_var(pair, P99) == pytest.approx(-1.7586, abs=1e-3)
-
-    def test_degenerate_system_raises(self):
-        with pytest.raises(DegenerateSystemError):
-            delta_contr_var(unit_pair(-1.0), P99)
+        value = full_report(GaussianPair(0.0, 0.0, 1.0, 4.0, 1.0), P99).delta_contr_var
+        assert value == pytest.approx(-2.0 * Q99 / math.sqrt(7.0), abs=1e-9)
+        assert value == pytest.approx(-1.7586, abs=1e-3)
 
 
 class TestVarContribution:
     def test_zero_mean_equals_contribution_shift(self):
-        pair = unit_pair(0.0)
-        assert var_contribution(pair, P99) == delta_contr_var(pair, P99)
+        report = full_report(unit_pair(0.0), P99)
+        assert report.var_contribution == report.delta_contr_var
 
     def test_mean_shift(self):
-        pair = unit_pair(0.0, mu_i=1.0)
-        assert var_contribution(pair, P99) == pytest.approx(1.0 - Q99 / math.sqrt(2.0), abs=1e-9)
-        assert var_contribution(pair, P99) == pytest.approx(-0.6450, abs=1e-3)
+        value = full_report(unit_pair(0.0, mu_i=1.0), P99).var_contribution
+        assert value == pytest.approx(1.0 - Q99 / math.sqrt(2.0), abs=1e-9)
+        assert value == pytest.approx(-0.6450, abs=1e-3)
 
     @settings(max_examples=300)
     @given(gaussian_pairs(), alphas)
     def test_contributions_sum_to_system_var(self, pair, alpha):
         params = RiskParams(alpha)
-        total = var_contribution(pair, params) + var_contribution(pair.swapped(), params)
+        total = (
+            full_report(pair, params).var_contribution
+            + full_report(pair.swapped(), params).var_contribution
+        )
         assert_close(
             total, var_normal(pair.mu_s, pair.var_s, params),
             pair_scale(pair, params.quantile), label="contribution sum",
@@ -313,22 +300,24 @@ class TestVarContribution:
 
 
 class TestStdAllocation:
+    """The allocation weight cov_is / std_s: the report's beta_is times std_s."""
+
+    @staticmethod
+    def allocation(pair: GaussianPair) -> float:
+        return full_report(pair, P99).beta_is * pair.std_s
+
     def test_equal_independent_banks(self):
-        assert std_allocation(unit_pair(0.0)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert self.allocation(unit_pair(0.0)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_uneven_banks(self):
         pair = GaussianPair(0.0, 0.0, 1.0, 4.0, 1.0)
-        assert std_allocation(pair) == pytest.approx(2.0 / math.sqrt(7.0), abs=1e-12)
+        assert self.allocation(pair) == pytest.approx(2.0 / math.sqrt(7.0), abs=1e-12)
 
     @settings(max_examples=200)
     @given(gaussian_pairs())
     def test_allocations_sum_to_system_std(self, pair):
-        total = std_allocation(pair) + std_allocation(pair.swapped())
+        total = self.allocation(pair) + self.allocation(pair.swapped())
         assert_close(total, pair.std_s, pair.std_s, label="allocation sum")
-
-    def test_degenerate_system_raises(self):
-        with pytest.raises(DegenerateSystemError):
-            std_allocation(unit_pair(-1.0))
 
 
 class TestCrossStatisticIdentities:
@@ -340,11 +329,11 @@ class TestCrossStatisticIdentities:
         params = RiskParams(alpha)
         q = params.quantile
         scale = pair_scale(pair, q)
-        spill = delta_coll_var(pair, params)
-        assert_close(spill, covar_collateral(pair, params) - covar_at_mean(pair, params),
+        report = full_report(pair, params)
+        spill = report.delta_coll_var
+        assert_close(spill, report.covar_ai - report.covare_ai,
                      scale, label="stressed minus unstressed")
-        assert_close(spill, beta_coefficient(pair.cov_ia, pair.var_i) * (-q * pair.std_i),
-                     scale, label="beta form")
+        assert_close(spill, report.beta_ai * (-q * pair.std_i), scale, label="beta form")
         assert_close(spill, -q * pair.rho * pair.std_a, scale, label="correlation form")
 
     @settings(max_examples=300)
@@ -355,7 +344,7 @@ class TestCrossStatisticIdentities:
         shifted = conditional_moments(
             pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, stress
         ).mean
-        assert_close(delta_coll_var(pair, params), shifted - pair.mu_a,
+        assert_close(full_report(pair, params).delta_coll_var, shifted - pair.mu_a,
                      pair_scale(pair, params.quantile), label="mean shift")
 
     @settings(max_examples=300)
@@ -363,22 +352,26 @@ class TestCrossStatisticIdentities:
     def test_system_shift_decomposition(self, pair, alpha):
         params = RiskParams(alpha)
         own = -params.quantile * pair.std_i
-        assert_close(delta_cond_var(pair, params), delta_coll_var(pair, params) + own,
+        report = full_report(pair, params)
+        assert_close(report.delta_cond_var, report.delta_coll_var + own,
                      pair_scale(pair, params.quantile), label="own plus spillover")
 
     @settings(max_examples=300)
     @given(gaussian_pairs(), alphas)
     def test_beta_shares_sum_to_one(self, pair, alpha):
-        swapped = pair.swapped()
-        b_is = beta_coefficient(pair.cov_is, pair.var_s)
-        b_as = beta_coefficient(swapped.cov_is, swapped.var_s)
+        params = RiskParams(alpha)
+        b_is = full_report(pair, params).beta_is
+        b_as = full_report(pair.swapped(), params).beta_is
         assert abs(b_is + b_as - 1.0) < 1e-15
 
     @settings(max_examples=300)
     @given(gaussian_pairs(), alphas)
     def test_contribution_shifts_sum_to_system_mean_corrected_var(self, pair, alpha):
         params = RiskParams(alpha)
-        total = delta_contr_var(pair, params) + delta_contr_var(pair.swapped(), params)
+        total = (
+            full_report(pair, params).delta_contr_var
+            + full_report(pair.swapped(), params).delta_contr_var
+        )
         assert_close(total, -params.quantile * pair.std_s,
                      pair_scale(pair, params.quantile), label="contribution shifts")
 
@@ -386,15 +379,16 @@ class TestCrossStatisticIdentities:
     @given(gaussian_pairs(), alphas)
     def test_ratio_between_perspectives(self, pair, alpha):
         params = RiskParams(alpha)
+        report = full_report(pair, params)
         assert_close(
-            delta_cond_var(pair, params),
-            (pair.std_s / pair.std_i) * delta_contr_var(pair, params),
+            report.delta_cond_var,
+            (pair.std_s / pair.std_i) * report.delta_contr_var,
             pair_scale(pair, params.quantile), label="perspective ratio",
         )
         # equivalent normalized forms
         assert_close(
-            delta_cond_var(pair, params) / pair.std_s,
-            delta_contr_var(pair, params) / pair.std_i,
+            report.delta_cond_var / pair.std_s,
+            report.delta_contr_var / pair.std_i,
             params.quantile, label="normalized perspective ratio",
         )
 
@@ -403,8 +397,8 @@ class TestCrossStatisticIdentities:
     def test_weighted_system_shifts_aggregate(self, pair, alpha):
         params = RiskParams(alpha)
         weighted = (
-            (pair.std_i / pair.std_s) * delta_cond_var(pair, params)
-            + (pair.std_a / pair.std_s) * delta_cond_var(pair.swapped(), params)
+            (pair.std_i / pair.std_s) * full_report(pair, params).delta_cond_var
+            + (pair.std_a / pair.std_s) * full_report(pair.swapped(), params).delta_cond_var
         )
         assert_close(weighted, -params.quantile * pair.std_s,
                      pair_scale(pair, params.quantile), label="weighted aggregate")
@@ -413,8 +407,9 @@ class TestCrossStatisticIdentities:
     @given(gaussian_pairs(), alphas)
     def test_std_allocation_reproduces_contribution_shift(self, pair, alpha):
         params = RiskParams(alpha)
+        report = full_report(pair, params)
         assert_close(
-            -params.quantile * std_allocation(pair), delta_contr_var(pair, params),
+            -params.quantile * report.beta_is * pair.std_s, report.delta_contr_var,
             pair_scale(pair, params.quantile), label="allocation times quantile",
         )
 
@@ -427,17 +422,17 @@ class TestCrossStatisticIdentities:
         params = RiskParams(alpha)
         cov_lo = rho * sd_i * sd_a
         cov_hi = (rho + bump) * sd_i * sd_a
-        lo = GaussianPair(mu_i, mu_a, sd_i**2, sd_a**2, cov_lo)
-        hi = GaussianPair(mu_i, mu_a, sd_i**2, sd_a**2, cov_hi)
-        assert delta_coll_var(hi, params) < delta_coll_var(lo, params)
-        assert delta_cond_var(hi, params) < delta_cond_var(lo, params)
+        lo = full_report(GaussianPair(mu_i, mu_a, sd_i**2, sd_a**2, cov_lo), params)
+        hi = full_report(GaussianPair(mu_i, mu_a, sd_i**2, sd_a**2, cov_hi), params)
+        assert hi.delta_coll_var < lo.delta_coll_var
+        assert hi.delta_cond_var < lo.delta_cond_var
         # The contribution shift is only monotone where cov_ia > -var_a: its
         # derivative in cov_ia is proportional to -(cov_ia + var_a), so the
         # direction reverses once the covariance drops below -var_a.
         if cov_lo >= -sd_a * sd_a:
-            assert delta_contr_var(hi, params) < delta_contr_var(lo, params)
+            assert hi.delta_contr_var < lo.delta_contr_var
         elif cov_hi <= -sd_a * sd_a:
-            assert delta_contr_var(hi, params) > delta_contr_var(lo, params)
+            assert hi.delta_contr_var > lo.delta_contr_var
 
 
 class TestFullReport:
@@ -472,26 +467,26 @@ class TestFullReport:
                 assert math.isfinite(value), name
 
     CHECK_NAMES = [
+        "CoVaR = VaR given the bank at its VaR",
+        "CoVaRe = VaR given the bank at its mean",
         "spillover = stressed - unstressed",
-        "spillover = slope * mean-corrected VaR",
         "spillover = -q * rho * std_a",
         "spillover = conditional mean shift",
         "ES spillover = slope * mean-corrected ES",
         "system shift = own + spillover",
         "system shift = system slope * mean-corrected VaR",
-        "contribution shift = slope * system mean-corrected VaR",
+        "contribution shift = stressed - unstressed",
         "system shift = (std_s / std_i) * contribution shift",
-        "contribution shift = conditional mean shift",
-        "contribution shift = -q * std allocation",
+        "VaR contribution = mean + conditional mean shift",
     ]
 
     @pytest.mark.parametrize(
         "pair, expected",
-        [(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), 11), (unit_pair(-1.0), 7)],
+        [(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), 11), (unit_pair(-1.0), 8)],
         ids=["general", "perfect-hedge"],
     )
     def test_cross_checks_run_in_a_fixed_order(self, monkeypatch, pair, expected):
-        # a perfect hedge has no contribution family, so its last 4 checks do not run
+        # a perfect hedge has no contribution family, so its last 3 checks do not run
         names = []
         check = gaussrisk.measures._check
 
@@ -537,3 +532,112 @@ class TestFullReport:
         for name, value in vars(report).items():
             if value is not None:
                 assert math.isfinite(value), name
+
+
+@functools.lru_cache(maxsize=None)
+def _multipliers(alpha: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """``(q, pdf(q) / (1 - alpha))`` at 60 digits."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        q = mpmath.sqrt(2) * mpmath.erfinv(2 * a - 1)
+        return q, mpmath.npdf(q) / (1 - a)
+
+
+class TestHighPrecisionReference:
+    """Every report field against its closed form evaluated at 60 digits.
+
+    The bounds were stated before the first run, in units of U = 2**-52:
+    - a location field is within LOCATION of the report's scale.  The
+      quantile is off by up to 21 ulp at alpha = 0.999, and the ES
+      multiplier pdf(q) / (1 - alpha) amplifies that by q**2: about 140.
+    - covar_ai and covare_ai carry c_ai, the square root of the cancelling
+      var_a - b_ai**2: near |rho| = 1 its error is about sqrt(2 U) * sd_a,
+      so they get CONDITIONAL_SD * q * sd_a more.
+    - a slope is within SLOPE ulp, an ulp being U of its value or, for a
+      subnormal value, the subnormal spacing 2**-1074.
+    - var_s is the rounded sum var_i + 2 cov_ia + var_a.  Where it cancels
+      (rho near -1, sd_i near sd_a) its relative error grows with
+      kappa = (var_i + 2 |cov_ia| + var_a) / var_s, and so does that of
+      the contribution family: 4 U kappa of each value more.  At kappa of
+      order 1 / U the system may round to a perfect hedge either way.
+    """
+
+    U = 2.0**-52
+    LOCATION = 256 * U
+    CONDITIONAL_SD = 4 * math.sqrt(U)
+    SLOPE = 1024
+    SLOPES = ("beta_ai", "beta_si", "beta_is", "rho")
+    FAMILY = ("delta_contr_var", "var_contribution", "beta_is")
+
+    @staticmethod
+    def reference(pair: GaussianPair, alpha: float) -> tuple[dict, mpmath.mpf, mpmath.mpf]:
+        """The 13 fields of the pair's exact moments, their scale, and kappa."""
+        q, m = _multipliers(alpha)
+        with mpmath.workdps(60):
+            mu_i, mu_a, v_i, v_a, c = map(
+                mpmath.mpf, (pair.mu_i, pair.mu_a, pair.var_i, pair.var_a, pair.cov_ia)
+            )
+            s_i, s_a = mpmath.sqrt(v_i), mpmath.sqrt(v_a)
+            b_ai = c / s_i
+            c_ai = mpmath.sqrt(max(v_a - b_ai**2, 0))
+            c_is = c + v_i
+            v_s = v_i + 2 * c + v_a
+            # within the PSD slack the pair's rho may pass 1; var_s keeps its PSD floor
+            v_s = max(v_s, c_is**2 / v_i) if v_s > 0 else mpmath.mpf(0)
+            b_is = c_is / mpmath.sqrt(v_s) if v_s > 0 else None
+            fields = dict(
+                var_i=mu_i - q * s_i, var_mean_i=-q * s_i,
+                covar_ai=mu_a - q * b_ai - q * c_ai, covare_ai=mu_a - q * c_ai,
+                delta_coll_var=-q * b_ai, delta_coll_es=-m * b_ai,
+                delta_cond_var=-q * c_is / s_i,
+                delta_contr_var=None if b_is is None else -q * b_is,
+                var_contribution=None if b_is is None else mu_i - q * b_is,
+                beta_ai=c / v_i, beta_si=c_is / v_i,
+                beta_is=None if b_is is None else c_is / v_s,
+                rho=max(-1, min(1, c / (s_i * s_a))),
+            )
+            scale = abs(mu_i) + abs(mu_a) + q * (s_i + s_a + mpmath.sqrt(v_s))
+            kappa = (v_i + 2 * abs(c) + v_a) / v_s if v_s > 0 else mpmath.inf
+            return fields, scale, kappa
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-150.0, 150.0), st.floats(-150.0, 150.0),
+        st.one_of(
+            st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]),
+            st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), st.floats(1.0 - 1e-16, 1.0)),
+        ),
+        st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+        st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+        st.sampled_from([0.95, 0.99, 0.999]),
+    )
+    def test_fields_match_a_60_digit_reference(
+        self, log_sd_i, log_sd_a, rho, loc_i, loc_a, alpha
+    ):
+        sd_i, sd_a = 10.0**log_sd_i, 10.0**log_sd_a
+        try:
+            pair = GaussianPair(
+                loc_i * sd_i, loc_a * sd_a, sd_i * sd_i, sd_a * sd_a, rho * sd_i * sd_a
+            )
+            report = full_report(pair, RiskParams(alpha))
+        except GaussRiskError as exc:
+            assert not isinstance(exc, ConsistencyError), exc
+            return
+        expected, scale, kappa = self.reference(pair, alpha)
+        q = _multipliers(alpha)[0]
+        with mpmath.workdps(60):
+            for name, want in expected.items():
+                got = getattr(report, name)
+                if got is None or want is None:
+                    assert name in self.FAMILY and 4 * self.U * kappa >= 1, (name, got, want)
+                    continue
+                if name in self.SLOPES:
+                    bound = self.SLOPE * max(self.U * abs(want), 2.0**-1074)
+                else:
+                    bound = self.LOCATION * scale
+                if name in ("covar_ai", "covare_ai"):
+                    bound += self.CONDITIONAL_SD * q * mpmath.sqrt(pair.var_a)
+                if name in self.FAMILY:
+                    bound += 4 * self.U * kappa * abs(want)
+                error = abs(mpmath.mpf(got) - want)
+                assert error <= bound, f"{name}: {got!r} vs {want} (error {error}, bound {bound})"
