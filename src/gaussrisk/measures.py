@@ -30,6 +30,7 @@ each one through the conditional law that defines it, raising
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
@@ -74,25 +75,30 @@ class GaussianPair:
         # keep every derived statistic representable: no silent overflow to
         # inf, in the variances or in the report's slopes on the bank
         if not (
-            math.isfinite(self.var_i * self.var_a)
-            and math.isfinite(self.var_i + 2.0 * self.cov_ia + self.var_a)
+            math.isfinite(self.var_i + 2.0 * self.cov_ia + self.var_a)
             and math.isfinite(self.mu_i + self.mu_a)
             and math.isfinite(self.cov_ia / self.var_i)
             and math.isfinite(self.cov_is / self.var_i)
         ):
             raise DomainError("model magnitudes overflow double precision")
-        # sds, not variances: their products underflow at tiny scales
-        if abs(self.cov_ia) > self.std_i * self.std_a * (1.0 + _PSD_SLACK):
+        # cov_ia / std_i against std_a: products of tiny moments underflow
+        b_ai = abs(self.cov_ia) / self.std_i
+        if b_ai > self.std_a * (1.0 + _PSD_SLACK):
             raise InvalidCovarianceError(
-                f"|cov_ia| = {abs(self.cov_ia)!r} exceeds std_i * std_a = "
-                f"{self.std_i * self.std_a!r}: not a valid covariance matrix"
+                f"|cov_ia| / std_i = {b_ai!r} exceeds std_a = {self.std_a!r}: "
+                "not a valid covariance matrix"
             )
 
     @property
     def rho(self) -> float:
         """Correlation between the bank and the rest of the system, in [-1, 1]."""
-        # sd times sd, not sqrt(var * var): the product of two tiny variances underflows to 0
-        raw = self.cov_ia / (self.std_i * self.std_a)
+        # one division while std_i * std_a is a normal double; a subnormal
+        # product has lost digits, so divide by each sd in turn
+        sd_product = self.std_i * self.std_a
+        if sd_product >= sys.float_info.min:
+            raw = self.cov_ia / sd_product
+        else:
+            raw = self.cov_ia / self.std_i / self.std_a
         return max(-1.0, min(1.0, raw))
 
     @property
@@ -110,15 +116,15 @@ class GaussianPair:
 
     @property
     def var_s(self) -> float:
-        """Variance of the whole system, ``var_i + 2 cov_ia + var_a``.
+        """Variance of the whole system, ``var_i + 2 cov_ia + var_a``, summed exactly.
 
-        PSD of the pair forces it to be nonnegative up to rounding, so a sum
-        that is not positive is clamped at exactly 0 (a perfect hedge).  A
-        positive sum is kept at least ``cov_is**2 / var_i``, the bound PSD
-        puts on it (``var_s var_i - cov_is**2 = var_i var_a - cov_ia**2``):
-        near rho = -1 the sum is cancellation residue that may fall below it.
+        :func:`math.fsum` rounds once, so the cancellation near rho = -1 costs
+        no digits.  A sum that is not positive is clamped at exactly 0 (a
+        perfect hedge).  A positive sum is kept at least ``cov_is**2 / var_i``,
+        the bound PSD puts on it (``var_s var_i - cov_is**2 = var_i var_a -
+        cov_ia**2``), which the PSD slack or a rounding may otherwise cross.
         """
-        raw = self.var_i + 2.0 * self.cov_ia + self.var_a
+        raw = math.fsum((self.var_i, 2.0 * self.cov_ia, self.var_a))
         if raw <= 0.0:
             return 0.0
         explained_sd = self.cov_is / self.std_i  # squared after dividing: cov_is**2 may overflow

@@ -1,10 +1,10 @@
 """Standard-normal primitives and closed-form Gaussian risk quantities.
 
 Everything in this module is scalar, pure, and dependency-free: the
-standard-normal density, the distribution function, its inverse (a rational
-approximation polished by Newton steps), the conditional moments of one
-jointly Gaussian variable given the other, and the closed-form VaR and
-expected-shortfall factors of a normal variable.
+standard-normal density, the distribution function, its inverse (the
+distribution function's root, found by bisection), the conditional moments
+of one jointly Gaussian variable given the other, and the closed-form VaR
+and expected-shortfall factors of a normal variable.
 
 Sign convention used throughout the package: VaR is the low quantile of the
 variable itself (``mu - q * sigma`` with ``q > 0``), a typically negative
@@ -25,27 +25,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # few ulps; tolerate that, reject anything larger.
 _PSD_SLACK = 1e-12
 
-# Acklam's rational approximation of the inverse standard-normal CDF.
-# Raw accuracy is ~1.15e-9 relative; Newton refinement below takes it to
-# machine precision.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ACKLAM_P_LOW = 0.02425
-
 
 def std_normal_pdf(x: float) -> float:
     """Density of the standard normal distribution at ``x``."""
@@ -61,41 +40,38 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT_2)
 
 
-def _acklam_initial(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        t = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / (
-            (((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0
-        )
-    if p > 1.0 - _ACKLAM_P_LOW:
-        t = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / (
-            (((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0
-        )
-    t = p - 0.5
-    r = t * t
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * t / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def std_normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF.
+    """Inverse of the standard normal CDF: the double where ``std_normal_cdf`` crosses ``p``.
 
-    Rational approximation followed by two Newton steps against
-    :func:`std_normal_cdf`, so that ``cdf(quantile(p))`` matches ``p`` to
-    far better than 1e-9 across (0, 1).
+    A root, not an approximation: ``p > 1/2`` reflects to ``-quantile(1 - p)``
+    (``1 - p`` is exact there), and below one half the CDF is bisected on
+    [-40, 0] down to two adjacent doubles, of which the one whose CDF is
+    nearer ``p`` is returned.  For ``p`` in [1/4, 1/2) the comparison is
+    ``erf(x / sqrt 2) / 2`` against the exact ``p - 1/2``, which keeps a
+    small root's precision.  For ``p`` down to 1e-300 the result is within
+    two ulps of the exact quantile, the rounding of ``x / sqrt 2`` inside the
+    CDF being most of that.  For subnormal ``p`` the CDF itself holds few
+    digits: ``cdf(quantile(p))`` still rounds back to ``p``, but the result
+    may differ from the exact quantile by a few parts in 10**4.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile argument must be in (0, 1), got {p!r}")
-    x = _acklam_initial(p)
-    for _ in range(2):
-        density = std_normal_pdf(x)
-        if density <= 1e-300:
-            break  # deep tail: the initial approximation is already as good as it gets
-        x -= (std_normal_cdf(x) - p) / density
-    return x
+    if p > 0.5:
+        return -std_normal_quantile(1.0 - p)
+    if p == 0.5:
+        return 0.0
+    if p < 0.25:
+        cdf, target = std_normal_cdf, p
+    else:
+        cdf, target = (lambda x: 0.5 * math.erf(x / _SQRT_2)), p - 0.5
+    lo, mid, hi = -40.0, -20.0, 0.0
+    while lo < mid < hi:
+        if cdf(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi if cdf(hi) - target < target - cdf(lo) else lo
 
 
 @dataclass(frozen=True)
@@ -149,14 +125,12 @@ def conditional_moments(
         raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
     if not (math.isfinite(var_a) and var_a > 0.0):
         raise DegenerateModelError(f"var_a must be positive, got {var_a!r}")
-    # sds and b, not cov_ai**2: squares of tiny moments underflow to 0
-    std_i, std_a = math.sqrt(var_i), math.sqrt(var_a)
-    if abs(cov_ai) > std_i * std_a * (1.0 + _PSD_SLACK):
-        raise InvalidCovarianceError(
-            f"|cov_ai| = {abs(cov_ai)!r} exceeds std_i * std_a = {std_i * std_a!r}"
-        )
+    # b = cov_ai / std_i against std_a, not cov_ai**2 or std_i * std_a: squares
+    # and products of tiny moments underflow
+    std_a, b = math.sqrt(var_a), cov_ai / math.sqrt(var_i)
+    if abs(b) > std_a * (1.0 + _PSD_SLACK):
+        raise InvalidCovarianceError(f"|cov_ai| / std_i = {abs(b)!r} exceeds std_a = {std_a!r}")
     mean = mu_a + (cov_ai / var_i) * (x - mu_i)
-    b = cov_ai / std_i
     variance = var_a - b * b
     return ConditionalMoments(mean=mean, variance=max(variance, 0.0))
 

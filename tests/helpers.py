@@ -1,8 +1,10 @@
 """Shared test oracles and generators.
 
-The quantile oracle is a bisection on the (erfc-based) CDF, so it is
-independent of the rational-approximation path it is used to check; tail
-means come from quadrature in the tests that need them.
+The quantile helper is a bisection on the (erfc-based) CDF, the method of
+production's quantile too, so it is no independent check of it: the
+independent reference is the 60-digit mpmath root in tests/test_normal.py and
+tests/test_measures.py.  Tail means come from quadrature in the tests that
+need them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from gaussrisk.normal import std_normal_cdf
 
 
 def bisect_std_normal_quantile(p: float, lo: float = -40.0, hi: float = 40.0) -> float:
-    """Quantile by bisection on std_normal_cdf; independent of the Acklam path."""
+    """Quantile by bisection on std_normal_cdf; mpmath's root is the independent reference."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if std_normal_cdf(mid) < p:

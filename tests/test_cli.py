@@ -145,6 +145,24 @@ class TestAnalyzeModel:
         row = dict(zip(*(line.split(",") for line in out.splitlines())))
         assert (row["covar_ai"], row["covare_ai"]) == ("2.65480967829e-135", "0")
 
+    def test_subnormal_model_reports_without_a_false_cross_check(self, capsys):
+        # std_i * std_a is subnormal; rho divides by each sd in turn
+        code, out, err = run(capsys, ["analyze", "--model=0,0,5.02363e-318,5e-324,-3.656e-321"])
+        assert (code, err) == (0, "")
+
+    def test_subnormal_invalid_covariance_is_rejected(self, capsys):
+        # |cov_ia| / sd_i exceeds sd_a by 0.05 %
+        code, out, err = run(capsys, ["analyze", "--model=0,0,1.443e-320,8.4e-322,-3.483e-321"])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]* not a valid covariance matrix\n", err)
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_model_whose_variance_product_overflows_reports(self, capsys, command):
+        # var_i * var_a is 1e400, but no statistic nor sample overflows
+        extra = ["--samples", "200000"] if command == "validate" else []
+        code, out, err = run(capsys, [command, "--model=0,0,1e200,1e200,5e199"] + extra)
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize(
         "model", ["1,2,3", "a,b,c,d,e", "0,0,0,1,0", "0,0,1,1,5"]
     )

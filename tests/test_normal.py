@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
@@ -80,6 +81,27 @@ class TestQuantile:
         oracle = bisect_std_normal_quantile(0.99)
         assert oracle == pytest.approx(2.3263478740, abs=1e-6)
         assert std_normal_quantile(0.99) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "p",
+        [0.9, 0.95, 0.99, 0.995, 0.999, 0.9999, 0.99999, 1.0 - 1e-10, 0.6]
+        + [0.5 + 1e-12, 0.5 - 1e-12],
+    )
+    def test_within_an_ulp_of_a_60_digit_root(self, p):
+        with mpmath.workdps(60):
+            root = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+            assert abs(std_normal_quantile(p) - root) <= math.ulp(float(root))
+
+    def test_subnormal_p_is_bracketed_by_the_cdf(self):
+        # the CDF holds few digits here: the root is where it crosses p, not the exact quantile
+        ps = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308]
+        roots = [std_normal_quantile(p) for p in ps]
+        assert all(math.isfinite(x) for x in roots)
+        assert roots == sorted(roots)
+        for p, x in zip(ps, roots):
+            below, above = (math.nextafter(x, -math.inf), x), (x, math.nextafter(x, math.inf))
+            brackets = [std_normal_cdf(lo) <= p <= std_normal_cdf(hi) for lo, hi in (below, above)]
+            assert any(brackets), (p, x)
 
     def test_roundtrip_grid(self):
         # 997 evenly spaced p in [0.001, 0.999]
