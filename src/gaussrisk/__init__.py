@@ -42,11 +42,9 @@ from .normal import (
     ConditionalMoments,
     RiskParams,
     conditional_moments,
-    es_mean_normal,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    var_normal,
 )
 
 __version__ = "0.1.0"

@@ -213,9 +213,9 @@ def _render_validate_table(labeled_reports) -> str:
             else:
                 status = "pass" if check.passed else "FAIL"
             lines.append(
-                f"{check.name:<18} {_fmt(check.closed_form, '.6f'):>14} "
-                f"{_fmt(check.empirical, '.6f'):>14} {_fmt(check.abs_error, '.6f'):>11} "
-                f"{_fmt(check.tolerance, '.6f'):>11} {check.effective_tail_samples:>8}  {status}"
+                f"{check.name:<18} {_fmt(check.closed_form, '.6g'):>14} "
+                f"{_fmt(check.empirical, '.6g'):>14} {_fmt(check.abs_error, '.6g'):>11} "
+                f"{_fmt(check.tolerance, '.6g'):>11} {check.effective_tail_samples:>8}  {status}"
             )
         lines.append(
             f"overall: {'pass' if report.all_passed else 'FAIL'} "
@@ -323,13 +323,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common_arguments(validate)
     validate.add_argument(
-        "--samples", type=int, default=2_000_000, help="Monte Carlo sample count"
+        "--samples", type=int, default=McConfig.sample_count,
+        help="Monte Carlo sample count (default %(default)s)",
     )
     validate.add_argument(
-        "--bandwidth", type=float, default=0.05,
-        help="conditioning band half-width in stds (default 0.05)",
+        "--bandwidth", type=float, default=McConfig.bandwidth,
+        help="conditioning band half-width in stds (default %(default)s)",
     )
-    validate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    validate.add_argument(
+        "--seed", type=int, default=McConfig.seed, help="RNG seed (default %(default)s)"
+    )
     validate.set_defaults(func=_cmd_validate)
     return parser
 

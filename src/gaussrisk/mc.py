@@ -194,7 +194,7 @@ class SharedDraw:
         self.lowest = _lowest(z0, self.tail_count)
 
     def moments(self, pair: GaussianPair) -> _Moments:
-        """The sample moments of ``sample_pair(pair, config, self.normals)`` and of its row sums.
+        """The sample moments of ``sample_pair(pair, self)`` and of its row sums.
 
         The bank, the rest of the system and the whole system load
         ``(l11, 0)``, ``(l21, l22)`` and ``(l11 + l21, l22)`` on ``(z0, z1)``,
@@ -247,25 +247,19 @@ def _loadings(pair: GaussianPair) -> tuple[float, float, float]:
     return l11, l21, math.sqrt(max(pair.var_a - l21 * l21, 0.0))
 
 
-def sample_pair(
-    pair: GaussianPair, config: McConfig, normals: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Draw ``sample_count`` joint observations of (bank, rest-of-system).
+def sample_pair(pair: GaussianPair, draw: SharedDraw) -> np.ndarray:
+    """The run's draw as ``sample_count`` joint observations of (bank, rest-of-system).
 
-    Standard-normal pairs are mapped through the 2x2 Cholesky factor of the
-    covariance matrix.  The result is bitwise-deterministic given the seed.
-    ``normals`` is :func:`standard_normals` of ``config``, when the caller
-    has already drawn it; by default it is drawn here.
-
-    Returns an array of shape (sample_count, 2); column 0 is the bank.  Each
-    column is contiguous in memory.  Column 0 is ``mu_i + sqrt(var_i) * z0``,
-    rounded, which is non-decreasing in the draw's first column ``z0``.
+    The draw's standard-normal pairs are mapped through the 2x2 Cholesky
+    factor of the covariance matrix, so the result is bitwise-deterministic
+    given the seed.  Returns an array of shape (sample_count, 2); column 0 is
+    the bank.  Each column is contiguous in memory.  Column 0 is
+    ``mu_i + sqrt(var_i) * z0``, rounded, which is non-decreasing in the
+    draw's first column ``z0``.
     """
-    z = standard_normals(config) if normals is None else np.asarray(normals, dtype=float)
-    if z.shape != (config.sample_count, 2):
-        raise DomainError(f"normals must have shape ({config.sample_count}, 2), got {z.shape}")
+    z = draw.normals
     l11, l21, l22 = _loadings(pair)
-    out = _columns(config.sample_count)
+    out = _columns(draw.config.sample_count)
     xi, xa = out[:, 0], out[:, 1]
     # mu_a + l21 * z0 + l22 * z1, rounded step by step as that expression
     # rounds, with the bank's column as the scratch space for l22 * z1.
@@ -488,7 +482,7 @@ def validate_closed_forms(
     std_i, std_a, std_s = math.sqrt(m.var_i), math.sqrt(m.var_a), math.sqrt(m.var_s)
     se_mean_i = std_i / math.sqrt(n)
 
-    samples = sample_pair(pair, config, draw.normals)
+    samples = sample_pair(pair, draw)
     xi = samples[:, 0]
     xa = samples[:, 1]  # overwritten by xs = xi + xa after its last use
     # Where the draw's first column is lowest, so is xi.

@@ -10,9 +10,10 @@ alpha-free loadings of the bank:
 ``c_ai = sqrt(var_a - b_ai**2)``   the others' sd given the bank;
 ``b_is = cov_is / sd_s``           its loading on the whole system.
 
-The multiplier is the quantile ``q`` for a VaR and ``m = pdf(q) / (1 - alpha)``
-for an expected shortfall.  A stressed statistic puts the conditioning
-variable at its VaR, an unstressed one at its mean:
+The multiplier is :class:`RiskParams`' ``quantile`` ``q`` for a VaR and its
+``es_multiplier`` ``m = pdf(q) / (1 - alpha)`` for an expected shortfall.  A
+stressed statistic puts the conditioning variable at its VaR, an unstressed
+one at its mean:
 
 ``covar_ai``          ``mu_a - q b_ai - q c_ai``: VaR of the others given the bank at its VaR.
 ``covare_ai``         ``mu_a - q c_ai``: the same given the bank at its mean.
@@ -35,15 +36,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError, DegenerateModelError, DomainError, InvalidCovarianceError
-from .normal import (
-    _PSD_SLACK,
-    ConditionalMoments,
-    RiskParams,
-    conditional_moments,
-    es_mean_normal,
-    std_normal_pdf,
-    var_normal,
-)
+from .normal import _PSD_SLACK, ConditionalMoments, RiskParams, conditional_moments
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ def _cross_checks(
     d_cond, d_contr, std_s = report.delta_cond_var, report.delta_contr_var, pair.std_s
 
     def var_given(law: ConditionalMoments) -> float:
-        return var_normal(law.mean, law.variance, params)
+        return law.mean - q * math.sqrt(law.variance)
 
     def given_bank(x: float) -> ConditionalMoments:
         return conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, x)
@@ -212,7 +205,7 @@ def _cross_checks(
     yield "spillover = stressed - unstressed", d_coll, report.covar_ai - report.covare_ai
     yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
     yield "spillover = conditional mean shift", d_coll, stressed.mean - unstressed.mean
-    es_mean = es_mean_normal(pair.var_i, params)
+    es_mean = -params.es_multiplier * math.sqrt(pair.var_i)
     yield "ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean
     if abs(d_coll_es) + 1e-9 * scale < abs(d_coll):
         raise ConsistencyError(
@@ -260,8 +253,7 @@ def _report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     :func:`full_report` cross-checks it and the Monte Carlo oracle compares
     it with a simulation.
     """
-    q = params.quantile
-    m = std_normal_pdf(q) / (1.0 - params.alpha)
+    q, m = params.quantile, params.es_multiplier
     s_i, b_ai, c_ai, b_is = _loadings(pair)
     hedged = b_is is None
     return BankRiskReport(

@@ -2,9 +2,9 @@
 
 Everything in this module is scalar, pure, and dependency-free: the
 standard-normal density, the distribution function, its inverse (the
-distribution function's root, found by bisection), the conditional moments
-of one jointly Gaussian variable given the other, and the closed-form VaR
-and expected-shortfall factors of a normal variable.
+distribution function's root, found by bisection), the two alpha
+multipliers every closed form reads (:class:`RiskParams`), and the
+conditional moments of one jointly Gaussian variable given the other.
 
 Sign convention used throughout the package: VaR is the low quantile of the
 variable itself (``mu - q * sigma`` with ``q > 0``), a typically negative
@@ -76,21 +76,27 @@ def std_normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class RiskParams:
-    """VaR threshold ``alpha`` and its standard-normal quantile.
+    """VaR threshold ``alpha`` and the two multipliers every closed form reads.
 
-    ``alpha`` must lie in (0.5, 1): at or below one half the quantile turns
-    non-positive and the stressed/unstressed ordering of every downstream
-    statistic flips, so such thresholds are rejected outright.  The quantile
-    is computed once at construction and cached.
+    ``quantile`` is ``q = quantile(alpha)``: a normal variable's VaR is
+    ``mu - q * sd``.  ``es_multiplier`` is ``m = pdf(q) / (1 - alpha)``: its
+    mean-corrected expected shortfall, the mean below the VaR less ``mu``, is
+    ``-m * sd``, and ``m > q``.  ``alpha`` must lie in (0.5, 1): at or below
+    one half the quantile turns non-positive and the stressed/unstressed
+    ordering of every downstream statistic flips, so such thresholds are
+    rejected outright.  Both multipliers are computed once, at construction.
     """
 
     alpha: float
     quantile: float = field(init=False)
+    es_multiplier: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.alpha, (int, float)) and 0.5 < self.alpha < 1.0):
             raise DomainError(f"alpha must be in (0.5, 1), got {self.alpha!r}")
-        object.__setattr__(self, "quantile", std_normal_quantile(float(self.alpha)))
+        q = std_normal_quantile(float(self.alpha))
+        object.__setattr__(self, "quantile", q)
+        object.__setattr__(self, "es_multiplier", std_normal_pdf(q) / (1.0 - self.alpha))
 
 
 @dataclass(frozen=True)
@@ -133,32 +139,3 @@ def conditional_moments(
     mean = mu_a + (cov_ai / var_i) * (x - mu_i)
     variance = var_a - b * b
     return ConditionalMoments(mean=mean, variance=max(variance, 0.0))
-
-
-def var_normal(mu: float, var: float, params: RiskParams) -> float:
-    """Quantile-style Value at Risk of a normal variable.
-
-    Returns ``mu - q * sqrt(var)`` with ``q`` the alpha-quantile: the level
-    the variable falls below with probability ``1 - alpha``.  ``var = 0`` is
-    accepted as a point mass.
-    """
-    if not (math.isfinite(mu) and math.isfinite(var)):
-        raise DomainError(f"mu and var must be finite, got {mu!r}, {var!r}")
-    if var < 0.0:
-        raise DomainError(f"var must be nonnegative, got {var!r}")
-    return mu - params.quantile * math.sqrt(var)
-
-
-def es_mean_normal(var: float, params: RiskParams) -> float:
-    """Mean-corrected expected shortfall of a normal variable with variance ``var``.
-
-    Average distance below the mean over the worst ``1 - alpha`` tail:
-    ``-(pdf(q) / (1 - alpha)) * sqrt(var)``.  Strictly deeper in the tail
-    than the mean-corrected VaR ``-q * sqrt(var)`` whenever ``var > 0``.
-    """
-    if not math.isfinite(var):
-        raise DomainError(f"var must be finite, got {var!r}")
-    if var < 0.0:
-        raise DomainError(f"var must be nonnegative, got {var!r}")
-    multiplier = std_normal_pdf(params.quantile) / (1.0 - params.alpha)
-    return -multiplier * math.sqrt(var)

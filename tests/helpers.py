@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import gaussrisk.mc
 from gaussrisk.measures import GaussianPair
-from gaussrisk.normal import std_normal_cdf
+from gaussrisk.normal import RiskParams, std_normal_cdf
 
 
 def bisect_std_normal_quantile(p: float, lo: float = -40.0, hi: float = 40.0) -> float:
@@ -28,6 +28,11 @@ def bisect_std_normal_quantile(p: float, lo: float = -40.0, hi: float = 40.0) ->
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def normal_var(mu: float, var: float, params: RiskParams) -> float:
+    """VaR of a normal variable with mean ``mu`` and variance ``var``: ``mu - q * sd``."""
+    return mu - params.quantile * math.sqrt(var)
 
 
 def pair_scale(pair: GaussianPair, quantile: float) -> float:

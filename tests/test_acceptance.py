@@ -13,14 +13,8 @@ from gaussrisk.errors import DegenerateSystemError
 from gaussrisk.estimation import MomentEstimate, ReturnPanel, estimate_moments, pair_for_bank
 from gaussrisk.mc import McConfig, validate_closed_forms
 from gaussrisk.measures import GaussianPair, full_report
-from gaussrisk.normal import (
-    RiskParams,
-    conditional_moments,
-    es_mean_normal,
-    std_normal_cdf,
-    std_normal_quantile,
-    var_normal,
-)
+from gaussrisk.normal import RiskParams, conditional_moments, std_normal_cdf, std_normal_quantile
+from helpers import normal_var
 
 # ---------------------------------------------------------------------------
 # criterion 5/6 shared fixture: a simulated 3-bank panel with known truth
@@ -97,7 +91,7 @@ def test_criterion_2_identity_suite():
         close(spill, -q * pair.rho * pair.std_a, scale)
         stressed_mean = conditional_moments(
             pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia,
-            var_normal(pair.mu_i, pair.var_i, params),
+            normal_var(pair.mu_i, pair.var_i, params),
         ).mean
         close(spill, stressed_mean - pair.mu_a, scale)
         # size independence
@@ -106,7 +100,7 @@ def test_criterion_2_identity_suite():
         )
         close(spill, full_report(rescaled, params).delta_coll_var, scale)
         # ES analogue and dominance
-        close(report.delta_coll_es, report.beta_ai * es_mean_normal(pair.var_i, params), scale)
+        close(report.delta_coll_es, report.beta_ai * (-params.es_multiplier * pair.std_i), scale)
         assert abs(report.delta_coll_es) >= abs(spill)
         # own-plus-spillover decomposition and the system-slope form
         close(report.delta_cond_var, spill + (-q * pair.std_i), scale)
@@ -126,7 +120,7 @@ def test_criterion_2_identity_suite():
         # contributions sum to the system VaR
         close(
             report.var_contribution + other.var_contribution,
-            var_normal(pair.mu_s, pair.var_s, params), scale,
+            normal_var(pair.mu_s, pair.var_s, params), scale,
         )
         # std-allocation link: the allocation cov_is / std_s is beta_is * std_s
         close(-q * report.beta_is * pair.std_s, report.delta_contr_var, scale)
@@ -210,7 +204,7 @@ def test_criterion_6_aggregation_identity(estimated_panel_moments):
     total = sum(
         full_report(pair_for_bank(est, bank), params).var_contribution for bank in est.labels
     )
-    system_var = var_normal(float(est.means.sum()), float(est.covariance.sum()), params)
+    system_var = normal_var(float(est.means.sum()), float(est.covariance.sum()), params)
     error = abs(total - system_var)
     assert error < 1e-9
     print(

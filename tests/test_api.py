@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "ValidationReport",
     "conditional_moments",
     "empirical_quantile",
-    "es_mean_normal",
     "estimate_moments",
     "full_report",
     "load_panel",
@@ -36,7 +35,6 @@ PUBLIC_NAMES = [
     "std_normal_pdf",
     "std_normal_quantile",
     "validate_closed_forms",
-    "var_normal",
 ]
 
 

@@ -30,9 +30,10 @@ from gaussrisk.estimation import (
     load_panel,
     pair_for_bank,
 )
-from gaussrisk.mc import McConfig, sample_pair
+from gaussrisk.mc import McConfig, SharedDraw, sample_pair
 from gaussrisk.measures import GaussianPair, full_report
-from gaussrisk.normal import RiskParams, var_normal
+from gaussrisk.normal import RiskParams
+from helpers import normal_var
 
 
 def panel_from_csv(text: str) -> ReturnPanel:
@@ -427,9 +428,8 @@ class TestEstimateMoments:
 
     def test_iid_panel_from_joint_sampler(self):
         # same ground truth, generated by the package's own seeded sampler
-        samples = sample_pair(
-            GaussianPair(0.0, 0.0, 1.0, 1.0, 0.0), McConfig(sample_count=10_000, seed=77)
-        )
+        draw = SharedDraw(McConfig(sample_count=10_000, seed=77))
+        samples = sample_pair(GaussianPair(0.0, 0.0, 1.0, 1.0, 0.0), draw)
         est = estimate_moments(ReturnPanel(("A", "B"), samples))
         assert np.all(np.abs(np.diag(est.covariance) - 1.0) < 0.05)
         assert abs(est.covariance[0, 1]) < 0.05
@@ -663,7 +663,7 @@ class TestPairForBank:
         )
         mu_s = float(est.means.sum())
         var_s = float(est.covariance.sum())
-        assert abs(total - var_normal(mu_s, var_s, params)) < 1e-9
+        assert abs(total - normal_var(mu_s, var_s, params)) < 1e-9
 
 
 def oracle_pair(est: MomentEstimate, i: int) -> dict:

@@ -57,12 +57,12 @@ def tail_es(values, p: float) -> float:
 
 @pytest.fixture(scope="module")
 def independent_samples():
-    return sample_pair(UNIT_INDEPENDENT, McConfig(sample_count=2_000_000, seed=7))
+    return sample_pair(UNIT_INDEPENDENT, SharedDraw(McConfig(sample_count=2_000_000, seed=7)))
 
 
 @pytest.fixture(scope="module")
 def correlated_samples():
-    return sample_pair(UNIT_HALF, McConfig(sample_count=2_000_000, seed=10))
+    return sample_pair(UNIT_HALF, SharedDraw(McConfig(sample_count=2_000_000, seed=10)))
 
 
 class TestMcConfig:
@@ -91,32 +91,32 @@ class TestMcConfig:
 class TestSamplePair:
     def test_deterministic_given_seed(self):
         config = McConfig(sample_count=50_000, seed=42)
-        first = sample_pair(UNIT_HALF, config)
-        second = sample_pair(UNIT_HALF, config)
+        first = sample_pair(UNIT_HALF, SharedDraw(config))
+        second = sample_pair(UNIT_HALF, SharedDraw(config))
         assert np.array_equal(first, second)
 
     def test_different_seeds_differ(self):
-        a = sample_pair(UNIT_HALF, McConfig(sample_count=50_000, seed=1))
-        b = sample_pair(UNIT_HALF, McConfig(sample_count=50_000, seed=2))
+        a = sample_pair(UNIT_HALF, SharedDraw(McConfig(sample_count=50_000, seed=1)))
+        b = sample_pair(UNIT_HALF, SharedDraw(McConfig(sample_count=50_000, seed=2)))
         assert not np.array_equal(a, b)
 
     def test_block_structure_is_stable(self):
         # A longer run must extend, not reshuffle, a shorter one: block b of the
         # stream depends only on (seed, b).
-        short = sample_pair(UNIT_HALF, McConfig(sample_count=600_000, seed=5))
-        long = sample_pair(UNIT_HALF, McConfig(sample_count=1_200_000, seed=5))
+        short = sample_pair(UNIT_HALF, SharedDraw(McConfig(sample_count=600_000, seed=5)))
+        long = sample_pair(UNIT_HALF, SharedDraw(McConfig(sample_count=1_200_000, seed=5)))
         assert np.array_equal(short, long[:600_000])
 
     def test_moments_within_monte_carlo_bounds(self):
         n = 1_000_000
-        samples = sample_pair(UNIT_INDEPENDENT, McConfig(sample_count=n, seed=3))
+        samples = sample_pair(UNIT_INDEPENDENT, SharedDraw(McConfig(sample_count=n, seed=3)))
         bound = 4.0 / math.sqrt(n)
         assert abs(samples[:, 0].mean()) < bound
         assert abs(samples[:, 1].mean()) < bound
         rho = np.corrcoef(samples[:, 0], samples[:, 1])[0, 1]
         assert abs(rho) < bound
 
-    MONOTONE_CONFIG = McConfig(sample_count=10_000, seed=12)
+    MONOTONE_DRAW = SharedDraw(McConfig(sample_count=10_000, seed=12))
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-300.0, 300.0), st.floats(-3.0, 15.0), st.booleans())
@@ -127,15 +127,14 @@ class TestSamplePair:
         # from rounding included (at |mu_i| / sd_i = 1e15 the grid is 1/8 sd).
         var_i = 10.0 ** log_var_i
         mu_i = math.copysign(10.0 ** log_ratio * math.sqrt(var_i), -1.0 if negative else 1.0)
-        config = self.MONOTONE_CONFIG
-        normals = standard_normals(config)
-        bank = sample_pair(GaussianPair(mu_i, 0.0, var_i, 1.0, 0.0), config, normals)[:, 0]
-        ordered = bank[np.argsort(normals[:, 0])]
+        draw = self.MONOTONE_DRAW
+        bank = sample_pair(GaussianPair(mu_i, 0.0, var_i, 1.0, 0.0), draw)[:, 0]
+        ordered = bank[np.argsort(draw.normals[:, 0])]
         assert np.all(ordered[1:] >= ordered[:-1])
 
     def test_perfect_correlation_collapses_to_line(self):
         pair = GaussianPair(1.0, -2.0, 4.0, 1.0, 2.0)  # rho = 1, slope sd_a/sd_i = 0.5
-        samples = sample_pair(pair, McConfig(sample_count=10_000, seed=9))
+        samples = sample_pair(pair, SharedDraw(McConfig(sample_count=10_000, seed=9)))
         predicted = -2.0 + 0.5 * (samples[:, 0] - 1.0)
         assert np.allclose(samples[:, 1], predicted, atol=1e-12)
 
@@ -488,7 +487,8 @@ class TestPropertySweep:
             for var_a in (0.25, 1.0, 4.0):
                 seed += 1
                 pair = GaussianPair(0.0, 0.0, 1.0, var_a, rho * math.sqrt(var_a))
-                samples = sample_pair(pair, McConfig(sample_count=500_000, seed=seed, alpha=alpha))
+                config = McConfig(sample_count=500_000, seed=seed, alpha=alpha)
+                samples = sample_pair(pair, SharedDraw(config))
                 xi, xa = samples[:, 0], samples[:, 1]
                 stress = empirical_quantile(xi, p)
                 stressed = band_var(samples, stress, 0.05, p)
@@ -624,12 +624,12 @@ class TestSharedDraw:
 
     @pytest.mark.parametrize("sample_count", [50_000, 600_000])
     def test_sample_pair_maps_the_shared_draw(self, sample_count):
-        config = McConfig(sample_count=sample_count, seed=4)
-        normals = standard_normals(config)
+        draw = SharedDraw(McConfig(sample_count=sample_count, seed=4))
         for pair in (DEMO_LIKE, UNIT_HALF):
-            samples = sample_pair(pair, config, normals)
-            assert np.array_equal(samples, sample_pair(pair, config))
+            samples = sample_pair(pair, draw)
             assert samples.shape == (sample_count, 2)
+            own = pair.mu_i + math.sqrt(pair.var_i) * draw.normals[:, 0]
+            assert np.array_equal(samples[:, 0], own)
 
     def test_draw_is_column_major_with_the_streams_values(self):
         config = McConfig(sample_count=600_000, seed=6)  # two blocks
@@ -680,13 +680,6 @@ class TestSharedDraw:
         with pytest.raises(ValueError):
             normals[0, 0] = 1.0
 
-    @pytest.mark.parametrize("shape", [(10_001, 2), (10_000, 3), (2, 10_000), (20_000,)])
-    def test_wrong_shape_rejected(self, shape):
-        config = McConfig(sample_count=10_000)
-        normals = np.zeros(shape)
-        with pytest.raises(DomainError, match="normals must have shape"):
-            sample_pair(UNIT_HALF, config, normals)
-
 
 class TestDrawMoments:
     """The draw's moments give the samples' own, centred on both factors."""
@@ -713,7 +706,7 @@ class TestDrawMoments:
         )
         draw = SharedDraw(self.CONFIG)
         m = draw.moments(pair)
-        samples = sample_pair(pair, self.CONFIG, draw.normals)
+        samples = sample_pair(pair, draw)
         xi, xa = samples[:, 0], samples[:, 1]
         xs = xi + xa
         di, da, ds = xi - xi.mean(), xa - xa.mean(), xs - xs.mean()
@@ -773,7 +766,7 @@ class TestNearMean:
     def test_planted_window_edges_give_the_full_scan(self, pair):
         draw = SharedDraw(self.CONFIG)
         m = draw.moments(pair)
-        xi = sample_pair(pair, self.CONFIG, draw.normals)[:, 0]
+        xi = sample_pair(pair, draw)[:, 0]
         half_width = self.CONFIG.bandwidth * math.sqrt(m.var_i)
         lo, hi = distance_edges(m.mean_i, half_width)
         # Plant two entries at each end of the window and two just outside
@@ -814,7 +807,7 @@ class TestNearMean:
         pair = GaussianPair(1e15, 0.0, 0.25, 1.0, 0.0)
         draw = SharedDraw(self.CONFIG)
         m = draw.moments(pair)
-        xi = sample_pair(pair, self.CONFIG, draw.normals)[:, 0]
+        xi = sample_pair(pair, draw)[:, 0]
         half_width = self.CONFIG.bandwidth * math.sqrt(m.var_i)
         lo, hi = distance_edges(m.mean_i, half_width)
         taken = xi.take(draw.near_mean)

@@ -16,13 +16,10 @@ from gaussrisk.errors import (
     InvalidCovarianceError,
 )
 from gaussrisk.measures import GaussianPair, full_report
-from gaussrisk.normal import (
-    RiskParams,
-    conditional_moments,
-    es_mean_normal,
-    var_normal,
+from gaussrisk.normal import RiskParams, conditional_moments
+from helpers import (
+    alphas, assert_close, bisect_std_normal_quantile, gaussian_pairs, normal_var, pair_scale,
 )
-from helpers import alphas, assert_close, bisect_std_normal_quantile, gaussian_pairs, pair_scale
 
 P99 = RiskParams(0.99)
 P999 = RiskParams(0.999)
@@ -91,7 +88,7 @@ class TestCovarCollateral:
     def test_independence_reduces_to_plain_var(self):
         value = full_report(unit_pair(0.0), P999).covar_ai
         assert value == pytest.approx(-3.09, abs=0.005)
-        assert value == var_normal(0.0, 1.0, P999)
+        assert value == -P999.quantile
 
     def test_full_correlation_collapses_conditional_variance(self):
         value = full_report(unit_pair(1.0), P99).covar_ai
@@ -108,9 +105,9 @@ class TestCovarCollateral:
     def test_agrees_with_composition(self, pair, alpha):
         # Same number by composing the conditional moments at the stress point.
         params = RiskParams(alpha)
-        stress = var_normal(pair.mu_i, pair.var_i, params)
+        stress = normal_var(pair.mu_i, pair.var_i, params)
         cm = conditional_moments(pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, stress)
-        composed = var_normal(cm.mean, cm.variance, params)
+        composed = normal_var(cm.mean, cm.variance, params)
         assert_close(
             full_report(pair, params).covar_ai, composed,
             pair_scale(pair, params.quantile), label="covar composition",
@@ -170,7 +167,7 @@ class TestDeltaCollEs:
         assert full_report(unit_pair(0.0), P99).delta_coll_es == 0.0
 
     def test_half_correlation(self):
-        oracle = 0.5 * es_mean_normal(1.0, P99)  # es_mean_normal pinned to quadrature
+        oracle = -0.5 * P99.es_multiplier  # es_multiplier pinned to quadrature
         assert oracle == pytest.approx(-1.3326, abs=1e-3)
         assert full_report(unit_pair(0.5), P99).delta_coll_es == pytest.approx(oracle, abs=1e-12)
 
@@ -183,7 +180,7 @@ class TestDeltaCollEs:
         params = RiskParams(alpha)
         report = full_report(pair, params)
         assert_close(
-            report.delta_coll_es, report.beta_ai * es_mean_normal(pair.var_i, params),
+            report.delta_coll_es, report.beta_ai * (-params.es_multiplier * pair.std_i),
             pair_scale(pair, params.quantile), label="ES spillover",
         )
 
@@ -302,7 +299,7 @@ class TestVarContribution:
             + full_report(pair.swapped(), params).var_contribution
         )
         assert_close(
-            total, var_normal(pair.mu_s, pair.var_s, params),
+            total, normal_var(pair.mu_s, pair.var_s, params),
             pair_scale(pair, params.quantile), label="contribution sum",
         )
 
@@ -348,7 +345,7 @@ class TestCrossStatisticIdentities:
     @given(gaussian_pairs(), alphas)
     def test_spillover_is_conditional_mean_shift(self, pair, alpha):
         params = RiskParams(alpha)
-        stress = var_normal(pair.mu_i, pair.var_i, params)
+        stress = normal_var(pair.mu_i, pair.var_i, params)
         shifted = conditional_moments(
             pair.mu_a, pair.mu_i, pair.var_i, pair.var_a, pair.cov_ia, stress
         ).mean
@@ -510,7 +507,8 @@ class TestFullReport:
         # full_report re-derives each statistic two ways; feeding it an
         # inconsistent params object must blow up, not return quietly.
         params = RiskParams(0.99)
-        object.__setattr__(params, "alpha", 0.97)  # quantile no longer matches alpha
+        # an ES multiplier below the quantile: the ES spillover turns shallower than the VaR's
+        object.__setattr__(params, "es_multiplier", 0.9 * params.quantile)
         with pytest.raises(ConsistencyError):
             full_report(unit_pair(0.5), params)
 

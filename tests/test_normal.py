@@ -6,14 +6,13 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from gaussrisk.errors import DegenerateModelError, DomainError, InvalidCovarianceError
+from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import (
     RiskParams,
     conditional_moments,
-    es_mean_normal,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    var_normal,
 )
 from helpers import bisect_std_normal_quantile
 
@@ -136,6 +135,25 @@ class TestRiskParams:
         with pytest.raises(DomainError):
             RiskParams(bad)
 
+    @pytest.mark.parametrize(
+        "alpha", [0.6, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999, 0.99999, 1.0 - 1e-10]
+    )
+    def test_es_multiplier_against_60_digits(self, alpha):
+        """``es_multiplier`` is within ``4 + q**2`` ulp of ``npdf(q) / (1 - alpha)`` at 60 digits.
+
+        The reference takes the exact quantile of the double ``alpha``.  The
+        quantile is within an ulp of it (``TestQuantile``), and a relative
+        error ``e`` in ``q`` reaches ``pdf(q)`` as ``q**2 * e``; the pdf's
+        exponential, the division and ``1 - alpha`` (exact above one half)
+        add a few more roundings.
+        """
+        m = RiskParams(alpha).es_multiplier
+        with mpmath.workdps(60):
+            q = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(alpha) - 1)
+            reference = mpmath.npdf(q) / (1 - mpmath.mpf(alpha))
+            q_float = float(q)
+            assert abs(m - reference) <= (4.0 + q_float * q_float) * math.ulp(float(reference))
+
 
 class TestConditionalMoments:
     def test_independence_leaves_target_unchanged(self):
@@ -177,37 +195,35 @@ class TestConditionalMoments:
 
 
 class TestVarNormal:
-    def test_threshold_0999(self):
-        assert var_normal(0.0, 1.0, RiskParams(0.999)) == pytest.approx(-3.09, abs=0.005)
+    """The VaR of a normal variable, ``mu - q * sd``: the report's ``var_i`` of a bank."""
 
-    def test_point_mass(self):
-        assert var_normal(5.0, 0.0, RiskParams(0.99)) == 5.0
+    @staticmethod
+    def var_of(mu: float, var: float, params: RiskParams) -> float:
+        return full_report(GaussianPair(mu, 0.0, var, 1.0, 0.0), params).var_i
+
+    def test_threshold_0999(self):
+        assert self.var_of(0.0, 1.0, RiskParams(0.999)) == pytest.approx(-3.09, abs=0.005)
 
     def test_scales_with_std(self):
         oracle = -2.0 * bisect_std_normal_quantile(0.99)
-        assert var_normal(0.0, 4.0, RiskParams(0.99)) == pytest.approx(oracle, abs=1e-9)
-        assert var_normal(0.0, 4.0, RiskParams(0.99)) == pytest.approx(-4.6527, abs=1e-3)
+        assert self.var_of(0.0, 4.0, RiskParams(0.99)) == pytest.approx(oracle, abs=1e-9)
+        assert self.var_of(0.0, 4.0, RiskParams(0.99)) == pytest.approx(-4.6527, abs=1e-3)
 
-    @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.0, 9.0))
+    @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(1e-6, 9.0))
     def test_monotone_in_mean(self, mu1, mu2, var):
         params = RiskParams(0.99)
         lo, hi = sorted((mu1, mu2))
-        assert var_normal(lo, var, params) <= var_normal(hi, var, params)
+        assert self.var_of(lo, var, params) <= self.var_of(hi, var, params)
 
-    @given(st.floats(0.0, 9.0), st.floats(0.0, 9.0))
+    @given(st.floats(1e-6, 9.0), st.floats(1e-6, 9.0))
     def test_antitone_in_variance(self, v1, v2):
         params = RiskParams(0.99)
         lo, hi = sorted((v1, v2))
-        assert var_normal(0.0, hi, params) <= var_normal(0.0, lo, params)
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(DomainError):
-            var_normal(0.0, -1e-9, RiskParams(0.99))
+        assert self.var_of(0.0, hi, params) <= self.var_of(0.0, lo, params)
 
 
 class TestEsMeanNormal:
-    def test_zero_variance(self):
-        assert es_mean_normal(0.0, RiskParams(0.99)) == 0.0
+    """The mean-corrected ES of a normal variable, ``-m * sd``, with ``m = es_multiplier``."""
 
     def test_tail_mean_oracle(self):
         # Oracle: E[X | X <= -q] for a standard normal by quadrature, with the
@@ -217,16 +233,12 @@ class TestEsMeanNormal:
         first, _ = integrate.quad(lambda x: x * std_normal_pdf(x), -40.0, cut)
         oracle = first / mass
         assert oracle == pytest.approx(-2.6652, abs=1e-3)
-        assert es_mean_normal(1.0, RiskParams(0.99)) == pytest.approx(oracle, abs=1e-9)
+        assert -RiskParams(0.99).es_multiplier == pytest.approx(oracle, abs=1e-9)
 
     def test_deeper_than_var_at_0999(self):
-        assert es_mean_normal(1.0, RiskParams(0.999)) < -3.09
+        assert RiskParams(0.999).es_multiplier > 3.09
 
-    @given(st.floats(1e-6, 25.0), st.floats(0.55, 0.9995))
-    def test_dominates_mean_corrected_var(self, var, alpha):
+    @given(st.floats(0.55, 0.9995))
+    def test_dominates_mean_corrected_var(self, alpha):
         params = RiskParams(alpha)
-        assert es_mean_normal(var, params) < -params.quantile * math.sqrt(var)
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(DomainError):
-            es_mean_normal(-0.1, RiskParams(0.99))
+        assert params.es_multiplier > params.quantile
