@@ -79,7 +79,8 @@ class StatisticCheck:
     """One closed-form-vs-empirical comparison.
 
     ``passed`` is ``None`` when the statistic could not be evaluated (thin
-    band or thin tail at the given sample count); ``note`` then says why.
+    band or thin tail at the given sample count, or a tolerance that is not
+    finite); ``note`` then says why.
     """
 
     name: str
@@ -463,7 +464,8 @@ def validate_closed_forms(
     conditional VaR of the rest of the system, the three stressed-minus-
     unstressed differences, the ES spillover, and the Euler VaR
     contribution.  A statistic whose band or tail is too thin at this sample
-    count is reported as skipped, not failed.  ``draw`` is the
+    count, or whose tolerance is not finite, is reported as skipped, not
+    failed or passed.  ``draw`` is the
     :class:`SharedDraw` of ``config`` that every bank of a run reads, or by
     default one made here; a draw of another config raises DomainError.
     """
@@ -556,11 +558,14 @@ def validate_closed_forms(
         empirical, se, n_effective = outcome
         tolerance = max(4.0 * se, _FLOOR_FRACTION * target_std)
         abs_error = abs(closed - empirical)
+        evaluated = math.isfinite(tolerance)  # an infinite tolerance would pass any value
         checks.append(
             StatisticCheck(
                 name=name, closed_form=closed, empirical=float(empirical),
-                abs_error=abs_error, tolerance=tolerance,
-                effective_tail_samples=int(n_effective), passed=abs_error <= tolerance,
+                abs_error=abs_error, tolerance=tolerance if evaluated else None,
+                effective_tail_samples=int(n_effective),
+                passed=abs_error <= tolerance if evaluated else None,
+                note="" if evaluated else f"tolerance {tolerance!r} is not finite",
             )
         )
     return ValidationReport(pair=pair, config=config, checks=tuple(checks))

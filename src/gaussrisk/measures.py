@@ -24,8 +24,9 @@ one at its mean:
 ``var_contribution``  ``mu_i - q b_is``: the Euler allocation of the system's VaR.
 
 :func:`full_report` builds every field from the loadings and re-derives
-each one through the conditional law that defines it, raising
-:class:`ConsistencyError` if the two routes disagree.
+each one but ``var_i`` (its own definition) as the paper states it, a mean
+plus a slope times the mean-corrected VaR or ES, through the conditional law
+that defines it, raising :class:`ConsistencyError` if the two routes disagree.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class BankRiskReport:
 
 def _check(name: str, a: float, b: float, scale: float) -> None:
     tol = 1e-9 * max(abs(a), abs(b), scale)
-    if not abs(a - b) <= tol:
+    if not (math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol):
         raise ConsistencyError(
             f"internal cross-check {name!r} failed: {a!r} vs {b!r} (tolerance {tol!r})"
         )
@@ -179,17 +180,15 @@ def _cross_checks(
 ) -> Iterator[tuple[str, float, float]]:
     """The ``(name, statistic, second route)`` rows that :func:`full_report` checks, in order.
 
-    The second routes go through the conditional laws that define the
-    statistics: X_a given X_i at the bank's VaR and at its mean, and X_i
-    given X_s at the system's VaR and at its mean.  Each is taken at zero
-    means and the location added after: ``report.var_i - mu_i`` would lose
-    the stress to rounding when ``|mu_i|`` dwarfs ``std_i``.  A route is
-    computed only when its row is reached, after every earlier row has
-    passed, so the first disagreement is the error raised.
+    One route per field, a mean plus a slope times a mean-corrected VaR or ES,
+    through the law that defines it: X_a given X_i, or X_i given X_s, each at
+    the VaR and at the mean.  Each law is taken at zero means and the
+    location added after: ``report.var_i - mu_i`` would lose the stress to
+    rounding when ``|mu_i|`` dwarfs ``std_i``.  A route is computed only when
+    its row is reached, so the first disagreement is the error raised.
     """
-    q = params.quantile
-    var_mean, d_coll, d_coll_es = report.var_mean_i, report.delta_coll_var, report.delta_coll_es
-    d_cond, d_contr, std_s = report.delta_cond_var, report.delta_contr_var, pair.std_s
+    q, var_mean = params.quantile, report.var_mean_i
+    d_coll, d_coll_es = report.delta_coll_var, report.delta_coll_es
 
     def var_given(law: ConditionalMoments) -> float:
         return law.mean - q * math.sqrt(law.variance)
@@ -202,32 +201,24 @@ def _cross_checks(
     yield "CoVaRe = VaR given the bank at its mean", report.covare_ai, (
         pair.mu_a + var_given(unstressed)
     )
-    yield "spillover = stressed - unstressed", d_coll, report.covar_ai - report.covare_ai
-    yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
     yield "spillover = conditional mean shift", d_coll, stressed.mean - unstressed.mean
-    es_mean = -params.es_multiplier * math.sqrt(pair.var_i)
+    yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
+    es_mean = -params.es_multiplier * pair.std_i
     yield "ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean
     if abs(d_coll_es) + 1e-9 * scale < abs(d_coll):
         raise ConsistencyError(
             f"ES spillover {d_coll_es!r} smaller in magnitude than VaR spillover {d_coll!r}"
         )
-    yield "system shift = own + spillover", d_cond, d_coll + var_mean
+    d_cond, d_contr = report.delta_cond_var, report.delta_contr_var
     yield "system shift = system slope * mean-corrected VaR", d_cond, report.beta_si * var_mean
-
     if d_contr is None:  # a perfect hedge has no contribution family to check
         return
 
     def given_system(x: float) -> ConditionalMoments:
         return conditional_moments(0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, x)
 
-    stressed, unstressed = given_system(-q * std_s), given_system(0.0)
-    yield "contribution shift = stressed - unstressed", d_contr, (
-        var_given(stressed) - var_given(unstressed)
-    )
-    yield (
-        "system shift = (std_s / std_i) * contribution shift",
-        d_cond, (std_s / pair.std_i) * d_contr,
-    )
+    stressed, unstressed = given_system(-q * pair.std_s), given_system(0.0)
+    yield "contribution shift = conditional mean shift", d_contr, stressed.mean - unstressed.mean
     yield "VaR contribution = mean + conditional mean shift", report.var_contribution, (
         pair.mu_i + stressed.mean
     )
@@ -276,11 +267,13 @@ def _report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
 def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     """Every statistic of one bank, each cross-checked: the per-statistic API.
 
-    Each field is built from the bank's loadings and derived a second time
-    through the conditional law that defines it; a disagreement beyond 1e-9
-    relative to the model's scale raises :class:`ConsistencyError` rather
-    than returning silently wrong numbers.  For a degenerate (zero-variance)
-    system the contribution-family fields are reported as ``None``.
+    Each field is built from the bank's loadings and derived a second time,
+    as a mean plus a slope times a mean-corrected VaR or ES, through the
+    conditional law that defines it (8 rows; 6 for a perfect hedge).  A
+    route that is not finite, or a disagreement beyond 1e-9 relative to the
+    model's scale, raises :class:`ConsistencyError` rather than returning
+    silently wrong numbers.  For a degenerate (zero-variance) system the
+    contribution-family fields are reported as ``None``.
     """
     report = _report(pair, params)
     q = params.quantile

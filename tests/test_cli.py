@@ -150,6 +150,26 @@ class TestAnalyzeModel:
         code, out, err = run(capsys, ["analyze", "--model=0,0,5.02363e-318,5e-324,-3.656e-321"])
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize(
+        "model, row",
+        [
+            ("0,0,5e-324,1e300,0",
+             "model,-5.17091009137e-162,-5.17091009137e-162,-2.32634787404e+150,"
+             "-2.32634787404e+150,0,0,-5.17091009137e-162,0,0,0,1,0,0"),
+            ("0,0,1e-320,1e300,1e-160",
+             "model,-2.3263349246e-160,-2.3263349246e-160,-2.32634787404e+150,"
+             "-2.32634787404e+150,-2.32636082355,-2.66522905614,-2.32636082355,"
+             "-2.32634787404e-310,-2.32634787404e-310,1.00001113294e+160,1.00001113294e+160,"
+             "0,1.00000556646e-150"),
+        ],
+        ids=["subnormal-bank", "overflowing-route"],
+    )
+    def test_sd_ratio_past_the_double_range_reports(self, capsys, model, row):
+        # sd_s / sd_i is 1e310 or more: no cross-check route may pass through it
+        code, out, err = run(capsys, ["analyze", f"--model={model}", "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == row
+
     def test_subnormal_invalid_covariance_is_rejected(self, capsys):
         # |cov_ia| / sd_i exceeds sd_a by 0.05 %
         code, out, err = run(capsys, ["analyze", "--model=0,0,1.443e-320,8.4e-322,-3.483e-321"])
@@ -461,6 +481,20 @@ class TestValidateCommand:
     def test_a_location_far_from_zero_passes(self, capsys):
         code, _, err = run(capsys, ["validate", "--model", "0,1e15,1,1,0.5", "--samples", "500000"])
         assert (code, err) == (0, "")
+
+    # the sample variance of levels near 1e300 overflows (ROADMAP item 3)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_a_tolerance_that_is_not_finite_is_skipped_not_passed(self, capsys):
+        _, out, _ = run(capsys, [
+            "validate", "--model", "1e300,0,1,1,0", "--samples", "20000", "--format", "json",
+        ])
+        (entry,) = json.loads(out)["reports"]
+        for check in entry["statistics"]:
+            assert check["pass"] is None or np.isfinite(check["tolerance"]), check["name"]
+        skipped = entry["statistics"][-1]
+        assert (skipped["name"], skipped["pass"], skipped["tolerance"], skipped["note"]) == (
+            "var_contribution", None, None, "tolerance inf is not finite",
+        )
 
     def test_passing_run_exits_zero(self, capsys):
         code, out, _ = run(capsys, self.ARGS)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -5,7 +6,7 @@ import operator
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gaussrisk.measures
 from gaussrisk.errors import (
@@ -474,24 +475,21 @@ class TestFullReport:
     CHECK_NAMES = [
         "CoVaR = VaR given the bank at its VaR",
         "CoVaRe = VaR given the bank at its mean",
-        "spillover = stressed - unstressed",
-        "spillover = -q * rho * std_a",
         "spillover = conditional mean shift",
+        "spillover = -q * rho * std_a",
         "ES spillover = slope * mean-corrected ES",
-        "system shift = own + spillover",
         "system shift = system slope * mean-corrected VaR",
-        "contribution shift = stressed - unstressed",
-        "system shift = (std_s / std_i) * contribution shift",
+        "contribution shift = conditional mean shift",
         "VaR contribution = mean + conditional mean shift",
     ]
 
     @pytest.mark.parametrize(
         "pair, expected",
-        [(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), 11), (unit_pair(-1.0), 8)],
+        [(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), 8), (unit_pair(-1.0), 6)],
         ids=["general", "perfect-hedge"],
     )
     def test_cross_checks_run_in_a_fixed_order(self, monkeypatch, pair, expected):
-        # a perfect hedge has no contribution family, so its last 3 checks do not run
+        # a perfect hedge has no contribution family, so its last 2 checks do not run
         names = []
         check = gaussrisk.measures._check
 
@@ -502,6 +500,31 @@ class TestFullReport:
         monkeypatch.setattr(gaussrisk.measures, "_check", record)
         full_report(pair, P99)
         assert names == self.CHECK_NAMES[:expected]
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "var_mean_i", "covar_ai", "covare_ai", "delta_coll_var", "delta_coll_es",
+            "delta_cond_var", "delta_contr_var", "var_contribution",
+        ],
+    )
+    def test_every_checked_field_has_a_route(self, monkeypatch, field):
+        # one field off by a relative 1e-6, far past the 1e-9 tolerance: some row must catch it
+        build = gaussrisk.measures._report
+
+        def mutated(pair, params):
+            report = build(pair, params)
+            return dataclasses.replace(report, **{field: getattr(report, field) * (1.0 + 1e-6)})
+
+        monkeypatch.setattr(gaussrisk.measures, "_report", mutated)
+        with pytest.raises(ConsistencyError):
+            full_report(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), P99)
+
+    @pytest.mark.parametrize("route", [math.inf, -math.inf, math.nan])
+    def test_a_route_that_is_not_finite_fails_its_check(self, route):
+        # an infinite route would otherwise widen its own tolerance to inf and pass
+        with pytest.raises(ConsistencyError):
+            gaussrisk.measures._check("row", -2.3, route, 1.0)
 
     def test_cross_checks_catch_corruption(self):
         # full_report re-derives each statistic two ways; feeding it an
@@ -514,23 +537,28 @@ class TestFullReport:
 
     @settings(max_examples=1000, deadline=None)
     @given(
-        st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-1.0, 1.0),
+        st.floats(-323.3, 308.25), st.floats(-323.3, 308.25),  # 5e-324 .. 1.78e308
+        st.floats(-1.0, 1.0),
         st.one_of(st.just(0.0), st.floats(-15.0, 15.0)),
         st.one_of(st.just(0.0), st.floats(-15.0, 15.0)),
         st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]), alphas,
     )
+    # sd_s / sd_i past the double range: the two models of tests/test_cli.py
+    @example(-323.3, 300.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.99)
+    @example(-320.0, 300.0, 1e-160 / (math.sqrt(1e-320) * 1e150), 0.0, 0.0, 1.0, 1.0, 0.99)
     def test_valid_pair_gives_finite_statistics_or_a_typed_error(
-        self, log_sd_i, log_sd_a, rho, log_loc_i, log_loc_a, sign_i, sign_a, alpha
+        self, log_var_i, log_var_a, rho, log_loc_i, log_loc_a, sign_i, sign_a, alpha
     ):
-        # sds over 1e-30..1e30 and means up to 1e15 sds from zero: a report is
-        # finite, and no valid pair trips a cross-check.
-        sd_i, sd_a = 10.0**log_sd_i, 10.0**log_sd_a
+        # variances over the whole double range, subnormal ones included, and
+        # means up to 1e15 sds from zero: a report is finite, and no valid
+        # pair trips a cross-check.
+        var_i, var_a = 10.0**log_var_i, 10.0**log_var_a
+        sd_i, sd_a = math.sqrt(var_i), math.sqrt(var_a)
         mu_i = 0.0 if log_loc_i == 0.0 else sign_i * 10.0**log_loc_i * sd_i
         mu_a = 0.0 if log_loc_a == 0.0 else sign_a * 10.0**log_loc_a * sd_a
         try:
             report = full_report(
-                GaussianPair(mu_i, mu_a, sd_i * sd_i, sd_a * sd_a, rho * sd_i * sd_a),
-                RiskParams(alpha),
+                GaussianPair(mu_i, mu_a, var_i, var_a, rho * sd_i * sd_a), RiskParams(alpha)
             )
         except GaussRiskError as exc:
             assert not isinstance(exc, ConsistencyError), exc
