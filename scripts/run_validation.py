@@ -31,13 +31,12 @@ def main(argv=None) -> int:
     # One draw per seed serves every pair of the grid; one draw is held at a time.
     reports = {}
     for k, seed in enumerate(args.seeds):
-        config = McConfig(
+        draw = SharedDraw(McConfig(
             sample_count=args.samples, bandwidth=args.bandwidth, seed=seed, alpha=args.alpha,
-        )
-        draw = SharedDraw(config)
+        ))
         for j, (rho, var_a) in enumerate(grid):
             pair = GaussianPair(0.0, 0.0, 1.0, var_a, rho * math.sqrt(var_a))
-            reports[j, k] = validate_closed_forms(pair, config, draw)
+            reports[j, k] = validate_closed_forms(pair, draw)
         del draw
 
     print(f"{'rho':>5} {'var_a':>6} {'seed':>5} {'evaluated':>9} {'worst_err':>10} {'status':>7}")

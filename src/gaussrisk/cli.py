@@ -276,9 +276,7 @@ def _cmd_validate(args) -> int:
     if not pairs:
         raise DegenerateModelError("no analyzable banks in the panel")
     draw = SharedDraw(config)  # every bank maps the same draw
-    labeled_reports = [
-        (bank, validate_closed_forms(pair, config, draw)) for bank, pair in pairs
-    ]
+    labeled_reports = [(bank, validate_closed_forms(pair, draw)) for bank, pair in pairs]
     if args.format == "table":
         print(_render_validate_table(labeled_reports))
     elif args.format == "csv":

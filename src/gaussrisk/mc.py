@@ -453,11 +453,7 @@ def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[fl
     return float(tail.mean()) - mean, se, int(tail.size)
 
 
-def validate_closed_forms(
-    pair: GaussianPair,
-    config: McConfig,
-    draw: Optional[SharedDraw] = None,
-) -> ValidationReport:
+def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationReport:
     """Compare every closed-form statistic against an independent simulation.
 
     Covered statistics: VaR of the bank, the stressed and unstressed
@@ -465,19 +461,15 @@ def validate_closed_forms(
     unstressed differences, the ES spillover, and the Euler VaR
     contribution.  A statistic whose band or tail is too thin at this sample
     count, or whose tolerance is not finite, is reported as skipped, not
-    failed or passed.  ``draw`` is the
-    :class:`SharedDraw` of ``config`` that every bank of a run reads, or by
-    default one made here; a draw of another config raises DomainError.
+    failed or passed.  ``draw`` is the run's :class:`SharedDraw`, which every
+    bank of a run reads; the run's settings are its ``config``.
     """
+    config = draw.config
     params = RiskParams(config.alpha)
     if pair.var_s <= 0.0:
         raise DegenerateSystemError("cannot validate a zero-variance system")
     report = _report(pair, params)
 
-    if draw is None:
-        draw = SharedDraw(config)
-    elif draw.config != config:
-        raise DomainError(f"the draw is of {draw.config}, not of {config}")
     n = config.sample_count
     p = 1.0 - config.alpha
     m = draw.moments(pair)  # the samples' means, variances and slopes

@@ -36,8 +36,8 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
-from .errors import ConsistencyError, DegenerateModelError, DomainError, InvalidCovarianceError
-from .normal import _PSD_SLACK, ConditionalMoments, RiskParams, conditional_moments
+from .errors import ConsistencyError, DegenerateModelError, DomainError
+from .normal import ConditionalMoments, RiskParams, _check_loading, conditional_moments
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,7 @@ class GaussianPair:
             and math.isfinite(self.cov_is / self.var_i)
         ):
             raise DomainError("model magnitudes overflow double precision")
-        # cov_ia / std_i against std_a: products of tiny moments underflow
-        b_ai = abs(self.cov_ia) / self.std_i
-        if b_ai > self.std_a * (1.0 + _PSD_SLACK):
-            raise InvalidCovarianceError(
-                f"|cov_ia| / std_i = {b_ai!r} exceeds std_a = {self.std_a!r}: "
-                "not a valid covariance matrix"
-            )
+        _check_loading(self.cov_ia / self.std_i, self.std_a)
 
     @property
     def rho(self) -> float:
@@ -167,8 +161,8 @@ class BankRiskReport:
     rho: float
 
 
-def _check(name: str, a: float, b: float, scale: float) -> None:
-    tol = 1e-9 * max(abs(a), abs(b), scale)
+def _check(name: str, a: float, b: float, slack: float) -> None:
+    tol = max(1e-9 * abs(a), 1e-9 * abs(b), slack)
     if not (math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol):
         raise ConsistencyError(
             f"internal cross-check {name!r} failed: {a!r} vs {b!r} (tolerance {tol!r})"
@@ -176,7 +170,7 @@ def _check(name: str, a: float, b: float, scale: float) -> None:
 
 
 def _cross_checks(
-    pair: GaussianPair, params: RiskParams, report: BankRiskReport, scale: float
+    pair: GaussianPair, params: RiskParams, report: BankRiskReport, slack: float
 ) -> Iterator[tuple[str, float, float]]:
     """The ``(name, statistic, second route)`` rows that :func:`full_report` checks, in order.
 
@@ -205,7 +199,7 @@ def _cross_checks(
     yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
     es_mean = -params.es_multiplier * pair.std_i
     yield "ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean
-    if abs(d_coll_es) + 1e-9 * scale < abs(d_coll):
+    if abs(d_coll_es) + slack < abs(d_coll):
         raise ConsistencyError(
             f"ES spillover {d_coll_es!r} smaller in magnitude than VaR spillover {d_coll!r}"
         )
@@ -277,7 +271,11 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
     """
     report = _report(pair, params)
     q = params.quantile
-    scale = abs(pair.mu_i) + abs(pair.mu_a) + q * (pair.std_i + pair.std_a + pair.std_s)
-    for name, a, b in _cross_checks(pair, params, report, scale):
-        _check(name, a, b, scale)
+    # 1e-9 of the model's scale, each term scaled before the sum: the sum of
+    # two means near the largest double would overflow and pass anything
+    slack = 1e-9 * abs(pair.mu_i) + 1e-9 * abs(pair.mu_a) + 1e-9 * q * (
+        pair.std_i + pair.std_a + pair.std_s
+    )
+    for name, a, b in _cross_checks(pair, params, report, slack):
+        _check(name, a, b, slack)
     return report

@@ -26,6 +26,19 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _PSD_SLACK = 1e-12
 
 
+def _check_loading(b: float, std_a: float) -> None:
+    """The 2x2 PSD rule: raise InvalidCovarianceError if ``|b| = |cov| / std_i`` exceeds ``std_a``.
+
+    Read as a loading against an sd, not as ``cov**2`` against ``var_i *
+    var_a``: squares and products of tiny moments underflow.
+    """
+    if abs(b) > std_a * (1.0 + _PSD_SLACK):
+        raise InvalidCovarianceError(
+            f"|cov_ia| / std_i = {abs(b)!r} exceeds std_a = {std_a!r}: "
+            "not a valid covariance matrix"
+        )
+
+
 def std_normal_pdf(x: float) -> float:
     """Density of the standard normal distribution at ``x``."""
     if not math.isfinite(x):
@@ -131,11 +144,8 @@ def conditional_moments(
         raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
     if not (math.isfinite(var_a) and var_a > 0.0):
         raise DegenerateModelError(f"var_a must be positive, got {var_a!r}")
-    # b = cov_ai / std_i against std_a, not cov_ai**2 or std_i * std_a: squares
-    # and products of tiny moments underflow
-    std_a, b = math.sqrt(var_a), cov_ai / math.sqrt(var_i)
-    if abs(b) > std_a * (1.0 + _PSD_SLACK):
-        raise InvalidCovarianceError(f"|cov_ai| / std_i = {abs(b)!r} exceeds std_a = {std_a!r}")
+    b = cov_ai / math.sqrt(var_i)
+    _check_loading(b, math.sqrt(var_a))
     mean = mu_a + (cov_ai / var_i) * (x - mu_i)
     variance = var_a - b * b
     return ConditionalMoments(mean=mean, variance=max(variance, 0.0))

@@ -11,7 +11,7 @@ import pytest
 
 from gaussrisk.errors import DegenerateSystemError
 from gaussrisk.estimation import MomentEstimate, ReturnPanel, estimate_moments, pair_for_bank
-from gaussrisk.mc import McConfig, validate_closed_forms
+from gaussrisk.mc import McConfig, SharedDraw, validate_closed_forms
 from gaussrisk.measures import GaussianPair, full_report
 from gaussrisk.normal import RiskParams, conditional_moments, std_normal_cdf, std_normal_quantile
 from helpers import normal_var
@@ -143,7 +143,7 @@ def test_criterion_3_oracle_equivalence():
     worst = 0.0
     for seed in (11, 22, 33, 44, 55):
         config = McConfig(sample_count=2_000_000, bandwidth=0.05, seed=seed, alpha=0.99)
-        report = validate_closed_forms(pair, config)
+        report = validate_closed_forms(pair, SharedDraw(config))
         by_name = {check.name: check for check in report.checks}
         for name in required:
             check = by_name[name]
@@ -170,7 +170,7 @@ def test_criterion_4_degenerate_and_boundary():
     report = full_report(hedged, params)
     assert report.delta_cond_var == 0.0
     with pytest.raises(DegenerateSystemError):
-        validate_closed_forms(hedged, McConfig(sample_count=10_000))
+        validate_closed_forms(hedged, SharedDraw(McConfig(sample_count=10_000)))
     assert report.delta_contr_var is None and report.var_contribution is None
     print(
         "ACCEPTANCE 4 PASS: independence spillover is exactly 0; perfect hedge gives "

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import gaussrisk.cli
 from gaussrisk.cli import main
 from gaussrisk.estimation import estimate_moments, load_panel, pair_for_bank
-from gaussrisk.mc import RNG_METHOD, McConfig, validate_closed_forms
+from gaussrisk.mc import RNG_METHOD, McConfig, SharedDraw, validate_closed_forms
 from gaussrisk.measures import BankRiskReport, GaussianPair, full_report
 from gaussrisk.normal import RiskParams
 
@@ -268,6 +268,26 @@ class TestAnalyzePanel:
         )
         assert (code, out) == (2, "")
         assert err == "error: --banks lists bank 'A' more than once\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_a_bank_list_without_labels_exits_2(self, capsys, panel_path, command):
+        code, out, err = run(capsys, [command, "--input", panel_path, "--banks", ","])
+        assert (code, out) == (2, "")
+        assert err == "error: --banks given but no labels listed\n"
+
+    def test_one_column_panel(self, capsys, tmp_path):
+        # analyze reports the bank unavailable; validate has nothing to run
+        path = tmp_path / "one.csv"
+        path.write_text("date,A\n1,0.1\n2,0.3\n3,-0.2\n4,0.05\n")
+        reason = "panel has a single bank: there is no rest-of-system to aggregate"
+        warning = f"warning: bank 'A' skipped: {reason}"
+        code, out, err = run(capsys, ["analyze", "--input", str(path), "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[1] == "A" + ",n/a" * 13
+        assert err.splitlines() == [warning]
+        code, out, err = run(capsys, ["validate", "--input", str(path), "--samples", "10000"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [warning, "error: no analyzable banks in the panel"]
 
     def test_unknown_bank_is_reported_before_a_repeated_one(self, capsys, panel_path):
         code, _, err = run(capsys, ["analyze", "--input", panel_path, "--banks", "A,A,Z"])
@@ -547,7 +567,7 @@ class TestValidateCommand:
         assert entry["rng_method"] == RNG_METHOD
         report = validate_closed_forms(
             GaussianPair(0.0, 0.0, 1.0, 1.0, 0.5),
-            McConfig(sample_count=50_000, seed=3, alpha=0.95),
+            SharedDraw(McConfig(sample_count=50_000, seed=3, alpha=0.95)),
         )
         assert entry["all_passed"] is report.all_passed
         names = [record["name"] for record in entry["statistics"]]

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gaussrisk.errors import (
     DegenerateBankError,
+    DegenerateModelError,
     DegenerateSeriesWarning,
     DomainError,
     InvalidCovarianceError,
@@ -505,7 +506,43 @@ def eigvalsh_message(cov: np.ndarray):
     )
 
 
+class TestReturnPanel:
+    OBS = np.arange(12.0).reshape(4, 3)
+
+    @pytest.mark.parametrize(
+        "labels, observations, message",
+        [
+            (("A",), np.zeros(5), "observations must be 2-d, got shape (5,)"),
+            (("A", "B"), OBS, "2 labels but 3 observation columns"),
+            (("A", "B", "C"), OBS[:2], "need at least 3 rows, got 2"),
+            (("A", "", "C"), OBS, "bank labels must be non-empty"),
+            (("A", "B", "A"), OBS, "bank labels must be distinct"),
+            (
+                ("A", "B", "C"), np.where(OBS == 7.0, np.nan, OBS),
+                "non-finite observation at row 3, column 'B'",
+            ),
+        ],
+        ids=["not-2d", "label-count", "too-few-rows", "empty-label", "repeated-label", "nan"],
+    )
+    def test_rejects_a_malformed_panel(self, labels, observations, message):
+        with pytest.raises(PanelFormatError, match=f"^{re.escape(message)}$"):
+            ReturnPanel(labels, observations)
+
+
 class TestMomentEstimate:
+    def test_rejects_a_shape_mismatch(self):
+        with pytest.raises(
+            InvalidCovarianceError,
+            match=r"^shape mismatch: 2 labels, means \(3,\), covariance \(2, 2\)$",
+        ):
+            MomentEstimate(("A", "B"), np.zeros(3), np.eye(2), 10)
+
+    def test_rejects_a_negative_diagonal_entry(self):
+        with pytest.raises(
+            InvalidCovarianceError, match="^covariance matrix has a negative diagonal entry$"
+        ):
+            MomentEstimate(("A", "B"), np.zeros(2), np.diag([1.0, -1.0]), 10)
+
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(Exception, match="symmetric"):
             MomentEstimate(("A", "B"), np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]), 10)
@@ -610,6 +647,14 @@ class TestPairForBank:
         est = MomentEstimate(("A", "B", "C"), np.zeros(3), np.ones((3, 3)), 100)
         pair = pair_for_bank(est, "B")
         assert (pair.var_i, pair.var_a, pair.cov_ia) == (1.0, 4.0, 2.0)
+
+    def test_a_single_bank_has_no_rest_of_system(self):
+        est = MomentEstimate(("A",), np.zeros(1), np.eye(1), 100)
+        with pytest.raises(
+            DegenerateModelError,
+            match="^panel has a single bank: there is no rest-of-system to aggregate$",
+        ):
+            pair_for_bank(est, "A")
 
     def test_unknown_label(self):
         est = MomentEstimate(("A", "B"), np.zeros(2), np.eye(2), 100)

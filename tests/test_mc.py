@@ -400,13 +400,13 @@ class TestRegressionSlopeIdentity:
 class TestValidateClosedForms:
     def test_determinism(self):
         config = McConfig(sample_count=100_000, seed=21, alpha=0.95)
-        first = validate_closed_forms(UNIT_HALF, config)
-        second = validate_closed_forms(UNIT_HALF, config)
+        first = validate_closed_forms(UNIT_HALF, SharedDraw(config))
+        second = validate_closed_forms(UNIT_HALF, SharedDraw(config))
         assert first == second
 
     def test_independence_pair_passes(self):
         config = McConfig(sample_count=500_000, seed=31)
-        report = validate_closed_forms(UNIT_INDEPENDENT, config)
+        report = validate_closed_forms(UNIT_INDEPENDENT, SharedDraw(config))
         assert report.all_passed
         spill = {check.name: check for check in report.checks}["delta_coll_var"]
         assert spill.passed
@@ -414,7 +414,7 @@ class TestValidateClosedForms:
 
     def test_thin_settings_skip_but_do_not_fail(self):
         config = McConfig(sample_count=10_000, seed=5)
-        report = validate_closed_forms(UNIT_HALF, config)
+        report = validate_closed_forms(UNIT_HALF, SharedDraw(config))
         skipped = [check for check in report.checks if check.passed is None]
         assert skipped, "expected thin-band/thin-tail statistics at N=10000"
         for check in skipped:
@@ -428,7 +428,7 @@ class TestValidateClosedForms:
     )
     def test_var_i_needs_the_minimum_tail(self, alpha, samples, tail):
         config = McConfig(sample_count=samples, seed=5, alpha=alpha)
-        var_i = validate_closed_forms(UNIT_HALF, config).checks[0]
+        var_i = validate_closed_forms(UNIT_HALF, SharedDraw(config)).checks[0]
         assert (var_i.name, var_i.effective_tail_samples) == ("var_i", tail)
         if tail < 500:
             assert var_i.passed is None and var_i.empirical is None
@@ -438,12 +438,14 @@ class TestValidateClosedForms:
 
     def test_degenerate_system_rejected(self):
         with pytest.raises(DegenerateSystemError):
-            validate_closed_forms(GaussianPair(0.0, 0.0, 1.0, 1.0, -1.0), McConfig(sample_count=10_000))
+            validate_closed_forms(
+                GaussianPair(0.0, 0.0, 1.0, 1.0, -1.0), SharedDraw(McConfig(sample_count=10_000))
+            )
 
     def test_fault_injection_hook_fails_the_run(self, monkeypatch):
         bias_validated_closed_forms(monkeypatch, 0.5)
         config = McConfig(sample_count=100_000, seed=13)
-        report = validate_closed_forms(UNIT_HALF, config)
+        report = validate_closed_forms(UNIT_HALF, SharedDraw(config))
         assert not report.all_passed
 
     @pytest.mark.parametrize(
@@ -454,14 +456,14 @@ class TestValidateClosedForms:
         config = McConfig(sample_count=50_000, seed=2, alpha=0.95)
         report = full_report(pair, RiskParams(config.alpha))
         report_fields = {field.name for field in dataclasses.fields(BankRiskReport)}
-        checks = validate_closed_forms(pair, config).checks
+        checks = validate_closed_forms(pair, SharedDraw(config)).checks
         assert len(checks) == 8
         for check in checks:
             assert check.name in report_fields
             assert check.closed_form == getattr(report, check.name)  # bit for bit
         # the one builder both read is the one seam a fault needs
         bias_validated_closed_forms(monkeypatch, 0.5)
-        assert not validate_closed_forms(pair, config).all_passed
+        assert not validate_closed_forms(pair, SharedDraw(config)).all_passed
 
     def test_a_wrong_conditional_sd_in_the_report_fails(self, monkeypatch):
         # The oracle maps its draw through its own Cholesky factor, so a report
@@ -473,7 +475,8 @@ class TestValidateClosedForms:
             return s_i, b_ai, 1.05 * c_ai, b_is
 
         monkeypatch.setattr(gaussrisk.measures, "_loadings", widened)
-        report = validate_closed_forms(GaussianPair(0, 0, 1, 4, 1), McConfig(500_000, seed=1))
+        draw = SharedDraw(McConfig(500_000, seed=1))
+        report = validate_closed_forms(GaussianPair(0, 0, 1, 4, 1), draw)
         assert {check.name: check.passed for check in report.checks}["covare_ai"] is False
 
 
@@ -618,9 +621,8 @@ def statistic_rows(report) -> list[tuple]:
 class TestSharedDraw:
     @pytest.mark.parametrize("pair, config, expected", GOLDEN_REPORTS)
     def test_reports_match_golden_values(self, pair, config, expected):
-        report = validate_closed_forms(pair, config)
+        report = validate_closed_forms(pair, SharedDraw(config))
         assert statistic_rows(report) == expected
-        assert validate_closed_forms(pair, config, SharedDraw(config)).checks == report.checks
 
     @pytest.mark.parametrize("sample_count", [50_000, 600_000])
     def test_sample_pair_maps_the_shared_draw(self, sample_count):
@@ -658,21 +660,9 @@ class TestSharedDraw:
 
         monkeypatch.setattr(gaussrisk.mc, "_lowest", lowest)
         for pair in (UNIT_HALF, DEMO_LIKE):
-            validate_closed_forms(pair, config, draw)
+            validate_closed_forms(pair, draw)
         assert cuts == [(False, 751)] * 2
         assert draw.lowest is low
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            {"seed": 2}, {"sample_count": 60_000}, {"bandwidth": 0.1}, {"alpha": 0.95},
-        ],
-    )
-    def test_a_draw_of_another_config_is_rejected(self, other):
-        config = McConfig(sample_count=50_000, seed=1)
-        draw = SharedDraw(dataclasses.replace(config, **other))
-        with pytest.raises(DomainError, match="^the draw is of McConfig"):
-            validate_closed_forms(UNIT_HALF, config, draw)
 
     def test_draw_is_read_only(self):
         normals = standard_normals(McConfig(sample_count=10_000))
@@ -734,16 +724,16 @@ class TestDrawMoments:
         pair = GaussianPair(1e15, 0.0, 0.25, 1.0, 0.0)
         config = McConfig(sample_count=200_000, seed=0)
         assert SharedDraw(config).moments(pair).slope_si == pytest.approx(1.0, abs=0.01)
-        checks = {check.name: check for check in validate_closed_forms(pair, config).checks}
+        report = validate_closed_forms(pair, SharedDraw(config))
+        checks = {check.name: check for check in report.checks}
         assert checks["delta_cond_var"].passed
         assert checks["delta_cond_var"].tolerance < 1.0
 
     def test_huge_variance_gives_finite_tolerances(self):
         # The samples' sum of squares overflowed at var_i = 1e306: inf and nan
         # tolerances, and false FAILs.  The draw's moments are O(1).
-        report = validate_closed_forms(
-            GaussianPair(0.0, 0.0, 1e306, 1e-3, 0.0), McConfig(sample_count=100_000, seed=0)
-        )
+        draw = SharedDraw(McConfig(sample_count=100_000, seed=0))
+        report = validate_closed_forms(GaussianPair(0.0, 0.0, 1e306, 1e-3, 0.0), draw)
         assert report.all_passed and report.evaluated
         assert all(math.isfinite(check.tolerance) for check in report.evaluated)
 
@@ -849,7 +839,7 @@ class TestMemory:
     def test_validation_reuses_its_buffers(self, alpha, bandwidth, arrays):
         config = McConfig(sample_count=self.N, seed=0, alpha=alpha, bandwidth=bandwidth)
         draw = SharedDraw(config)
-        peak = traced_peak(lambda: validate_closed_forms(DEMO_LIKE, config, draw))
+        peak = traced_peak(lambda: validate_closed_forms(DEMO_LIKE, draw))
         # 2 for the samples, 1 for one full-length temporary at a time, and
         # the band indices and gathered band values; a wide band's indices
         # take up to 3 bytes a sample

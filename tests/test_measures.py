@@ -502,13 +502,22 @@ class TestFullReport:
         assert names == self.CHECK_NAMES[:expected]
 
     @pytest.mark.parametrize(
-        "field",
+        "pair, field",
         [
-            "var_mean_i", "covar_ai", "covare_ai", "delta_coll_var", "delta_coll_es",
-            "delta_cond_var", "delta_contr_var", "var_contribution",
+            pytest.param(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), field, id=field)
+            for field in (
+                "var_mean_i", "covar_ai", "covare_ai", "delta_coll_var", "delta_coll_es",
+                "delta_cond_var", "delta_contr_var", "var_contribution",
+            )
+        ] + [
+            # |mu_i| + |mu_a| overflows: a tolerance summed from the raw means was inf
+            pytest.param(
+                GaussianPair(1.7e308, -1.7e308, 1.0, 1.0, 0.0), field, id=f"huge-means-{field}"
+            )
+            for field in ("covar_ai", "covare_ai", "var_contribution")
         ],
     )
-    def test_every_checked_field_has_a_route(self, monkeypatch, field):
+    def test_every_checked_field_has_a_route(self, monkeypatch, pair, field):
         # one field off by a relative 1e-6, far past the 1e-9 tolerance: some row must catch it
         build = gaussrisk.measures._report
 
@@ -518,7 +527,7 @@ class TestFullReport:
 
         monkeypatch.setattr(gaussrisk.measures, "_report", mutated)
         with pytest.raises(ConsistencyError):
-            full_report(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), P99)
+            full_report(pair, P99)
 
     @pytest.mark.parametrize("route", [math.inf, -math.inf, math.nan])
     def test_a_route_that_is_not_finite_fails_its_check(self, route):

@@ -190,8 +190,25 @@ class TestConditionalMoments:
             conditional_moments(0.0, 0.0, 0.0, 1.0, 0.0, x=0.0)
 
     def test_rejects_impossible_covariance(self):
-        with pytest.raises(InvalidCovarianceError):
+        # the one PSD rule GaussianPair applies too, with its wording
+        message = r"^\|cov_ia\| / std_i = 1\.5 exceeds std_a = 1\.0: not a valid covariance matrix$"
+        with pytest.raises(InvalidCovarianceError, match=message):
             conditional_moments(0.0, 0.0, 1.0, 1.0, 1.5, x=0.0)
+        with pytest.raises(InvalidCovarianceError, match=message):
+            GaussianPair(0.0, 0.0, 1.0, 1.0, 1.5)
+
+    @pytest.mark.parametrize("name", ["mu_a", "mu_i", "cov_ai", "x"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_argument(self, name, value):
+        kwargs = dict(mu_a=0.0, mu_i=0.0, var_i=1.0, var_a=1.0, cov_ai=0.0, x=0.0)
+        kwargs[name] = value
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
+            conditional_moments(**kwargs)
+
+    @pytest.mark.parametrize("var_a", [0.0, -1.0])
+    def test_rejects_a_non_positive_target_variance(self, var_a):
+        with pytest.raises(DegenerateModelError, match=f"^var_a must be positive, got {var_a!r}$"):
+            conditional_moments(0.0, 0.0, 1.0, var_a, 0.0, x=0.0)
 
 
 class TestVarNormal:

@@ -36,9 +36,9 @@ def test_one_draw_per_seed_serves_every_pair(capsys, monkeypatch):
             super().__init__(config)
             draws.append(self)
 
-    def validate(pair, config, normals):
-        seen.append((config.seed, normals))
-        return gaussrisk.mc.validate_closed_forms(pair, config, normals)
+    def validate(pair, draw):
+        seen.append((draw.config.seed, draw))
+        return gaussrisk.mc.validate_closed_forms(pair, draw)
 
     monkeypatch.setattr(script, "SharedDraw", CountedDraw)
     monkeypatch.setattr(script, "validate_closed_forms", validate)
