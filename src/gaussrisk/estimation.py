@@ -108,7 +108,13 @@ class ReturnPanel:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Estimated mean vector and covariance matrix of a panel."""
+    """Estimated mean vector and covariance matrix of a panel.
+
+    One built by a caller is gated: the covariance must be finite,
+    symmetric, free of negative variances, of finite trace and PSD to within
+    1e-10 of its trace.  :func:`estimate_moments` checks only finiteness and
+    the trace of its own, a sample covariance, which is PSD by construction.
+    """
 
     labels: tuple[str, ...]
     means: np.ndarray
@@ -125,32 +131,42 @@ class MomentEstimate:
             )
         if len(set(self.labels)) != n:  # index_of could not single out a repeated bank
             raise InvalidCovarianceError("bank labels must be distinct")
+        self._admit(means, cov, gated=True)
+
+    def _admit(self, means: np.ndarray, cov: np.ndarray, gated: bool) -> None:
+        """Check ``means`` and ``cov``, freeze them and cache what :func:`pair_for_bank` reads.
+
+        Without ``gated`` only finiteness and the trace are checked.
+        """
         # before the other checks: allclose and LAPACK would let NaN and inf through
         if not (np.isfinite(means).all() and np.isfinite(cov).all()):
             raise InvalidCovarianceError("non-finite entry in the means or the covariance matrix")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
+        if gated and not np.allclose(
+            cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))
+        ):
             raise InvalidCovarianceError("covariance matrix is not symmetric")
-        if np.any(np.diag(cov) < 0.0):
+        if gated and np.any(np.diag(cov) < 0.0):
             raise InvalidCovarianceError("covariance matrix has a negative diagonal entry")
         with np.errstate(over="ignore"):
             trace = float(np.trace(cov))
         if not math.isfinite(trace):  # the slack below would be inf and accept anything
             raise InvalidCovarianceError("covariance matrix trace overflows to inf")
-        # PSD up to rounding noise: smallest eigenvalue may only be a hair below zero.
-        # Cholesky of cov + slack*I succeeds only if it is above -slack, up to
-        # rounding, so it accepts at less cost; eigvalsh decides the rest.
-        slack = 1e-10 * max(trace, 1e-300)
-        shifted = cov.copy()
-        shifted.flat[::n + 1] += slack
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(cov)[0])
-            if min_eig < -slack:
-                raise InvalidCovarianceError(
-                    f"covariance matrix is not positive semidefinite "
-                    f"(min eigenvalue {min_eig!r}, trace {trace!r})"
-                ) from None
+        if gated:
+            # PSD up to rounding noise: smallest eigenvalue may only be a hair below zero.
+            # Cholesky of cov + slack*I succeeds only if it is above -slack, up to
+            # rounding, so it accepts at less cost; eigvalsh decides the rest.
+            slack = 1e-10 * max(trace, 1e-300)
+            shifted = cov.copy()
+            shifted.flat[::len(cov) + 1] += slack
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                min_eig = float(np.linalg.eigvalsh(cov)[0])
+                if min_eig < -slack:
+                    raise InvalidCovarianceError(
+                        f"covariance matrix is not positive semidefinite "
+                        f"(min eigenvalue {min_eig!r}, trace {trace!r})"
+                    ) from None
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "means", _freeze(means, self.means))
         object.__setattr__(self, "covariance", _freeze(cov, self.covariance))
@@ -424,11 +440,17 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     bank if it is actually singled out.  A column whose observations are all
     equal has zero variance and zero covariances, exactly: the rounding noise
     of its mean does not make it a bank.
+
+    The covariance skips :class:`MomentEstimate`'s symmetry, diagonal and
+    PSD gates: ``X'X / (T-1)`` of the centred panel, averaged with its
+    transpose and with constant columns zeroed, is exactly symmetric and PSD
+    by construction.  A non-finite entry or trace is still rejected.
     """
     obs = panel.observations
     means = obs.mean(axis=0)
     cov = np.atleast_2d(np.cov(obs, rowvar=False, ddof=1))
-    cov = 0.5 * (cov + cov.T)  # enforce exact symmetry; rounding only
+    cov += cov.T  # halved below: exactly symmetric, and no third n x n array
+    cov *= 0.5
     # A constant column's sample variance is rounding noise of its mean, far
     # below (T * mean * 1e-10)^2; only such columns are compared value by value.
     suspect = np.flatnonzero(np.diag(cov) <= (1e-10 * obs.shape[0] * means) ** 2)
@@ -442,12 +464,10 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
         )
     means.flags.writeable = False  # fresh: MomentEstimate need not copy them
     cov.flags.writeable = False
-    return MomentEstimate(
-        labels=panel.labels,
-        means=means,
-        covariance=cov,
-        sample_size=panel.sample_size,
-    )
+    est = object.__new__(MomentEstimate)
+    vars(est).update(labels=panel.labels, means=means, covariance=cov, sample_size=panel.sample_size)
+    est._admit(means, cov, gated=False)
+    return est
 
 
 def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
@@ -475,14 +495,13 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     var_i = float(cov[idx, idx])
     if var_i <= 0.0:
         raise DegenerateBankError(f"bank {bank!r} has zero sample variance")
-    others = np.ones(n, dtype=bool)
-    others[idx] = False
-    mu_i = float(est.means[idx])
-    mu_a = float(est.means[others].sum())
-    cov_ia = float(cov[idx][others].sum())
+    means, row = est.means, cov[idx]
+    mu_i = float(means[idx])
+    mu_a = float(np.concatenate((means[:idx], means[idx + 1:])).sum())
+    cov_ia = float(np.concatenate((row[:idx], row[idx + 1:])).sum())
     var_a = est._total - 2.0 * cov_ia - var_i
     if not math.isfinite(var_a) or (
         abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a
     ):
-        var_a = float(cov[np.ix_(others, others)].sum())
+        var_a = float(np.delete(np.delete(cov, idx, axis=0), idx, axis=1).sum())
     return GaussianPair(mu_i=mu_i, mu_a=mu_a, var_i=var_i, var_a=var_a, cov_ia=cov_ia)

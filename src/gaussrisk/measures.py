@@ -47,8 +47,12 @@ class GaussianPair:
     ``mu_i``/``var_i`` describe the singled-out bank, ``mu_a``/``var_a`` the
     sum of all other banks, ``cov_ia`` their covariance.  Variances must be
     positive and the implied 2x2 covariance matrix positive semidefinite.
-    The whole system ``X_s = X_i + X_a`` is described by the derived
-    ``mu_s``, ``var_s``, ``cov_is`` and ``std_s``.
+
+    Construction derives, once, the sds ``std_i`` and ``std_a``, the
+    correlation ``rho`` in [-1, 1], and the whole system ``X_s = X_i + X_a``:
+    its mean ``mu_s``, variance ``var_s`` and sd ``std_s``, and the bank's
+    covariance with it, ``cov_is = cov_ia + var_i``.  They are attributes,
+    not fields: ``==``, ``hash`` and ``repr`` read the five fields alone.
     """
 
     mu_i: float
@@ -66,66 +70,38 @@ class GaussianPair:
             raise DegenerateModelError(f"var_i must be positive, got {self.var_i!r}")
         if self.var_a <= 0.0:
             raise DegenerateModelError(f"var_a must be positive, got {self.var_a!r}")
+        derived = vars(self)  # frozen: the derived values go straight into __dict__
+        derived["std_i"], derived["std_a"] = math.sqrt(self.var_i), math.sqrt(self.var_a)
+        derived["mu_s"] = self.mu_i + self.mu_a
+        derived["cov_is"] = self.cov_ia + self.var_i
         # keep every derived statistic representable: no silent overflow to
         # inf, in the variances or in the report's slopes on the bank
         if not (
             math.isfinite(self.var_i + 2.0 * self.cov_ia + self.var_a)
-            and math.isfinite(self.mu_i + self.mu_a)
+            and math.isfinite(self.mu_s)
             and math.isfinite(self.cov_ia / self.var_i)
             and math.isfinite(self.cov_is / self.var_i)
         ):
             raise DomainError("model magnitudes overflow double precision")
         _check_loading(self.cov_ia / self.std_i, self.std_a)
-
-    @property
-    def rho(self) -> float:
-        """Correlation between the bank and the rest of the system, in [-1, 1]."""
-        # one division while std_i * std_a is a normal double; a subnormal
-        # product has lost digits, so divide by each sd in turn
+        # var_s is summed exactly: fsum rounds once, so the cancellation near
+        # rho = -1 costs no digits.  A sum that is not positive is clamped at
+        # exactly 0 (a perfect hedge).  A positive sum is kept at least
+        # cov_is**2 / var_i, the bound PSD puts on it (var_s var_i - cov_is**2
+        # = var_i var_a - cov_ia**2), which the PSD slack or a rounding may
+        # otherwise cross; squared after dividing, as cov_is**2 may overflow.
+        var_s = math.fsum((self.var_i, 2.0 * self.cov_ia, self.var_a))
+        explained_sd = self.cov_is / self.std_i
+        derived["var_s"] = 0.0 if var_s <= 0.0 else max(var_s, explained_sd * explained_sd)
+        derived["std_s"] = math.sqrt(self.var_s)
+        # rho: one division while std_i * std_a is a normal double; a
+        # subnormal product has lost digits, so divide by each sd in turn
         sd_product = self.std_i * self.std_a
         if sd_product >= sys.float_info.min:
-            raw = self.cov_ia / sd_product
+            rho = self.cov_ia / sd_product
         else:
-            raw = self.cov_ia / self.std_i / self.std_a
-        return max(-1.0, min(1.0, raw))
-
-    @property
-    def std_i(self) -> float:
-        return math.sqrt(self.var_i)
-
-    @property
-    def std_a(self) -> float:
-        return math.sqrt(self.var_a)
-
-    @property
-    def mu_s(self) -> float:
-        """Mean of the whole system ``X_s = X_i + X_a``."""
-        return self.mu_i + self.mu_a
-
-    @property
-    def var_s(self) -> float:
-        """Variance of the whole system, ``var_i + 2 cov_ia + var_a``, summed exactly.
-
-        :func:`math.fsum` rounds once, so the cancellation near rho = -1 costs
-        no digits.  A sum that is not positive is clamped at exactly 0 (a
-        perfect hedge).  A positive sum is kept at least ``cov_is**2 / var_i``,
-        the bound PSD puts on it (``var_s var_i - cov_is**2 = var_i var_a -
-        cov_ia**2``), which the PSD slack or a rounding may otherwise cross.
-        """
-        raw = math.fsum((self.var_i, 2.0 * self.cov_ia, self.var_a))
-        if raw <= 0.0:
-            return 0.0
-        explained_sd = self.cov_is / self.std_i  # squared after dividing: cov_is**2 may overflow
-        return max(raw, explained_sd * explained_sd)
-
-    @property
-    def cov_is(self) -> float:
-        """Covariance of the bank with the whole system, ``cov_ia + var_i``."""
-        return self.cov_ia + self.var_i
-
-    @property
-    def std_s(self) -> float:
-        return math.sqrt(self.var_s)
+            rho = self.cov_ia / self.std_i / self.std_a
+        derived["rho"] = max(-1.0, min(1.0, rho))
 
     def swapped(self) -> "GaussianPair":
         """The same model with the bank and rest-of-system roles exchanged."""

@@ -137,12 +137,13 @@ def conditional_moments(
     unconditional ``var_a`` (variance reduction by conditioning); it equals
     ``var_a`` exactly when the variables are uncorrelated.
     """
-    for name, value in (("mu_a", mu_a), ("mu_i", mu_i), ("cov_ai", cov_ai), ("x", x)):
+    for name, value in (("mu_a", mu_a), ("mu_i", mu_i), ("var_i", var_i), ("var_a", var_a),
+                        ("cov_ai", cov_ai), ("x", x)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
-    if not (math.isfinite(var_i) and var_i > 0.0):
+    if var_i <= 0.0:
         raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
-    if not (math.isfinite(var_a) and var_a > 0.0):
+    if var_a <= 0.0:
         raise DegenerateModelError(f"var_a must be positive, got {var_a!r}")
     b = cov_ai / math.sqrt(var_i)
     _check_loading(b, math.sqrt(var_a))

@@ -6,11 +6,12 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gaussrisk.errors import (
     DegenerateBankError,
@@ -483,6 +484,59 @@ class TestEstimateMoments:
         est2 = estimate_moments(ReturnPanel(("A", "B"), shifted))
         assert est2.means[0] == pytest.approx(est.means[0] + 2.5, abs=1e-10)
         assert np.allclose(est.covariance, est2.covariance, rtol=0, atol=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(3, 40),
+        banks=st.integers(1, 8),
+        scales=st.lists(st.integers(-150, 150), min_size=8, max_size=8),
+        constant=st.none() | st.integers(0, 7),
+        copied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=3, banks=8, scales=[0] * 8, constant=None, copied=False, seed=0)
+    @example(rows=3, banks=3, scales=[150, -150, 0] + [0] * 5, constant=2, copied=False, seed=1)
+    @example(rows=5, banks=4, scales=[-150, 150] * 4, constant=None, copied=True, seed=2)
+    def test_every_estimate_passes_the_gate_it_skips(
+        self, rows, banks, scales, constant, copied, seed
+    ):
+        # estimate_moments checks only finiteness and the trace of its sample
+        # covariance; the full gate, which a caller-built estimate of the same
+        # numbers passes through, must accept it: the skip lets nothing through
+        rng = np.random.default_rng(seed)
+        factor = rng.standard_normal((rows, 1))
+        obs = factor * rng.standard_normal(banks) + rng.standard_normal((rows, banks))
+        obs += rng.standard_normal(banks)  # locations of the size of the spread
+        if copied and banks > 1:  # an exact linear dependence, whatever the row count
+            obs[:, -1] = -3.0 * obs[:, 0]
+        if constant is not None and constant < banks:
+            obs[:, constant] = 0.3
+        obs *= 10.0 ** np.array(scales[:banks])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSeriesWarning)
+            est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
+        cov = est.covariance
+        assert np.array_equal(cov, cov.T)
+        MomentEstimate(est.labels, est.means, est.covariance, est.sample_size)
+
+    def test_peak_memory_is_one_centred_copy_and_the_covariance(self):
+        # np.cov's centred copy of the panel and the covariance itself are the
+        # floor; the symmetric average and the estimate add no n x n array
+        rows, banks = 500, 400
+        rng = np.random.default_rng(3)
+        panel = ReturnPanel(
+            tuple(f"B{i}" for i in range(banks)),
+            rng.standard_normal((rows, 1)) + rng.standard_normal((rows, banks)),
+        )
+        estimate_moments(panel)  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            estimate_moments(panel)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * (rows * banks + banks * banks)
 
 
 def spectrum_matrix(positive: np.ndarray, multiple: float, rng) -> np.ndarray:

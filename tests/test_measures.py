@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gaussrisk.measures
+from gaussrisk import cli
 from gaussrisk.errors import (
     ConsistencyError,
     DegenerateModelError,
@@ -77,6 +78,34 @@ class TestGaussianPair:
         swapped = pair.swapped()
         assert (swapped.mu_i, swapped.var_i) == (pair.mu_a, pair.var_a)
         assert swapped.cov_ia == pair.cov_ia
+
+    DERIVED = ("std_i", "std_a", "cov_is", "var_s", "std_s", "mu_s", "rho")
+
+    def test_derived_values_read_leave_identity_alone(self):
+        pair = GaussianPair(0.1, -0.2, 2.0, 3.0, -1.5)
+        assert all(math.isfinite(getattr(pair, name)) for name in self.DERIVED)
+        fresh = GaussianPair(0.1, -0.2, 2.0, 3.0, -1.5)
+        assert pair == fresh and hash(pair) == hash(fresh) and repr(pair) == repr(fresh)
+        # the CLI reads a model's fields by name: the derived values are not among them
+        names = tuple(field.name for field in dataclasses.fields(GaussianPair))
+        assert names == ("mu_i", "mu_a", "var_i", "var_a", "cov_ia") == cli._MODEL_FIELDS
+
+    def test_swapped_derives_its_own_values(self):
+        pair = GaussianPair(0.1, -0.2, 2.0, 3.0, -1.5)
+        swapped = pair.swapped()
+        assert swapped == GaussianPair(-0.2, 0.1, 3.0, 2.0, -1.5)
+        assert (swapped.std_i, swapped.std_a) == (math.sqrt(3.0), math.sqrt(2.0))
+        assert swapped.cov_is == -1.5 + 3.0 != pair.cov_is
+        assert (swapped.var_s, swapped.mu_s, swapped.rho) == (pair.var_s, pair.mu_s, pair.rho)
+
+    def test_one_exact_system_sum_per_report(self, monkeypatch):
+        # var_s, an fsum, is read by the loadings, the report, the slack and
+        # the contribution routes: it is summed once per pair
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        full_report(GaussianPair(0.1, -0.2, 2.0, 3.0, -1.5), P99)
+        assert len(calls) == 1
 
 
 class TestBetaCoefficient:

@@ -197,7 +197,7 @@ class TestConditionalMoments:
         with pytest.raises(InvalidCovarianceError, match=message):
             GaussianPair(0.0, 0.0, 1.0, 1.0, 1.5)
 
-    @pytest.mark.parametrize("name", ["mu_a", "mu_i", "cov_ai", "x"])
+    @pytest.mark.parametrize("name", ["mu_a", "mu_i", "cov_ai", "x", "var_i", "var_a"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_argument(self, name, value):
         kwargs = dict(mu_a=0.0, mu_i=0.0, var_i=1.0, var_a=1.0, cov_ai=0.0, x=0.0)
