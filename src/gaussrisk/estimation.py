@@ -46,6 +46,8 @@ _MIN_ROWS = 3  # fewer rows cannot support an unbiased covariance estimate
 # the other banks' covariance block directly instead.
 _CANCELLATION_LIMIT = 1e3
 
+_BLOCK_ROWS = 4096  # rows of the centred panel that estimate_moments holds at a time
+
 # Characters of panel text that the fast parse checks at a time.
 _CHUNK_CHARS = 1 << 16
 
@@ -445,10 +447,25 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     PSD gates: ``X'X / (T-1)`` of the centred panel, averaged with its
     transpose and with constant columns zeroed, is exactly symmetric and PSD
     by construction.  A non-finite entry or trace is still rejected.
+
+    ``X'X`` is summed over blocks of 4096 centred rows: the panel is held
+    once, plus one block and n x n arrays.  Only a panel with T >= 4096 + 2n,
+    where that costs less than a centred copy, is split; any other is one
+    block, and its covariance is ``np.cov``'s to the bit.
     """
     obs = panel.observations
+    t, n = obs.shape
     means = obs.mean(axis=0)
-    cov = np.atleast_2d(np.cov(obs, rowvar=False, ddof=1))
+    block = np.empty((_BLOCK_ROWS if t >= _BLOCK_ROWS + 2 * n else t, n))
+    for start in range(0, t, len(block)):
+        part = np.subtract(obs[start:start + len(block)], means, out=block[:t - start])
+        gram = np.dot(part.T, part)
+        if start:
+            cov += gram
+        else:
+            cov = gram
+    del block, part, gram  # before the symmetric average, which needs an n x n temporary
+    cov *= np.true_divide(1, t - 1)
     cov += cov.T  # halved below: exactly symmetric, and no third n x n array
     cov *= 0.5
     # A constant column's sample variance is rounding noise of its mean, far

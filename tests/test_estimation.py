@@ -24,6 +24,7 @@ from gaussrisk.errors import (
 )
 import gaussrisk.estimation
 from gaussrisk.estimation import (
+    _BLOCK_ROWS,
     _CANCELLATION_LIMIT,
     MomentEstimate,
     ReturnPanel,
@@ -520,23 +521,75 @@ class TestEstimateMoments:
         MomentEstimate(est.labels, est.means, est.covariance, est.sample_size)
 
     def test_peak_memory_is_one_centred_copy_and_the_covariance(self):
-        # np.cov's centred copy of the panel and the covariance itself are the
-        # floor; the symmetric average and the estimate add no n x n array
-        rows, banks = 500, 400
-        rng = np.random.default_rng(3)
-        panel = ReturnPanel(
-            tuple(f"B{i}" for i in range(banks)),
-            rng.standard_normal((rows, 1)) + rng.standard_normal((rows, banks)),
-        )
-        estimate_moments(panel)  # lazy set-up outside the count
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            estimate_moments(panel)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.05 * 8 * (rows * banks + banks * banks)
+        # np.cov held a centred copy of the panel and the covariance.  A panel
+        # of one block holds the same, one split into blocks less; no shape may
+        # cost more, and the symmetric average and the estimate add no n x n array
+        for rows, banks in [(500, 400), (_BLOCK_ROWS + 1, 300), (40_000, 8)]:
+            peak = estimate_peak(one_factor_panel(rows, banks))
+            assert peak <= 1.05 * 8 * (rows * banks + banks * banks), (rows, banks)
+
+    def test_peak_memory_of_a_tall_panel_is_a_block_not_a_copy(self):
+        # a panel split into blocks holds one block of centred rows, not all of them
+        rows, banks = 40_000, 8
+        assert estimate_peak(one_factor_panel(rows, banks)) <= 8 * rows * banks / 4
+
+
+BANKS = 5
+ONE_BLOCK_ROWS = [3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2 * BANKS - 1]
+SPLIT_ROWS = [_BLOCK_ROWS + 2 * BANKS, 2 * _BLOCK_ROWS + 3]
+
+
+class TestCovarianceBlocks:
+    """Row counts on either side of where estimate_moments splits a panel into blocks."""
+
+    @pytest.mark.parametrize("rows", ONE_BLOCK_ROWS + SPLIT_ROWS)
+    def test_exactly_symmetric(self, rows):
+        cov = estimate_moments(one_factor_panel(rows)).covariance
+        assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("rows", ONE_BLOCK_ROWS)
+    def test_one_block_is_np_cov_to_the_bit(self, rows):
+        panel = one_factor_panel(rows)
+        expected = np.cov(panel.observations, rowvar=False)
+        assert np.array_equal(estimate_moments(panel).covariance, expected)
+
+    @pytest.mark.parametrize("rows", SPLIT_ROWS)
+    def test_blocks_sum_to_the_one_shot_product(self, rows):
+        panel = one_factor_panel(rows)
+        centred = panel.observations - panel.observations.mean(axis=0)
+        expected = np.dot(centred.T, centred) / (rows - 1)
+        error = np.abs(estimate_moments(panel).covariance - expected).max()
+        assert error <= 1e-13 * np.diag(expected).max()
+
+    def test_constant_column_split_into_blocks_is_zeroed(self):
+        panel = one_factor_panel(SPLIT_ROWS[-1])
+        obs = panel.observations.copy()
+        obs[:, 2] = 0.0025  # not a binary fraction: its plain sample moments are noise
+        assert np.all(np.cov(obs, rowvar=False)[2] != 0.0)
+        with pytest.warns(DegenerateSeriesWarning, match="^bank 'B2' has zero sample variance$"):
+            cov = estimate_moments(ReturnPanel(panel.labels, obs)).covariance
+        assert np.all(cov[2] == 0.0) and np.all(cov[:, 2] == 0.0)
+        assert np.all(np.delete(np.delete(cov, 2, 0), 2, 1) != 0.0)
+
+
+def one_factor_panel(rows: int, banks: int = BANKS) -> ReturnPanel:
+    """A correlated panel with locations far from zero."""
+    rng = np.random.default_rng([rows, banks])
+    obs = rng.standard_normal((rows, 1)) + rng.standard_normal((rows, banks))
+    obs += 100.0 * rng.standard_normal(banks)
+    return ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs)
+
+
+def estimate_peak(panel: ReturnPanel) -> int:
+    """Bytes that ``estimate_moments(panel)`` holds at its peak, by tracemalloc."""
+    estimate_moments(panel)  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_moments(panel)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def spectrum_matrix(positive: np.ndarray, multiple: float, rng) -> np.ndarray:
