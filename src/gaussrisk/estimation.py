@@ -46,7 +46,14 @@ _MIN_ROWS = 3  # fewer rows cannot support an unbiased covariance estimate
 # the other banks' covariance block directly instead.
 _CANCELLATION_LIMIT = 1e3
 
-_BLOCK_ROWS = 4096  # rows of the centred panel that estimate_moments holds at a time
+# estimate_moments centres a panel of at least this many rows plus 2n in
+# blocks; each block holds _BLOCK_BYTES, or n rows if that is more.
+_SPLIT_ROWS = 4096
+_BLOCK_BYTES = 1 << 14
+
+# estimate_moments averages the covariance with its transpose in strips of at
+# most 1/_STRIPS of its rows.
+_STRIPS = 32
 
 # Characters of panel text that the fast parse checks at a time.
 _CHUNK_CHARS = 1 << 16
@@ -55,6 +62,14 @@ _CHUNK_CHARS = 1 << 16
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 PanelSource = Union[str, Path, IO[str]]
+
+
+def _all_finite(array: np.ndarray) -> bool:
+    """Whether every entry of ``array`` is finite; NaN, like inf, reaches its min or max.
+
+    Unlike ``np.isfinite(array).all()``, it makes no array of ``array``'s size.
+    """
+    return array.size == 0 or (math.isfinite(array.min()) and math.isfinite(array.max()))
 
 
 def _freeze(array: np.ndarray, argument: object) -> np.ndarray:
@@ -94,7 +109,7 @@ class ReturnPanel:
             raise PanelFormatError("bank labels must be non-empty")
         if len(set(self.labels)) != len(self.labels):
             raise PanelFormatError("bank labels must be distinct")
-        if not np.isfinite(obs).all():
+        if not _all_finite(obs):
             bad = np.argwhere(~np.isfinite(obs))[0]
             raise PanelFormatError(
                 f"non-finite observation at row {bad[0] + 1}, "
@@ -141,7 +156,7 @@ class MomentEstimate:
         Without ``gated`` only finiteness and the trace are checked.
         """
         # before the other checks: allclose and LAPACK would let NaN and inf through
-        if not (np.isfinite(means).all() and np.isfinite(cov).all()):
+        if not (_all_finite(means) and _all_finite(cov)):
             raise InvalidCovarianceError("non-finite entry in the means or the covariance matrix")
         if gated and not np.allclose(
             cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))
@@ -360,6 +375,13 @@ def _parse_plain(
     the header, so a body with ``(width - 1) * rows`` commas has no row with
     more.
 
+    ``np.loadtxt`` gets ``max_rows = commas // (width - 1) + 1``.  Had it
+    stopped there, its rows would need more commas than the body holds and
+    that comma count would reject them, so the bound cuts no row off a body
+    that is accepted.  It lets ``np.loadtxt`` allocate its result once, at
+    the panel's size, instead of growing it as it reads.  A one-column body
+    has no commas and gets no bound.
+
     A regular file named by ``name`` is read by ``np.loadtxt`` from its path,
     in numpy's C reader; its identity must still be the one it had when
     ``source`` opened it, so that numpy reads the text the guard read.  Any
@@ -383,11 +405,14 @@ def _parse_plain(
         with warnings.catch_warnings():
             # a header-only body: the exact loop reports it as too few rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # a blank line, which max_rows does not count
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
             observations = np.loadtxt(
                 source if name is None else path,
                 delimiter=",",
                 comments=None,
                 skiprows=0 if name is None else 1,
+                max_rows=commas // (width - 1) + 1 if width > 1 else None,
                 usecols=range(1, width) if skip_first else None,
                 ndmin=2,
                 encoding="latin-1",  # the header may be any UTF-8; the body is ASCII
@@ -395,7 +420,7 @@ def _parse_plain(
     except ValueError:
         return None
     rows = observations.shape[0]
-    if commas != (width - 1) * rows or rows < _MIN_ROWS or not np.isfinite(observations).all():
+    if commas != (width - 1) * rows or rows < _MIN_ROWS or not _all_finite(observations):
         return None
     return observations
 
@@ -448,15 +473,17 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     transpose and with constant columns zeroed, is exactly symmetric and PSD
     by construction.  A non-finite entry or trace is still rejected.
 
-    ``X'X`` is summed over blocks of 4096 centred rows: the panel is held
-    once, plus one block and n x n arrays.  Only a panel with T >= 4096 + 2n,
-    where that costs less than a centred copy, is split; any other is one
-    block, and its covariance is ``np.cov``'s to the bit.
+    Only a panel with T >= 4096 + 2n, where that costs less than a centred
+    copy, is split into blocks; any other is one block, and its covariance is
+    ``np.cov``'s to the bit.  ``X'X`` of a split panel is summed over blocks
+    of 16 KiB of centred rows, or of n rows where that is more:
+    analyze holds the panel, the covariance and about 16 KiB more.
     """
     obs = panel.observations
     t, n = obs.shape
     means = obs.mean(axis=0)
-    block = np.empty((_BLOCK_ROWS if t >= _BLOCK_ROWS + 2 * n else t, n))
+    split = t >= _SPLIT_ROWS + 2 * n
+    block = np.empty((max(_BLOCK_BYTES // (8 * n), n) if split else t, n))
     for start in range(0, t, len(block)):
         part = np.subtract(obs[start:start + len(block)], means, out=block[:t - start])
         gram = np.dot(part.T, part)
@@ -464,10 +491,18 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
             cov += gram
         else:
             cov = gram
-    del block, part, gram  # before the symmetric average, which needs an n x n temporary
+    del block, part, gram  # the covariance alone is needed past here
     cov *= np.true_divide(1, t - 1)
-    cov += cov.T  # halved below: exactly symmetric, and no third n x n array
-    cov *= 0.5
+    # (cov + cov.T) / 2, exactly symmetric, a strip of rows at a time: in
+    # place, numpy would copy the whole of cov.T, which overlaps cov
+    step = -(-n // _STRIPS)
+    for top in range(0, n, step):
+        rows = slice(top, top + step)
+        average = cov[rows, top:] + cov[top:, rows].T
+        average *= 0.5
+        cov[rows, top:] = average
+        cov[top:, rows] = average.T
+        del average  # before the next strip's
     # A constant column's sample variance is rounding noise of its mean, far
     # below (T * mean * 1e-10)^2; only such columns are compared value by value.
     suspect = np.flatnonzero(np.diag(cov) <= (1e-10 * obs.shape[0] * means) ** 2)

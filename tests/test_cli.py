@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import gaussrisk.cli
 from gaussrisk.cli import main
-from gaussrisk.estimation import _BLOCK_ROWS, estimate_moments, load_panel, pair_for_bank
+from gaussrisk.estimation import _SPLIT_ROWS, estimate_moments, load_panel, pair_for_bank
 from gaussrisk.mc import RNG_METHOD, McConfig, SharedDraw, validate_closed_forms
 from gaussrisk.measures import BankRiskReport, GaussianPair, full_report
 from gaussrisk.normal import RiskParams
@@ -405,7 +405,7 @@ class TestAnalyzePanel:
 
     def test_overflowing_covariance_summed_in_blocks_gives_one_error_line(self, capsys, tmp_path):
         # inf and -inf products from different blocks of rows add up to nan
-        rows = 2 * _BLOCK_ROWS + 3
+        rows = 2 * _SPLIT_ROWS + 3
         signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(rows, 3))
         path = tmp_path / "overflow.csv"
         np.savetxt(path, 1e160 * signs, fmt="%.0e", delimiter=",", header="A,B,C", comments="")

@@ -24,7 +24,7 @@ from gaussrisk.errors import (
 )
 import gaussrisk.estimation
 from gaussrisk.estimation import (
-    _BLOCK_ROWS,
+    _SPLIT_ROWS,
     _CANCELLATION_LIMIT,
     MomentEstimate,
     ReturnPanel,
@@ -126,6 +126,25 @@ class TestLoadPanel:
         panel = load_panel(path)
         assert panel.labels == ("A", "B")
         assert panel.observations[0, 0] == 1.0
+
+    def test_peak_memory_of_a_tall_file_is_the_panel(self, tmp_path):
+        # np.loadtxt allocates the rows that the comma count allows, once: a
+        # buffer grown as it reads would outrun the panel by a sixth
+        rows, banks = 40_000, 8
+        cells = np.random.default_rng(1).normal(0.0, 0.02, (rows, banks))
+        path = tmp_path / "tall.csv"
+        np.savetxt(path, cells, fmt="%.8f", delimiter=",",
+                   header=",".join(f"B{j}" for j in range(banks)), comments="")
+        load_panel(path)  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            panel = load_panel(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert panel.observations.shape == (rows, banks)
+        assert peak <= 8 * rows * banks + 128 * 1024
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])  # underscore, Arabic-Indic digits
     def test_python_only_float_syntax_rejected(self, cell):
@@ -401,6 +420,56 @@ class TestFastParseMatchesExactLoop:
             )
 
 
+@st.composite
+def plain_panel_texts(draw):
+    """A plain panel with blank lines among its rows, either line ending and maybe no last one."""
+    n = draw(st.integers(1, 3))
+    dated = draw(st.booleans())
+    header = (["date"] if dated else []) + [f"B{j}" for j in range(n)]
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(_PLAIN_CELLS), min_size=n, max_size=n), min_size=1, max_size=8
+    ))
+    body = [",".join((["d"] if dated else []) + row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        body.insert(draw(st.integers(0, len(body))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([",".join(header)] + body) + draw(st.sampled_from([newline, ""]))
+
+
+class TestRowBound:
+    """np.loadtxt reads at most as many rows as the body has commas for, plus one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_panel_texts())
+    @example("A,B\n\n1,2\n\n\n3,4\n5,6\n\n")  # leading, consecutive and trailing blank lines
+    @example("date,A\nd,1\nd,2\nd,3")  # no final newline
+    @example("A,B\r\n1,2\r\n\r\n3,4\r\n5,6\r\n")
+    @example("A\n1\n\n2\n3\n4\n")  # one column and no date: no commas, no bound
+    @example("A,B\n1,2\n3,4\n5,6\n7\n")  # a short row past the rows the commas allow
+    def test_same_outcome_as_the_exact_loop_and_no_warning(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "panel.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes = [parse_outcome(via_load_panel, source) for source in (io.StringIO(text), path)]
+        assert caught == []
+        expected = parse_outcome(_parse_exact, io.StringIO(text, newline=""))
+        assert outcomes == [expected, expected]
+
+    @pytest.mark.parametrize("date", ["", "d,"])
+    def test_extra_cell_then_short_last_row_is_ragged(self, tmp_path, date):
+        # the extra cell's comma makes up for the short row's missing one
+        header, width = ("date,A,B", 3) if date else ("A,B", 2)
+        path = tmp_path / "panel.csv"
+        path.write_text(f"{header}\n{date}1,2\n{date}3,4,5\n{date}6,7\n{date}8\n")
+        with pytest.raises(
+            PanelFormatError, match=f"^ragged row 3: expected {width} cells, got {width + 1}$"
+        ):
+            load_panel(path)
+
+
 class TestEstimateMoments:
     def test_identical_columns_give_equal_entries(self):
         panel = panel_from_csv("A,B\n1,1\n2,2\n4,4\n")
@@ -523,20 +592,22 @@ class TestEstimateMoments:
     def test_peak_memory_is_one_centred_copy_and_the_covariance(self):
         # np.cov held a centred copy of the panel and the covariance.  A panel
         # of one block holds the same, one split into blocks less; no shape may
-        # cost more, and the symmetric average and the estimate add no n x n array
-        for rows, banks in [(500, 400), (_BLOCK_ROWS + 1, 300), (40_000, 8)]:
+        # cost more, and the symmetric average and the estimate add no n x n
+        # array, which short, wide panels would show
+        shapes = [(500, 400), (_SPLIT_ROWS + 1, 300), (40_000, 8), (50, 400), (10, 1000)]
+        for rows, banks in shapes:
             peak = estimate_peak(one_factor_panel(rows, banks))
             assert peak <= 1.05 * 8 * (rows * banks + banks * banks), (rows, banks)
 
     def test_peak_memory_of_a_tall_panel_is_a_block_not_a_copy(self):
-        # a panel split into blocks holds one block of centred rows, not all of them
-        rows, banks = 40_000, 8
-        assert estimate_peak(one_factor_panel(rows, banks)) <= 8 * rows * banks / 4
+        # a panel split into blocks holds one block of 16 KiB of centred rows,
+        # and numpy's buffer for it, not all of them
+        assert estimate_peak(one_factor_panel(40_000, 8)) <= 64 * 1024
 
 
 BANKS = 5
-ONE_BLOCK_ROWS = [3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2 * BANKS - 1]
-SPLIT_ROWS = [_BLOCK_ROWS + 2 * BANKS, 2 * _BLOCK_ROWS + 3]
+ONE_BLOCK_ROWS = [3, _SPLIT_ROWS - 1, _SPLIT_ROWS, _SPLIT_ROWS + 1, _SPLIT_ROWS + 2 * BANKS - 1]
+SPLIT_ROWS = [_SPLIT_ROWS + 2 * BANKS, 2 * _SPLIT_ROWS + 3]
 
 
 class TestCovarianceBlocks:
@@ -555,11 +626,11 @@ class TestCovarianceBlocks:
 
     @pytest.mark.parametrize("rows", SPLIT_ROWS)
     def test_blocks_sum_to_the_one_shot_product(self, rows):
-        panel = one_factor_panel(rows)
-        centred = panel.observations - panel.observations.mean(axis=0)
-        expected = np.dot(centred.T, centred) / (rows - 1)
-        error = np.abs(estimate_moments(panel).covariance - expected).max()
-        assert error <= 1e-13 * np.diag(expected).max()
+        assert_blocks_sum_to_the_one_shot_product(one_factor_panel(rows))
+
+    def test_blocks_of_n_rows_sum_to_the_one_shot_product(self):
+        # 64 banks: 16 KiB of centred rows would be fewer rows than banks
+        assert_blocks_sum_to_the_one_shot_product(one_factor_panel(_SPLIT_ROWS + 2 * 64 + 5, 64))
 
     def test_constant_column_split_into_blocks_is_zeroed(self):
         panel = one_factor_panel(SPLIT_ROWS[-1])
@@ -578,6 +649,14 @@ def one_factor_panel(rows: int, banks: int = BANKS) -> ReturnPanel:
     obs = rng.standard_normal((rows, 1)) + rng.standard_normal((rows, banks))
     obs += 100.0 * rng.standard_normal(banks)
     return ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs)
+
+
+def assert_blocks_sum_to_the_one_shot_product(panel: ReturnPanel) -> None:
+    centred = panel.observations - panel.observations.mean(axis=0)
+    expected = np.dot(centred.T, centred) / (panel.sample_size - 1)
+    cov = estimate_moments(panel).covariance
+    assert np.array_equal(cov, cov.T)
+    assert np.abs(cov - expected).max() <= 1e-13 * np.diag(expected).max()
 
 
 def estimate_peak(panel: ReturnPanel) -> int:
