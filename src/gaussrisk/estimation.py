@@ -51,10 +51,6 @@ _CANCELLATION_LIMIT = 1e3
 _SPLIT_ROWS = 4096
 _BLOCK_BYTES = 1 << 14
 
-# estimate_moments averages the covariance with its transpose in strips of at
-# most 1/_STRIPS of its rows.
-_STRIPS = 32
-
 # Characters of panel text that the fast parse checks at a time.
 _CHUNK_CHARS = 1 << 16
 
@@ -70,6 +66,14 @@ def _all_finite(array: np.ndarray) -> bool:
     Unlike ``np.isfinite(array).all()``, it makes no array of ``array``'s size.
     """
     return array.size == 0 or (math.isfinite(array.min()) and math.isfinite(array.max()))
+
+
+def _as_floats(value: object, error: type[Exception], name: str) -> np.ndarray:
+    """``value`` as a float array, or ``error`` where numpy cannot read it as one."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # a cell such as "x", or ragged rows
+        raise error(f"{name} must be numbers in a rectangular array") from None
 
 
 def _freeze(array: np.ndarray, argument: object) -> np.ndarray:
@@ -95,7 +99,7 @@ class ReturnPanel:
     observations: np.ndarray
 
     def __post_init__(self) -> None:
-        obs = np.asarray(self.observations, dtype=float)
+        obs = _as_floats(self.observations, PanelFormatError, "observations")
         if obs.ndim != 2:
             raise PanelFormatError(f"observations must be 2-d, got shape {obs.shape}")
         t, n = obs.shape
@@ -103,6 +107,8 @@ class ReturnPanel:
             raise PanelFormatError(
                 f"{len(self.labels)} labels but {n} observation columns"
             )
+        if n == 0:
+            raise PanelFormatError("panel has no banks")
         if t < _MIN_ROWS:
             raise PanelFormatError(f"need at least {_MIN_ROWS} rows, got {t}")
         if any(not label for label in self.labels):
@@ -139,13 +145,15 @@ class MomentEstimate:
     sample_size: int
 
     def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        means = _as_floats(self.means, InvalidCovarianceError, "means")
+        cov = _as_floats(self.covariance, InvalidCovarianceError, "covariance")
         n = len(self.labels)
         if means.shape != (n,) or cov.shape != (n, n):
             raise InvalidCovarianceError(
                 f"shape mismatch: {n} labels, means {means.shape}, covariance {cov.shape}"
             )
+        if n == 0:
+            raise InvalidCovarianceError("estimate has no banks")
         if len(set(self.labels)) != n:  # index_of could not single out a repeated bank
             raise InvalidCovarianceError("bank labels must be distinct")
         self._admit(means, cov, gated=True)
@@ -469,9 +477,10 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     of its mean does not make it a bank.
 
     The covariance skips :class:`MomentEstimate`'s symmetry, diagonal and
-    PSD gates: ``X'X / (T-1)`` of the centred panel, averaged with its
-    transpose and with constant columns zeroed, is exactly symmetric and PSD
-    by construction.  A non-finite entry or trace is still rejected.
+    PSD gates: ``X'X / (T-1)`` of the centred panel, with constant columns
+    zeroed, is PSD by construction and exactly symmetric, since numpy
+    computes each block's ``X'X`` as one triangle (BLAS ``syrk``) and mirrors
+    it.  A non-finite entry or trace is still rejected.
 
     Only a panel with T >= 4096 + 2n, where that costs less than a centred
     copy, is split into blocks; any other is one block, and its covariance is
@@ -486,23 +495,13 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     block = np.empty((max(_BLOCK_BYTES // (8 * n), n) if split else t, n))
     for start in range(0, t, len(block)):
         part = np.subtract(obs[start:start + len(block)], means, out=block[:t - start])
-        gram = np.dot(part.T, part)
+        gram = np.dot(part.T, part)  # syrk: one triangle, mirrored, so exactly symmetric
         if start:
             cov += gram
         else:
             cov = gram
     del block, part, gram  # the covariance alone is needed past here
     cov *= np.true_divide(1, t - 1)
-    # (cov + cov.T) / 2, exactly symmetric, a strip of rows at a time: in
-    # place, numpy would copy the whole of cov.T, which overlaps cov
-    step = -(-n // _STRIPS)
-    for top in range(0, n, step):
-        rows = slice(top, top + step)
-        average = cov[rows, top:] + cov[top:, rows].T
-        average *= 0.5
-        cov[rows, top:] = average
-        cov[top:, rows] = average.T
-        del average  # before the next strip's
     # A constant column's sample variance is rounding noise of its mean, far
     # below (T * mean * 1e-10)^2; only such columns are compared value by value.
     suspect = np.flatnonzero(np.diag(cov) <= (1e-10 * obs.shape[0] * means) ** 2)

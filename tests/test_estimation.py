@@ -24,6 +24,7 @@ from gaussrisk.errors import (
 )
 import gaussrisk.estimation
 from gaussrisk.estimation import (
+    _BLOCK_BYTES,
     _SPLIT_ROWS,
     _CANCELLATION_LIMIT,
     MomentEstimate,
@@ -610,12 +611,29 @@ ONE_BLOCK_ROWS = [3, _SPLIT_ROWS - 1, _SPLIT_ROWS, _SPLIT_ROWS + 1, _SPLIT_ROWS 
 SPLIT_ROWS = [_SPLIT_ROWS + 2 * BANKS, 2 * _SPLIT_ROWS + 3]
 
 
+def split_rows_ending_in_one(banks: int) -> int:
+    """The fewest rows that split a panel of ``banks`` into blocks, the last of one row."""
+    block = max(_BLOCK_BYTES // (8 * banks), banks)
+    return -(-(_SPLIT_ROWS + 2 * banks - 1) // block) * block + 1
+
+
+# nothing re-imposes the symmetry: numpy's X'X of each block must have it,
+# also where three rows are fewer than the banks
+SYMMETRY_CASES = [
+    pytest.param(rows, BANKS, id=str(rows)) for rows in ONE_BLOCK_ROWS + SPLIT_ROWS
+] + [
+    pytest.param(rows, banks, id=f"{rows}x{banks}")
+    for banks in (1, 2, 64, 65, 400)
+    for rows in (3, 500, split_rows_ending_in_one(banks))
+]
+
+
 class TestCovarianceBlocks:
     """Row counts on either side of where estimate_moments splits a panel into blocks."""
 
-    @pytest.mark.parametrize("rows", ONE_BLOCK_ROWS + SPLIT_ROWS)
-    def test_exactly_symmetric(self, rows):
-        cov = estimate_moments(one_factor_panel(rows)).covariance
+    @pytest.mark.parametrize("rows, banks", SYMMETRY_CASES)
+    def test_exactly_symmetric(self, rows, banks):
+        cov = estimate_moments(one_factor_panel(rows, banks)).covariance
         assert np.array_equal(cov, cov.T)
 
     @pytest.mark.parametrize("rows", ONE_BLOCK_ROWS)
@@ -707,8 +725,21 @@ class TestReturnPanel:
                 ("A", "B", "C"), np.where(OBS == 7.0, np.nan, OBS),
                 "non-finite observation at row 3, column 'B'",
             ),
+            ((), np.zeros((4, 0)), "panel has no banks"),
+            ((), np.zeros((_SPLIT_ROWS, 0)), "panel has no banks"),
+            (
+                ("A", "B"), [[1.0, "x"], [2.0, 3.0], [4.0, 5.0]],
+                "observations must be numbers in a rectangular array",
+            ),
+            (
+                ("A", "B"), [[1.0, 2.0], [3.0], [4.0, 5.0]],
+                "observations must be numbers in a rectangular array",
+            ),
         ],
-        ids=["not-2d", "label-count", "too-few-rows", "empty-label", "repeated-label", "nan"],
+        ids=[
+            "not-2d", "label-count", "too-few-rows", "empty-label", "repeated-label", "nan",
+            "no-banks", "no-banks-tall", "non-numeric-cell", "ragged",
+        ],
     )
     def test_rejects_a_malformed_panel(self, labels, observations, message):
         with pytest.raises(PanelFormatError, match=f"^{re.escape(message)}$"):
@@ -722,6 +753,25 @@ class TestMomentEstimate:
             match=r"^shape mismatch: 2 labels, means \(3,\), covariance \(2, 2\)$",
         ):
             MomentEstimate(("A", "B"), np.zeros(3), np.eye(2), 10)
+
+    @pytest.mark.parametrize(
+        "labels, means, covariance, message",
+        [
+            ((), [], np.zeros((0, 0)), "estimate has no banks"),
+            (
+                ("A", "B"), [0.0, "x"], np.eye(2),
+                "means must be numbers in a rectangular array",
+            ),
+            (
+                ("A", "B"), np.zeros(2), [[1.0, 0.0], [0.0]],
+                "covariance must be numbers in a rectangular array",
+            ),
+        ],
+        ids=["no-banks", "non-numeric-mean", "ragged-covariance"],
+    )
+    def test_rejects_an_empty_or_unreadable_estimate(self, labels, means, covariance, message):
+        with pytest.raises(InvalidCovarianceError, match=f"^{re.escape(message)}$"):
+            MomentEstimate(labels, means, covariance, 10)
 
     def test_rejects_a_negative_diagonal_entry(self):
         with pytest.raises(
