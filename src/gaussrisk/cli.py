@@ -39,8 +39,9 @@ _TABLE_HEADERS = {
     "beta_ai": "beta_Ai", "beta_si": "beta_Si", "beta_is": "beta_iS", "rho": "rho",
 }
 _MODEL_FIELDS = tuple(field.name for field in dataclasses.fields(GaussianPair))
-# One format call writes a whole analyze row (csv cells, json numbers).
-_ROW_FORMAT = ",".join(["{:.12g}"] * len(_REPORT_FIELDS))
+# One "%" call writes a whole analyze row (csv cells, json numbers); "%.12g"
+# writes a float as format(value, ".12g") does.
+_ROW_FORMAT = ",".join(["%.12g"] * len(_REPORT_FIELDS))
 # An available analyze row as json.dumps(..., indent=2) lays it out; "%" fills
 # its 14 slots in a third of the time str.format takes.
 _JSON_ROW = (
@@ -121,7 +122,7 @@ def _bank_pairs(args) -> Iterator[tuple[str, Optional[GaussianPair], str]]:
 def _report_values(report: Optional[BankRiskReport]) -> list[Optional[float]]:
     if report is None:
         return [None] * len(_REPORT_FIELDS)
-    return [getattr(report, field) for field in _REPORT_FIELDS]
+    return list(vars(report).values())  # the fields, set in _REPORT_FIELDS' order
 
 
 def _render_analyze_table(rows) -> str:
@@ -143,7 +144,7 @@ def _row_cells(report: Optional[BankRiskReport]) -> str:
     values = _report_values(report)
     if None in values:
         return ",".join(_fmt(v, ".12g") for v in values)
-    return _ROW_FORMAT.format(*[v + 0.0 for v in values])
+    return _ROW_FORMAT % tuple([v + 0.0 for v in values])
 
 
 def _json_number(token: str) -> str:
@@ -155,6 +156,16 @@ def _json_number(token: str) -> str:
     if "." in token:
         return token
     return _JSON_WORDS.get(token) or token + ".0"
+
+
+def _json_numbers(cells: str) -> list[str]:
+    """What ``json.dumps`` writes for each number of a ``_row_cells`` row."""
+    numbers = cells.split(",")
+    # a token with a "." and no exponent is already a json number ("n/a",
+    # "inf" and "nan" hold no "."): a row of only such tokens is ready
+    if cells.count(".") < len(numbers) or "e" in cells:
+        return [_json_number(token) for token in numbers]
+    return numbers
 
 
 def _render_analyze_csv(rows) -> str:
@@ -174,7 +185,7 @@ def _render_analyze_json(rows, alpha: float) -> str:
                 f'      "reason": {json.dumps(reason)}\n    }}'
             )
         else:
-            numbers = map(_json_number, _row_cells(report).split(","))
+            numbers = _json_numbers(_row_cells(report))
             reports.append(_JSON_ROW % (json.dumps(bank), *numbers))
     body = "[\n" + ",\n".join(reports) + "\n  ]" if reports else "[]"
     return f'{{\n  "alpha": {json.dumps(alpha)},\n  "reports": {body}\n}}'

@@ -51,6 +51,10 @@ _CANCELLATION_LIMIT = 1e3
 _SPLIT_ROWS = 4096
 _BLOCK_BYTES = 1 << 14
 
+# pair_for_bank's sums over the other banks are taken, and cached, for blocks
+# of this many bytes of covariance rows, or of one row if that is more.
+_REST_BYTES = 1 << 17
+
 # Characters of panel text that the fast parse checks at a time.
 _CHUNK_CHARS = 1 << 16
 
@@ -521,6 +525,38 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     return est
 
 
+def _bank_moments(est: MomentEstimate, idx: int) -> tuple[float, float, float, float]:
+    """``(mu_i, mu_a, var_i, cov_ia)`` of bank ``idx`` of ``est``, as Python floats.
+
+    ``mu_a`` and ``cov_ia`` are the bank's sums over the other banks, of the
+    means and of its covariance row.  They are computed for the whole block
+    of ``_REST_BYTES`` of covariance rows that holds the bank and cached on
+    ``est``, one entry per bank: every bank costs one pass over the
+    covariance, one bank one block.  Each row, its diagonal entry dropped, is
+    summed along a contiguous axis, which numpy does pairwise as it sums a
+    1-d array: the double ``np.concatenate((row[:i], row[i + 1:])).sum()``
+    gives.  An overflowing sum is left to GaussianPair to reject, without a
+    numpy warning about another bank than the one asked for.
+    """
+    means, cov = est.means, est.covariance
+    n = len(means)
+    rows = min(max(_REST_BYTES // (8 * n), 1), n)
+    start = idx - idx % rows
+    block = cov[start:start + rows]
+    k = len(block)
+    keep = ~np.eye(k, n, start, dtype=bool)  # each row but its diagonal entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_a = np.broadcast_to(means, (k, n))[keep].reshape(k, n - 1).sum(axis=1)
+        cov_ia = block[keep].reshape(k, n - 1).sum(axis=1)
+    # frozen: the cache goes straight into __dict__
+    moments = vars(est).setdefault("_bank_moments", [None] * n)
+    moments[start:start + k] = zip(
+        means[start:start + k].tolist(), mu_a.tolist(),
+        block.diagonal(start).tolist(), cov_ia.tolist(),
+    )
+    return moments[idx]
+
+
 def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     """Build the (bank, rest-of-system) Gaussian pair for one bank.
 
@@ -530,29 +566,29 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     columns, ``cov_ia`` the sum of the bank's covariances with each other
     bank.
 
-    ``var_a`` is ``1'.cov.1 - 2 cov_ia - var_i`` with the total cached on
-    ``est``, so a panel of n banks costs O(n^2) after the covariance, not
-    O(n^3).  That difference cancels when the bank carries most of the system
+    The sums over the other banks, of the means and of the bank's covariance
+    row, come from a block of banks' rows at once, cached on ``est`` (see
+    :func:`_bank_moments`): asking for every bank is one blocked pass over
+    the covariance.  Each is the double numpy's pairwise sum of those n - 1
+    entries gives.  ``var_a`` is then ``1'.cov.1 - 2 cov_ia - var_i`` with
+    the total cached on ``est``, so a panel of n banks costs O(n^2) after the
+    covariance, not O(n^3), and each bank is scalar arithmetic on Python
+    floats.  That difference cancels when the bank carries most of the system
     variance, and is not finite when the total overflows; then ``var_a`` is
     summed over the other banks' block instead.
     """
     idx = est.index_of(bank)
-    n = len(est.labels)
-    if n < 2:
+    if len(est.labels) < 2:
         raise DegenerateModelError(
             "panel has a single bank: there is no rest-of-system to aggregate"
         )
-    cov = est.covariance
-    var_i = float(cov[idx, idx])
+    moments = vars(est).get("_bank_moments")
+    mu_i, mu_a, var_i, cov_ia = moments and moments[idx] or _bank_moments(est, idx)
     if var_i <= 0.0:
         raise DegenerateBankError(f"bank {bank!r} has zero sample variance")
-    means, row = est.means, cov[idx]
-    mu_i = float(means[idx])
-    mu_a = float(np.concatenate((means[:idx], means[idx + 1:])).sum())
-    cov_ia = float(np.concatenate((row[:idx], row[idx + 1:])).sum())
     var_a = est._total - 2.0 * cov_ia - var_i
     if not math.isfinite(var_a) or (
         abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a
     ):
-        var_a = float(np.delete(np.delete(cov, idx, axis=0), idx, axis=1).sum())
+        var_a = float(np.delete(np.delete(est.covariance, idx, axis=0), idx, axis=1).sum())
     return GaussianPair(mu_i=mu_i, mu_a=mu_a, var_i=var_i, var_a=var_a, cov_ia=cov_ia)

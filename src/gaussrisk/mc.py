@@ -278,7 +278,10 @@ def empirical_quantile(values, p: float) -> float:
     The lower-tail convention matches quantile-style VaR: the VaR at
     threshold ``alpha`` is the empirical quantile at ``p = 1 - alpha``.
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    try:
+        arr = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError):  # an entry such as "x", or ragged rows
+        raise DomainError("values must be numbers in a rectangular array") from None
     if arr.size == 0:
         raise DomainError("empirical_quantile of an empty sample")
     k = _rank(p, arr.size)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError, DegenerateModelError, DomainError
@@ -62,46 +62,47 @@ class GaussianPair:
     cov_ia: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise DomainError(f"{field.name} must be a finite number, got {value!r}")
-        if self.var_i <= 0.0:
-            raise DegenerateModelError(f"var_i must be positive, got {self.var_i!r}")
-        if self.var_a <= 0.0:
-            raise DegenerateModelError(f"var_a must be positive, got {self.var_a!r}")
         derived = vars(self)  # frozen: the derived values go straight into __dict__
-        derived["std_i"], derived["std_a"] = math.sqrt(self.var_i), math.sqrt(self.var_a)
-        derived["mu_s"] = self.mu_i + self.mu_a
-        derived["cov_is"] = self.cov_ia + self.var_i
+        for name, value in derived.items():  # the five fields, in order: none is derived yet
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
+        mu_i, mu_a, var_i, var_a, cov_ia = derived.values()
+        if var_i <= 0.0:
+            raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
+        if var_a <= 0.0:
+            raise DegenerateModelError(f"var_a must be positive, got {var_a!r}")
+        std_i, std_a = math.sqrt(var_i), math.sqrt(var_a)
+        mu_s, cov_is = mu_i + mu_a, cov_ia + var_i
         # keep every derived statistic representable: no silent overflow to
         # inf, in the variances or in the report's slopes on the bank
         if not (
-            math.isfinite(self.var_i + 2.0 * self.cov_ia + self.var_a)
-            and math.isfinite(self.mu_s)
-            and math.isfinite(self.cov_ia / self.var_i)
-            and math.isfinite(self.cov_is / self.var_i)
+            math.isfinite(var_i + 2.0 * cov_ia + var_a)
+            and math.isfinite(mu_s)
+            and math.isfinite(cov_ia / var_i)
+            and math.isfinite(cov_is / var_i)
         ):
             raise DomainError("model magnitudes overflow double precision")
-        _check_loading(self.cov_ia / self.std_i, self.std_a)
+        _check_loading(cov_ia / std_i, std_a)
         # var_s is summed exactly: fsum rounds once, so the cancellation near
         # rho = -1 costs no digits.  A sum that is not positive is clamped at
         # exactly 0 (a perfect hedge).  A positive sum is kept at least
         # cov_is**2 / var_i, the bound PSD puts on it (var_s var_i - cov_is**2
         # = var_i var_a - cov_ia**2), which the PSD slack or a rounding may
         # otherwise cross; squared after dividing, as cov_is**2 may overflow.
-        var_s = math.fsum((self.var_i, 2.0 * self.cov_ia, self.var_a))
-        explained_sd = self.cov_is / self.std_i
-        derived["var_s"] = 0.0 if var_s <= 0.0 else max(var_s, explained_sd * explained_sd)
-        derived["std_s"] = math.sqrt(self.var_s)
+        var_s = math.fsum((var_i, 2.0 * cov_ia, var_a))
+        explained_sd = cov_is / std_i
+        var_s = 0.0 if var_s <= 0.0 else max(var_s, explained_sd * explained_sd)
         # rho: one division while std_i * std_a is a normal double; a
         # subnormal product has lost digits, so divide by each sd in turn
-        sd_product = self.std_i * self.std_a
+        sd_product = std_i * std_a
         if sd_product >= sys.float_info.min:
-            rho = self.cov_ia / sd_product
+            rho = cov_ia / sd_product
         else:
-            rho = self.cov_ia / self.std_i / self.std_a
-        derived["rho"] = max(-1.0, min(1.0, rho))
+            rho = cov_ia / std_i / std_a
+        derived.update(
+            std_i=std_i, std_a=std_a, mu_s=mu_s, cov_is=cov_is,
+            var_s=var_s, std_s=math.sqrt(var_s), rho=max(-1.0, min(1.0, rho)),
+        )
 
     def swapped(self) -> "GaussianPair":
         """The same model with the bank and rest-of-system roles exchanged."""
@@ -138,6 +139,8 @@ class BankRiskReport:
 
 
 def _check(name: str, a: float, b: float, slack: float) -> None:
+    if abs(a - b) <= slack:  # two finite routes that agree within the slack
+        return
     tol = max(1e-9 * abs(a), 1e-9 * abs(b), slack)
     if not (math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol):
         raise ConsistencyError(

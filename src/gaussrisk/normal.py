@@ -137,10 +137,13 @@ def conditional_moments(
     unconditional ``var_a`` (variance reduction by conditioning); it equals
     ``var_a`` exactly when the variables are uncorrelated.
     """
-    for name, value in (("mu_a", mu_a), ("mu_i", mu_i), ("var_i", var_i), ("var_a", var_a),
-                        ("cov_ai", cov_ai), ("x", x)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+    # A sum is finite only if every term is; finite terms may still overflow
+    # it, and then the loop that names the first bad argument finds none.
+    if not math.isfinite(mu_a + mu_i + var_i + var_a + cov_ai + x):
+        for name, value in (("mu_a", mu_a), ("mu_i", mu_i), ("var_i", var_i),
+                            ("var_a", var_a), ("cov_ai", cov_ai), ("x", x)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
     if var_i <= 0.0:
         raise DegenerateModelError(f"var_i must be positive, got {var_i!r}")
     if var_a <= 0.0:

@@ -201,6 +201,11 @@ class TestAnalyzeModel:
     def test_every_report_field_has_one_table_header(self):
         assert set(gaussrisk.cli._TABLE_HEADERS) == set(gaussrisk.cli._REPORT_FIELDS)
 
+    def test_a_report_holds_its_fields_and_nothing_else_in_order(self):
+        # the renderers read a report's values from its __dict__, in field order
+        report = full_report(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), RiskParams(0.99))
+        assert list(vars(report)) == list(gaussrisk.cli._REPORT_FIELDS)
+
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     def test_negative_first_field_reads_the_same_after_a_space(self, capsys, command):
         # argparse would take "-0.01,..." for an option; it must read as --model=-0.01,...
@@ -765,6 +770,15 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert out == (GOLDEN / expected).read_text()
+        assert err == "warning: bank 'FLAT' skipped: bank 'FLAT' has zero sample variance\n"
+
+    def test_analyze_all_banks(self, capsys):
+        # no --banks: every bank in panel order, FLAT skipped with its warning
+        code, out, err = run(
+            capsys, ["analyze", "--input", str(GOLDEN / "panel.csv"), "--format", "json"]
+        )
+        assert code == 0
+        assert out == (GOLDEN / "analyze_all.json").read_text()
         assert err == "warning: bank 'FLAT' skipped: bank 'FLAT' has zero sample variance\n"
 
     def test_validate_csv(self, capsys):

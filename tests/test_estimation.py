@@ -27,6 +27,7 @@ from gaussrisk.estimation import (
     _BLOCK_BYTES,
     _SPLIT_ROWS,
     _CANCELLATION_LIMIT,
+    _REST_BYTES,
     MomentEstimate,
     ReturnPanel,
     _parse_exact,
@@ -593,8 +594,8 @@ class TestEstimateMoments:
     def test_peak_memory_is_one_centred_copy_and_the_covariance(self):
         # np.cov held a centred copy of the panel and the covariance.  A panel
         # of one block holds the same, one split into blocks less; no shape may
-        # cost more, and the symmetric average and the estimate add no n x n
-        # array, which short, wide panels would show
+        # cost more, and the estimate adds no n x n array, which short, wide
+        # panels would show
         shapes = [(500, 400), (_SPLIT_ROWS + 1, 300), (40_000, 8), (50, 400), (10, 1000)]
         for rows, banks in shapes:
             peak = estimate_peak(one_factor_panel(rows, banks))
@@ -1028,3 +1029,89 @@ class TestPairForBankAgainstOracle:
         if ratio >= 1e4:
             difference = total - 2.0 * want["cov_ia"] - want["var_i"]
             assert abs(difference - want["var_a"]) > 1e-12 * want["var_a"]
+
+
+def concatenated_pair(est: MomentEstimate, i: int) -> GaussianPair:
+    """Bank ``i``'s pair from one ``np.concatenate`` sum per bank, as pair_for_bank once built it."""
+    means, cov = est.means, est.covariance
+    var_i = float(cov[i, i])
+    mu_a = float(np.concatenate((means[:i], means[i + 1:])).sum())
+    cov_ia = float(np.concatenate((cov[i, :i], cov[i, i + 1:])).sum())
+    var_a = est._total - 2.0 * cov_ia - var_i
+    if not math.isfinite(var_a) or (
+        abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a
+    ):
+        var_a = float(np.delete(np.delete(cov, i, axis=0), i, axis=1).sum())
+    return GaussianPair(mu_i=float(means[i]), mu_a=mu_a, var_i=var_i, var_a=var_a, cov_ia=cov_ia)
+
+
+def assert_pairs_bit_identical(est: MomentEstimate) -> None:
+    for i, bank in enumerate(est.labels):
+        pair = pair_for_bank(est, bank)
+        assert pair == concatenated_pair(est, i), bank  # all five fields, by ==
+        assert all(type(value) is float for value in (pair.mu_i, pair.mu_a, pair.var_i,
+                                                      pair.var_a, pair.cov_ia))
+
+
+class TestLeaveOneOutSums:
+    """pair_for_bank's sums over all banks but one, computed for every bank at once.
+
+    Each must be the double numpy's pairwise sum gives that bank's other n - 1
+    entries, the sum of a ``np.concatenate`` of the two sides.  Widths of 128
+    and 129 put the n - 1 kept entries on either side of numpy's 128-entry
+    pairwise block; from 129 banks on, the covariance rows are summed in more
+    than one block.
+    """
+
+    @pytest.mark.parametrize("banks", [2, 3, 8, 9, 128, 129, 400, 1000])
+    def test_seeded_panel(self, banks):
+        rng = np.random.default_rng(banks)
+        scales = np.exp(rng.uniform(-4.0, 4.0, banks))
+        obs = (rng.standard_normal((60, 1)) + rng.standard_normal((60, banks))) * scales
+        obs += scales * rng.standard_normal(banks)
+        est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
+        assert_pairs_bit_identical(est)
+
+    def test_one_bank_sums_only_its_block(self):
+        rng = np.random.default_rng(5)
+        banks = 1000
+        obs = rng.standard_normal((60, 1)) + rng.standard_normal((60, banks))
+        est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
+        for i in (517, 999, 0, 516):  # out of order, a short last block, a cached block
+            assert pair_for_bank(est, f"B{i}") == concatenated_pair(est, i)
+        rows = _REST_BYTES // (8 * banks)
+        cached = [i for i, moments in enumerate(vars(est)["_bank_moments"]) if moments]
+        assert cached == [*range(rows), *range(512, 512 + rows), *range(992, banks)]
+
+    def test_caller_built_estimate(self):
+        rng = np.random.default_rng(11)
+        banks = 257
+        root = rng.standard_normal((banks, banks)) * np.exp(rng.uniform(-3.0, 3.0, banks))
+        cov = root.T @ root / banks
+        labels = tuple(f"B{i}" for i in range(banks))
+        est = MomentEstimate(labels, rng.standard_normal(banks), 0.5 * (cov + cov.T), 100)
+        assert_pairs_bit_identical(est)
+
+    def test_dominant_bank_falls_back_to_the_block_sum(self):
+        corr = np.array([[1.0, 0.45, 0.3], [0.45, 1.0, 0.35], [0.3, 0.35, 1.0]])
+        est = scaled_estimate(corr, np.array([1e8, 1.0, 1.5]), np.array([0.1, -0.05, 0.15]))
+        cov_ia = float(est.covariance[0, 1:].sum())
+        var_a = est._total - 2.0 * cov_ia - float(est.covariance[0, 0])
+        assert abs(est._total) > _CANCELLATION_LIMIT * var_a  # the first bank takes the fallback
+        assert_pairs_bit_identical(est)
+
+    def test_overflowing_total_falls_back_to_the_block_sum(self):
+        loadings = np.array([1.0, -0.2, 1.0, 0.0])
+        cov = 5e307 * np.outer(loadings, loadings)
+        cov[3, 3] = 1e-10
+        est = MomentEstimate(("B", "C", "D", "A"), np.zeros(4), cov, 10)
+        assert est._total == math.inf  # every bank takes the fallback
+        for i, bank in ((0, "B"), (2, "D"), (3, "A")):  # C's block sum overflows too
+            assert pair_for_bank(est, bank) == concatenated_pair(est, i)
+
+    def test_an_overflowing_sum_is_the_pair_error_without_a_warning(self):
+        # E's other means add up past the largest double.  Every bank's sums are
+        # taken at once, with no numpy warning, which could name another bank's
+        est = MomentEstimate(tuple("ABCDE"), np.array([5e307] * 4 + [0.1]), np.eye(5), 10)
+        with pytest.raises(DomainError, match="^mu_a must be a finite number, got inf$"):
+            pair_for_bank(est, "E")

@@ -163,6 +163,11 @@ class TestEmpiricalQuantile:
         with pytest.raises(DomainError):
             empirical_quantile([1.0, 2.0], 1.0)
 
+    @pytest.mark.parametrize("values", [["x", 1.0], [[1.0], [2.0, 3.0]]], ids=["str", "ragged"])
+    def test_rejects_values_that_are_not_numbers(self, values):
+        with pytest.raises(DomainError, match="^values must be numbers in a rectangular array$"):
+            empirical_quantile(values, 0.5)
+
 
 class TestQuantileAndSe:
     """One partition gives the same quantile and SE as three separate order statistics."""

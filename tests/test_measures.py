@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import operator
+import re
 
 import mpmath
 import numpy as np
@@ -47,6 +48,18 @@ class TestGaussianPair:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             GaussianPair(float("nan"), 0.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["mu_i", "mu_a", "var_i", "var_a", "cov_ia"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5"])
+    def test_names_the_first_field_that_is_not_a_finite_number(self, field, value):
+        values = dict(mu_i=0.0, mu_a=0.0, var_i=1.0, var_a=1.0, cov_ia=0.0)
+        names = list(values)
+        values[field] = value
+        for later in names[names.index(field) + 1:]:
+            values[later] = math.nan  # every later field is bad too
+        message = f"^{re.escape(f'{field} must be a finite number, got {value!r}')}$"
+        with pytest.raises(DomainError, match=message):
+            GaussianPair(**values)
 
     def test_rejects_overflowing_magnitudes(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -155,6 +156,10 @@ class TestRiskParams:
             assert abs(m - reference) <= (4.0 + q_float * q_float) * math.ulp(float(reference))
 
 
+# conditional_moments' arguments, in the order it checks them
+ARGUMENTS = ("mu_a", "mu_i", "var_i", "var_a", "cov_ai", "x")
+
+
 class TestConditionalMoments:
     def test_independence_leaves_target_unchanged(self):
         cm = conditional_moments(0.0, 0.0, 1.0, 1.0, 0.0, x=5.0)
@@ -204,6 +209,20 @@ class TestConditionalMoments:
         kwargs[name] = value
         with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
             conditional_moments(**kwargs)
+
+    @pytest.mark.parametrize(
+        "first, second", list(itertools.combinations(ARGUMENTS, 2)),
+        ids="-".join,
+    )
+    def test_names_the_first_of_two_non_finite_arguments(self, first, second):
+        kwargs = dict(mu_a=0.0, mu_i=0.0, var_i=1.0, var_a=1.0, cov_ai=0.0, x=0.0)
+        kwargs[first], kwargs[second] = math.inf, math.nan
+        with pytest.raises(DomainError, match=f"^{first} must be finite, got inf$"):
+            conditional_moments(**kwargs)
+
+    def test_finite_arguments_whose_sum_overflows_are_accepted(self):
+        cm = conditional_moments(1e308, 1e308, 1.0, 1.0, 0.0, 0.0)
+        assert (cm.mean, cm.variance) == (1e308, 1.0)
 
     @pytest.mark.parametrize("var_a", [0.0, -1.0])
     def test_rejects_a_non_positive_target_variance(self, var_a):
