@@ -139,8 +139,9 @@ class MomentEstimate:
 
     One built by a caller is gated: the covariance must be finite,
     symmetric, free of negative variances, of finite trace and PSD to within
-    1e-10 of its trace.  :func:`estimate_moments` checks only finiteness and
-    the trace of its own, a sample covariance, which is PSD by construction.
+    1e-10 of its trace, by one ``eigvalsh``.  :func:`estimate_moments` checks
+    only finiteness and the trace of its own, a sample covariance, which is
+    PSD by construction.
     """
 
     labels: tuple[str, ...]
@@ -178,24 +179,16 @@ class MomentEstimate:
             raise InvalidCovarianceError("covariance matrix has a negative diagonal entry")
         with np.errstate(over="ignore"):
             trace = float(np.trace(cov))
-        if not math.isfinite(trace):  # the slack below would be inf and accept anything
+        if not math.isfinite(trace):  # the bound below would be -inf and accept anything
             raise InvalidCovarianceError("covariance matrix trace overflows to inf")
         if gated:
-            # PSD up to rounding noise: smallest eigenvalue may only be a hair below zero.
-            # Cholesky of cov + slack*I succeeds only if it is above -slack, up to
-            # rounding, so it accepts at less cost; eigvalsh decides the rest.
-            slack = 1e-10 * max(trace, 1e-300)
-            shifted = cov.copy()
-            shifted.flat[::len(cov) + 1] += slack
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                min_eig = float(np.linalg.eigvalsh(cov)[0])
-                if min_eig < -slack:
-                    raise InvalidCovarianceError(
-                        f"covariance matrix is not positive semidefinite "
-                        f"(min eigenvalue {min_eig!r}, trace {trace!r})"
-                    ) from None
+            # PSD up to rounding noise: the smallest eigenvalue may be a hair below zero
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
+            if min_eig < -1e-10 * max(trace, 1e-300):
+                raise InvalidCovarianceError(
+                    f"covariance matrix is not positive semidefinite "
+                    f"(min eigenvalue {min_eig!r}, trace {trace!r})"
+                )
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "means", _freeze(means, self.means))
         object.__setattr__(self, "covariance", _freeze(cov, self.covariance))
@@ -497,18 +490,21 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     means = obs.mean(axis=0)
     split = t >= _SPLIT_ROWS + 2 * n
     block = np.empty((max(_BLOCK_BYTES // (8 * n), n) if split else t, n))
-    for start in range(0, t, len(block)):
-        part = np.subtract(obs[start:start + len(block)], means, out=block[:t - start])
-        gram = np.dot(part.T, part)  # syrk: one triangle, mirrored, so exactly symmetric
-        if start:
-            cov += gram
-        else:
-            cov = gram
+    # an overflow: a huge constant column's squared noise, zeroed below, or what _admit rejects
+    with np.errstate(over="ignore"):
+        for start in range(0, t, len(block)):
+            part = np.subtract(obs[start:start + len(block)], means, out=block[:t - start])
+            gram = np.dot(part.T, part)  # syrk: one triangle, mirrored, so exactly symmetric
+            if start:
+                cov += gram
+            else:
+                cov = gram
     del block, part, gram  # the covariance alone is needed past here
     cov *= np.true_divide(1, t - 1)
-    # A constant column's sample variance is rounding noise of its mean, far
-    # below (T * mean * 1e-10)^2; only such columns are compared value by value.
-    suspect = np.flatnonzero(np.diag(cov) <= (1e-10 * obs.shape[0] * means) ** 2)
+    # A constant column's sample sd is rounding noise of its mean, far below
+    # T * |mean| * 1e-10, or inf; only such columns are compared value by value.
+    diag = np.diag(cov)
+    suspect = np.flatnonzero((np.sqrt(diag) <= 1e-10 * t * np.abs(means)) | np.isinf(diag))
     constant = suspect[(obs[:, suspect] == obs[0, suspect]).all(axis=0)]
     cov[constant, :] = 0.0
     cov[:, constant] = 0.0
@@ -590,5 +586,6 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     if not math.isfinite(var_a) or (
         abs(est._total) + 2.0 * abs(cov_ia) + var_i > _CANCELLATION_LIMIT * var_a
     ):
-        var_a = float(np.delete(np.delete(est.covariance, idx, axis=0), idx, axis=1).sum())
+        with np.errstate(over="ignore"):  # an inf var_a is the pair's error
+            var_a = float(np.delete(np.delete(est.covariance, idx, axis=0), idx, axis=1).sum())
     return GaussianPair(mu_i=mu_i, mu_a=mu_a, var_i=var_i, var_a=var_a, cov_ia=cov_ia)

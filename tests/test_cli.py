@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -46,6 +48,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_piped(argv, text=""):
+    """``main(argv)`` in process with ``text`` on stdin: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestAnalyzeModel:
@@ -418,6 +432,29 @@ class TestAnalyzePanel:
         assert (code, out) == (2, "")
         assert err == "error: non-finite entry in the means or the covariance matrix\n"
 
+    @pytest.mark.parametrize(
+        "text, code, err",
+        [
+            # C's squared rounding noise overflows in the Gram matrix
+            (
+                "A,B,C\n" + "".join(f"{r},{r * r % 7},1e200\n" for r in range(1, 8)),
+                0, "warning: bank 'C' skipped: bank 'C' has zero sample variance\n",
+            ),
+            # (1e-10 * T * mean) ** 2 would overflow; E's rest-of-system mean does
+            (
+                "A,B,C,D,E\n" + "".join(f"5e307,5e307,5e307,5e307,{v}\n" for v in (1, 2, 4)),
+                2, "".join(
+                    f"warning: bank '{bank}' skipped: bank '{bank}' has zero sample variance\n"
+                    for bank in "ABCD"
+                ) + "error: mu_a must be a finite number, got inf\n",
+            ),
+        ],
+        ids=["residue-overflows", "square-overflows"],
+    )
+    def test_huge_constant_columns_give_only_their_skip_lines(self, text, code, err):
+        result = run_piped(["analyze", "--input", "-", "--format", "csv"], text)
+        assert result[::2] == (code, err)
+
     def test_parse_error_names_coordinates(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n0.01,0.02\n0.03,oops\n0.01,0.00\n")
@@ -746,6 +783,78 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "--input", panel_path, "--model", "0,0,1,1,0"])
         assert excinfo.value.code == 2
+
+
+def magnitudes(lo, hi, signed=True):
+    """0, 1 or 10^U(lo, hi), of either sign where ``signed``."""
+    signs = st.sampled_from([-1.0, 1.0] if signed else [1.0])
+    return st.sampled_from([0.0, 1.0]) | st.builds(
+        lambda sign, exponent: sign * 10.0 ** exponent, signs, st.floats(lo, hi)
+    )
+
+
+@st.composite
+def model_specs(draw):
+    """``MU_I,MU_A,VAR_I,VAR_A,COV`` at any magnitude; COV is a number or rho sd_i sd_a.
+
+    A negative variance is rejected before any arithmetic, so none is drawn.
+    """
+    mu_i, mu_a = draw(magnitudes(-320, 308)), draw(magnitudes(-320, 308))
+    var_i, var_a = (draw(magnitudes(-320, 308, signed=False)) for _ in range(2))
+    rho = draw(st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]))
+    cov = draw(magnitudes(-320, 308) | st.just(rho * math.sqrt(var_i) * math.sqrt(var_a)))
+    return ",".join(map(repr, (mu_i, mu_a, var_i, var_a, cov)))
+
+
+@st.composite
+def panel_texts(draw):
+    """A CSV panel of 3-40 rows and 1-6 one-factor banks of scales 10^U(-150, 300).
+
+    Some columns are constant, some sit far from zero, and one bank may
+    dominate the system.
+    """
+    rows, banks = draw(st.integers(3, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = np.array(draw(st.lists(st.floats(-150.0, 300.0), min_size=banks, max_size=banks)))
+    dominant = draw(st.none() | st.integers(0, banks - 1))
+    if dominant is not None:
+        scales[dominant] = min(scales[dominant] + draw(st.floats(3.0, 8.0)), 300.0)
+    factor = rng.standard_normal((rows, 1))
+    obs = factor * rng.standard_normal(banks) + rng.standard_normal((rows, banks))
+    obs *= 10.0 ** scales
+    for j in range(banks):
+        location = draw(st.none() | magnitudes(-150.0, 300.0))
+        if location is not None:
+            obs[:, j] += location
+        if draw(st.integers(0, 3)) == 0:
+            obs[:, j] = obs[0, j]
+    header = ",".join(f"B{j}" for j in range(banks))
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in obs.tolist())
+
+
+class TestNoNumpyWarningReachesTheUser:
+    """analyze at any magnitude: exit 0 or 2, and only the CLI's own stderr lines.
+
+    The suite turns a warning outside the estimate into an exception, which
+    ``main`` reports as exit 3; the estimate's own warnings are printed as
+    ``warning:`` lines, so a numpy warning there shows on stderr.
+    """
+
+    STDERR_LINE = re.compile(r"^(warning: bank '.+' skipped: |error: )")
+
+    def assert_clean(self, code, err):
+        assert code in (0, 2), err
+        assert all(self.STDERR_LINE.match(line) for line in err.splitlines()), err
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(model=model_specs(), form=st.sampled_from(["table", "csv", "json"]))
+    def test_models(self, model, form):
+        self.assert_clean(*run_piped(["analyze", f"--model={model}", "--format", form])[::2])
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(text=panel_texts(), form=st.sampled_from(["table", "csv", "json"]))
+    def test_panels(self, text, form):
+        self.assert_clean(*run_piped(["analyze", "--input", "-", "--format", form], text)[::2])
 
 
 GOLDEN = Path(__file__).parent / "golden"

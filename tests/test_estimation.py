@@ -820,8 +820,16 @@ class TestMomentEstimate:
     @settings(max_examples=300, deadline=None)
     @given(
         positive=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=7),
-        multiple=st.floats(-5.0, 5.0).filter(lambda k: abs(k - 1.0) >= 1e-3),
+        multiple=st.floats(-5.0, 5.0),
         seed=st.integers(0, 2**32 - 1),
+    )
+    # the smallest eigenvalue is a hair below -slack, which a Cholesky of
+    # cov + slack * I had accepted
+    @example(
+        positive=[941.1240916274793, 569.004986088389, 36.38712138099605, 92.78769084832155,
+                  960.1044305430958],
+        multiple=1.0000000757085228,
+        seed=8424,
     )
     def test_psd_decision_equals_the_eigenvalue_decision(self, positive, multiple, seed):
         cov = spectrum_matrix(np.array(positive), multiple, np.random.default_rng(seed))
@@ -1106,8 +1114,11 @@ class TestLeaveOneOutSums:
         cov[3, 3] = 1e-10
         est = MomentEstimate(("B", "C", "D", "A"), np.zeros(4), cov, 10)
         assert est._total == math.inf  # every bank takes the fallback
-        for i, bank in ((0, "B"), (2, "D"), (3, "A")):  # C's block sum overflows too
+        for i, bank in ((0, "B"), (2, "D"), (3, "A")):
             assert pair_for_bank(est, bank) == concatenated_pair(est, i)
+        # C's block sum overflows too: the pair's error, with no numpy warning
+        with pytest.raises(DomainError, match="^var_a must be a finite number, got inf$"):
+            pair_for_bank(est, "C")
 
     def test_an_overflowing_sum_is_the_pair_error_without_a_warning(self):
         # E's other means add up past the largest double.  Every bank's sums are
