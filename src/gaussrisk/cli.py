@@ -77,18 +77,14 @@ def _parse_model(spec: str) -> GaussianPair:
 
 
 def _load_estimate(path: str) -> MomentEstimate:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
         # a selected zero-variance bank gets its own "skipped" warning line
         warnings.simplefilter("ignore", DegenerateSeriesWarning)
         try:
             panel = load_panel(sys.stdin if path == "-" else path)
         except OSError as exc:  # a missing, unreadable or directory input, not a defect
             raise PanelFormatError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
-        est = estimate_moments(panel)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return est
+        return estimate_moments(panel)
 
 
 def _select_banks(est: MomentEstimate, banks: Optional[str]) -> list[str]:

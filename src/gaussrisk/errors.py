@@ -3,9 +3,8 @@
 Errors are split by failure mode so callers can react precisely: a numeric
 argument outside its domain, a degenerate model (zero variance where a
 positive one is required), a covariance that is not positive semidefinite,
-malformed panel input, and a violated internal cross-check.  Too few Monte
-Carlo samples in a conditioning band or a tail is not an error to callers:
-the oracle reports that statistic as skipped, with a note.
+malformed panel input, and a violated internal cross-check.  A Monte Carlo
+band or tail too thin to check is no error: the oracle skips that statistic.
 """
 
 
@@ -43,14 +42,6 @@ class PanelFormatError(GaussRiskError, ValueError):
 
 class ConsistencyError(GaussRiskError, RuntimeError):
     """Two independent derivations of the same statistic disagree."""
-
-
-class _ThinSampleError(GaussRiskError, RuntimeError):
-    """Too few (``count``) Monte Carlo samples in a band or tail: the oracle skips that check."""
-
-    def __init__(self, message: str, count: int):
-        super().__init__(message)
-        self.count = count
 
 
 class DegenerateSeriesWarning(UserWarning):

@@ -487,11 +487,12 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     """
     obs = panel.observations
     t, n = obs.shape
-    means = obs.mean(axis=0)
     split = t >= _SPLIT_ROWS + 2 * n
     block = np.empty((max(_BLOCK_BYTES // (8 * n), n) if split else t, n))
-    # an overflow: a huge constant column's squared noise, zeroed below, or what _admit rejects
-    with np.errstate(over="ignore"):
+    # an overflow (or the inf - inf of two blocks' sums): a huge constant
+    # column's squared noise, zeroed below, or what _admit rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = obs.mean(axis=0)
         for start in range(0, t, len(block)):
             part = np.subtract(obs[start:start + len(block)], means, out=block[:t - start])
             gram = np.dot(part.T, part)  # syrk: one triangle, mirrored, so exactly symmetric

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateSystemError, DomainError, _ThinSampleError
+from .errors import DegenerateSystemError, DomainError
 from .measures import GaussianPair, _report
 from .normal import RiskParams
 
@@ -352,22 +352,28 @@ def _window(
         return cut[np.abs(values.take(cut) - center) <= half_width]
 
 
+class _Thin(NamedTuple):
+    """Too few (``count``) samples in a band or tail: the oracle skips its check, with ``note``."""
+
+    note: str
+    count: int
+
+
 def _band_indices(
     cond: np.ndarray, center: float, half_width: float, candidates: Optional[tuple] = None
-) -> np.ndarray:
+) -> Union[np.ndarray, _Thin]:
     """Ascending indices of the window ``|cond - center| <= half_width``.
 
-    Raises _ThinSampleError when too few samples fall inside.  Gathering a
-    target through the indices reads only the band, not a full-length mask.
+    A :class:`_Thin` when too few samples fall inside.  Gathering a target
+    through the indices reads only the band, not a full-length mask.
     ``candidates`` is as for :func:`_within`.
     """
     inside = _window(cond, center, half_width, candidates)
-    count = inside.size
-    if count < _MIN_BAND:
-        raise _ThinSampleError(
-            f"only {count} samples within {half_width:.6g} of {center:.6g} "
+    if inside.size < _MIN_BAND:
+        return _Thin(
+            f"only {inside.size} samples within {half_width:.6g} of {center:.6g} "
             f"(need >= {_MIN_BAND}); raise the sample count or the bandwidth",
-            count=count,
+            inside.size,
         )
     return inside
 
@@ -395,24 +401,17 @@ def _quantile_and_se(
 
 
 # The empirical value of a statistic, its standard error and its effective
-# sample count; or the error of the thin band or tail that kept it from being
-# evaluated.
-_Outcome = Union[tuple[float, float, int], _ThinSampleError]
+# sample count; or the _Thin of the band or tail that kept it from being
+# evaluated, which is the outcome of everything built on that band or tail.
+_Outcome = Union[tuple[float, float, int], _Thin]
 
 
 def _attempt(compute: Callable, *args):
-    """``compute(*args)``, or the thin-band/thin-tail error it raised.
-
-    The first such error among ``args`` is returned without calling
-    ``compute``, so a thin band's error is the result of everything built on it.
-    """
+    """The first :class:`_Thin` among ``args``, else ``compute(*args)``."""
     for arg in args:
-        if isinstance(arg, _ThinSampleError):
+        if isinstance(arg, _Thin):
             return arg
-    try:
-        return compute(*args)
-    except _ThinSampleError as exc:
-        return exc.with_traceback(None)  # the traceback would keep the band's temporaries alive
+    return compute(*args)
 
 
 def _band_quantile(
@@ -436,22 +435,20 @@ def _difference(stressed: tuple, unstressed: tuple) -> tuple[float, float, int]:
     )
 
 
-def _tail_quantile(quantile: float, se: float, count: int) -> tuple[float, float, int]:
+def _tail_quantile(quantile: float, se: float, count: int) -> _Outcome:
     # The quantile is read from ``count`` tail samples; below the minimum
     # its comparison is as noisy as the thin tails the other statistics skip.
     if count < _MIN_TAIL:
-        raise _ThinSampleError(f"only {count} tail samples (need >= {_MIN_TAIL})", count=count)
+        return _Thin(f"only {count} tail samples (need >= {_MIN_TAIL})", count)
     return quantile, se, count
 
 
-def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> tuple[float, float, int]:
+def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> _Outcome:
     # Tail-conditional mean: averaging the rest-of-system over the bank's
     # worst (1 - alpha) scenarios reproduces the ES spillover by the tower
     # property alone, with no Gaussian algebra involved.
     if tail.size < _MIN_TAIL:
-        raise _ThinSampleError(
-            f"only {tail.size} tail samples (need >= {_MIN_TAIL})", count=int(tail.size)
-        )
+        return _Thin(f"only {tail.size} tail samples (need >= {_MIN_TAIL})", int(tail.size))
     se = math.sqrt(tail.var(ddof=1) / tail.size + mean_variance)
     return float(tail.mean()) - mean, se, int(tail.size)
 
@@ -492,11 +489,11 @@ def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationRep
     # mostly among its lowest samples, the unstressed window among the
     # samples where the draw's first column is near its mean.
     tail_i = xa.take(_within(xi, -math.inf, q_i, lowest_i))
-    coll_es = _attempt(_tail_shift, tail_i, m.mean_a, m.var_a / n)
-    stressed_i = _attempt(_band_indices, xi, q_i, half_i, lowest_i)
+    coll_es = _tail_shift(tail_i, m.mean_a, m.var_a / n)
+    stressed_i = _band_indices(xi, q_i, half_i, lowest_i)
     del lowest_i, tail_i  # freed before the bands' indices and gathered values grow
     near_i = (draw.near_mean, xi.take(draw.near_mean), False)
-    unstressed_i = _attempt(_band_indices, xi, m.mean_i, half_i, near_i)
+    unstressed_i = _band_indices(xi, m.mean_i, half_i, near_i)
     del near_i
     covar = _attempt(_band_quantile, _attempt(xa.take, stressed_i), p, se_q_i, m.slope_ai)
     covare = _attempt(
@@ -517,18 +514,18 @@ def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationRep
     q_s, se_q_s = _quantile_and_se(lowest_s[1], p, n)
     half_s = config.bandwidth * std_s
     # The system's stressed and unstressed windows, each conditioning xi.
-    stressed_s = _attempt(xi.take, _attempt(_band_indices, xs, q_s, half_s, lowest_s))
+    stressed_s = _attempt(xi.take, _band_indices(xs, q_s, half_s, lowest_s))
     del low_s, lowest_s
     contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, m.slope_is)
     contr_unstressed = _attempt(
-        _band_quantile, _attempt(xi.take, _attempt(_band_indices, xs, m.mean_s, half_s)),
+        _band_quantile, _attempt(xi.take, _band_indices(xs, m.mean_s, half_s)),
         p, std_s / math.sqrt(n), m.slope_is,
     )
 
     # (report field, target's sample std, outcome): each closed form is read
     # from the report analyze prints, by its field name.
     plan: list[tuple[str, float, _Outcome]] = [
-        ("var_i", std_i, _attempt(_tail_quantile, q_i, se_q_i, math.ceil(p * n))),
+        ("var_i", std_i, _tail_quantile(q_i, se_q_i, math.ceil(p * n))),
         ("covar_ai", std_a, covar),
         ("covare_ai", std_a, covare),
         ("delta_coll_var", std_a, _attempt(_difference, covar, covare)),
@@ -541,12 +538,12 @@ def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationRep
     checks = []
     for name, target_std, outcome in plan:
         closed = getattr(report, name)
-        if isinstance(outcome, _ThinSampleError):
+        if isinstance(outcome, _Thin):
             checks.append(
                 StatisticCheck(
                     name=name, closed_form=closed, empirical=None, abs_error=None,
                     tolerance=None, effective_tail_samples=outcome.count, passed=None,
-                    note=str(outcome),
+                    note=outcome.note,
                 )
             )
             continue

@@ -3,6 +3,7 @@
 from types import ModuleType
 
 import gaussrisk
+import gaussrisk.errors
 
 PUBLIC_NAMES = [
     "BankRiskReport",
@@ -45,3 +46,12 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+def test_errors_module_defines_only_public_names():
+    # a class the package raises and catches itself does not belong in the hierarchy callers see
+    defined = [
+        name for name, value in vars(gaussrisk.errors).items()
+        if isinstance(value, type) and value.__module__ == gaussrisk.errors.__name__
+    ]
+    assert defined and set(defined) <= set(PUBLIC_NAMES)

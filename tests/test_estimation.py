@@ -538,6 +538,22 @@ class TestEstimateMoments:
         assert est.covariance[2, 2] > 0.0
         assert pair_for_bank(est, "C").var_i == est.covariance[2, 2]
 
+    def test_overflowing_mean_is_a_typed_error_and_no_numpy_warning(self):
+        # A's sum passes the largest double; the suite turns a numpy warning into an error
+        panel = ReturnPanel(("A", "B"), [[5e307, 1.0], [5e307, 2.0], [5e307, 3.0], [5e307, 4.0]])
+        with pytest.warns(DegenerateSeriesWarning, match="'A'"), pytest.raises(
+            InvalidCovarianceError, match="^non-finite entry in the means or the covariance matrix$"
+        ):
+            estimate_moments(panel)
+
+    def test_inf_minus_inf_across_blocks_is_a_typed_error_and_no_numpy_warning(self):
+        # inf and -inf products from different blocks of rows add up to nan
+        signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(2 * _SPLIT_ROWS + 3, 3))
+        with pytest.raises(
+            InvalidCovarianceError, match="^non-finite entry in the means or the covariance matrix$"
+        ):
+            estimate_moments(ReturnPanel(("A", "B", "C"), 1e160 * signs))
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(7)
         obs = rng.standard_normal((200, 3))

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import gaussrisk.mc
 import gaussrisk.measures
-from gaussrisk.errors import DegenerateSystemError, DomainError, _ThinSampleError
+from gaussrisk.errors import DegenerateSystemError, DomainError
 from gaussrisk.mc import (
     McConfig,
     SharedDraw,
     _NEAR_MARGIN,
+    _Thin,
+    _attempt,
     _band_indices,
     _lowest,
     _quantile_and_se,
@@ -355,10 +357,22 @@ class TestEmpiricalConditionalVar:
         value = band_var(correlated_samples, 0.0, 0.05, 0.01)
         assert value == pytest.approx(full_report(UNIT_HALF, RiskParams(0.99)).covare_ai, abs=0.05)
 
-    def test_thin_band_raises(self, correlated_samples):
-        with pytest.raises(_ThinSampleError) as raised:
-            band_var(correlated_samples[:20_000], -3.0, 0.01, 0.01)
-        assert raised.value.count < 1000
+    def test_thin_band_is_returned_with_its_note(self, correlated_samples):
+        cond = correlated_samples[:20_000, 0]
+        thin = _band_indices(cond, -3.0, 0.01 * float(cond.std(ddof=1)))
+        assert isinstance(thin, _Thin) and thin.count < 1000
+        assert thin.note == (
+            f"only {thin.count} samples within 0.0101028 of -3 (need >= 1000); "
+            "raise the sample count or the bandwidth"
+        )
+
+    def test_attempt_returns_the_first_thin_argument_without_computing(self):
+        def compute(*args):
+            raise AssertionError("compute was called")
+
+        first, second = _Thin("only 19 samples", 19), _Thin("only 100 tail samples", 100)
+        assert _attempt(compute, np.arange(3), first, second) is first
+        assert _attempt(np.add, 1.0, 2.0) == 3.0
 
 
 class TestEmpiricalEs:
@@ -375,10 +389,11 @@ class TestEmpiricalEs:
         values = rng.standard_normal(100_000)
         assert tail_es(values + 42.0, 0.05) == pytest.approx(tail_es(values, 0.05), abs=1e-9)
 
-    def test_thin_tail_raises(self):
-        with pytest.raises(_ThinSampleError) as raised:
-            tail_es(np.arange(10_000.0), 0.01)
-        assert raised.value.count == 100
+    def test_thin_tail_is_returned_with_its_note(self):
+        values = np.arange(10_000.0)
+        tail = values[values <= empirical_quantile(values, 0.01)]
+        thin = _tail_shift(tail, float(values.mean()), 0.0)
+        assert thin == _Thin("only 100 tail samples (need >= 500)", 100)
 
 
 class TestRegressionSlopeIdentity:
