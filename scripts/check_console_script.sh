@@ -2,7 +2,10 @@
 # Checks of the installed `gaussrisk` console script, run from the repository root:
 # the golden analyze csv, json and table, analyze json of all banks, and validate
 # csv, json and table must match tests/golden/ byte for byte; two constant-column
-# panels at any magnitude must exit 0 and 2 with only the CLI's own stderr lines.
+# panels at any magnitude must exit 0 and 2 with only the CLI's own stderr lines;
+# the rho = -1, subnormal, huge and sd-ratio-overflow models must exit 0 (the
+# subnormal one with its expected csv row), and an invalid tiny model and a
+# missing input must exit 2.
 # The tests call cli.main in process; this runs the entry point pip installed.
 set -euo pipefail
 
@@ -33,3 +36,23 @@ err=$({ echo A,B,C,D,E; for v in 1 2 4; do echo "5e307,5e307,5e307,5e307,$v"; do
   | gaussrisk analyze --input - --format csv 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2
 test -z "$(printf '%s\n' "$err" | grep -vE "^(warning: bank '.+' skipped: |error: )")"
+
+# models at the edges of the double range: exit 0, the subnormal row as expected
+gaussrisk analyze --model 0,0,1,1.0000001,-1.00000005 --format json
+gaussrisk analyze --format csv \
+  --model=0,0,1.814717748474295e-273,1.3023192742846255e-270,-4.861421501191265e-272 \
+  | tail -n 1 | diff - <(echo "model,-9.91012657684e-137,-9.91012657684e-137,2.65480967829e-135,0,2.65480967829e-135,3.04152125564e-135,2.55570841252e-135,9.91012657684e-137,9.91012657684e-137,-26.7888574148,-25.7888574148,-0.0387764368121,-1")
+gaussrisk analyze --model=0,0,5.02363e-318,5e-324,-3.656e-321
+gaussrisk analyze --model=0,0,1e200,1e200,5e199
+# sd_s / sd_i overflows: exit 0 with nothing on stderr
+for model in 0,0,5e-324,1e300,0 0,0,1e-320,1e300,1e-160; do
+  err=$(gaussrisk analyze --model=$model 2>&1 >/dev/null)
+  test -z "$err"
+done
+# an invalid tiny model and a missing input: exit 2
+status=0
+gaussrisk analyze --model=0,0,1e-200,1e-200,5e-200 || status=$?
+test "$status" -eq 2
+status=0
+gaussrisk analyze --input no-such-file.csv || status=$?
+test "$status" -eq 2

@@ -49,7 +49,6 @@ _JSON_ROW = (
     + ",\n".join(f'        "{field}": %s' for field in _REPORT_FIELDS)
     + "\n      }\n    }"
 )
-_JSON_WORDS = {"n/a": "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _fmt(value: Optional[float], spec: str) -> str:
@@ -143,24 +142,13 @@ def _row_cells(report: Optional[BankRiskReport]) -> str:
     return _ROW_FORMAT % tuple([v + 0.0 for v in values])
 
 
-def _json_number(token: str) -> str:
-    """What ``json.dumps`` writes for ``float(token)``, a ``_row_cells`` token ("n/a": null)."""
-    if "e" in token:
-        exponent = int(token[token.index("e") + 1:])
-        # repr spells 1e12..1e16 without an exponent, and a subnormal in fewer digits
-        return repr(float(token)) if 12 <= exponent <= 15 or exponent < -307 else token
-    if "." in token:
-        return token
-    return _JSON_WORDS.get(token) or token + ".0"
-
-
 def _json_numbers(cells: str) -> list[str]:
     """What ``json.dumps`` writes for each number of a ``_row_cells`` row."""
     numbers = cells.split(",")
     # a token with a "." and no exponent is already a json number ("n/a",
     # "inf" and "nan" hold no "."): a row of only such tokens is ready
     if cells.count(".") < len(numbers) or "e" in cells:
-        return [_json_number(token) for token in numbers]
+        return ["null" if token == "n/a" else json.dumps(float(token)) for token in numbers]
     return numbers
 
 

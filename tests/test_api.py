@@ -26,6 +26,11 @@ PUBLIC_NAMES = [
     "UnknownBankError",
     "ValidationReport",
     "conditional_moments",
+    # empirical_quantile has no production caller (validate reads its quantiles
+    # through mc._quantile_and_se), and sample_pair has one only until the
+    # oracle gathers rows (ROADMAP item 13). Both stay public because
+    # perfbench/tracing.py wraps each by name as a traced layer, and that file
+    # changes only with the benchmark itself (ROADMAP item 12).
     "empirical_quantile",
     "estimate_moments",
     "full_report",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gaussrisk.cli
 from gaussrisk.cli import main
@@ -483,9 +483,19 @@ def json_dumps_rendering(rows, alpha):
     return json.dumps({"alpha": alpha, "reports": reports}, indent=2)
 
 
+# Values whose ".12g" token sits on an edge of a json spelling rule: it rounds
+# up to 1e+12 or to 0.0001, it is near either end of the exponents 12-15 that
+# json writes positionally, it is the smallest normal, or it is the smallest
+# subnormal, which json writes in fewer digits.
+SPELLING_EDGES = [
+    999999999999.5, 9.999999999996e-05, -1e15, 9.99999999999e15, 2.2250738585072009e-308,
+    -5e-324,
+]
 # Values whose text differs between ".12g", repr and json, or that are absent.
 report_values = st.one_of(
-    st.sampled_from([None, -0.0, 0.0, 1e12, -1e15, 1e16, 5e-324, 1e-5, np.inf, -np.inf, np.nan]),
+    st.sampled_from(
+        [None, -0.0, 0.0, 1e12, 1e16, 5e-324, 1e-5, np.inf, -np.inf, np.nan, *SPELLING_EDGES]
+    ),
     st.integers(-10**17, 10**17).map(float),
     st.floats(1e12, 1e16).flatmap(lambda v: st.sampled_from([v, -v])),
     st.floats(-2.3e-308, 2.3e-308),
@@ -506,6 +516,13 @@ report_rows = st.lists(
 class TestAnalyzeRenderers:
     @settings(max_examples=300, deadline=None)
     @given(rows=report_rows, alpha=st.sampled_from([0.9, 0.95, 0.99, 0.999]))
+    # every edge on every run, beside a whole number, each word json spells and null
+    @example(rows=[
+        ("A", BankRiskReport(
+            *SPELLING_EDGES, 123456789012.0, 1e12, 1e16, 0.0, np.inf, -np.inf, np.nan,
+        ), ""),
+        ("B", BankRiskReport(*[None] * 3, *SPELLING_EDGES, *[0.5] * 4), ""),
+    ], alpha=0.99)
     def test_json_equals_json_dumps(self, rows, alpha):
         assert gaussrisk.cli._render_analyze_json(rows, alpha) == json_dumps_rendering(rows, alpha)
         # csv: the row format call gives what one format call per cell gives
