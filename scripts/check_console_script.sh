@@ -5,7 +5,8 @@
 # panels at any magnitude must exit 0 and 2 with only the CLI's own stderr lines;
 # the rho = -1, subnormal, huge and sd-ratio-overflow models must exit 0 (the
 # subnormal one with its expected csv row), and an invalid tiny model and a
-# missing input must exit 2.
+# missing input must exit 2; analyze and validate csv of a panel whose labels
+# need quoting must exit 0 with every row at the header's width.
 # The tests call cli.main in process; this runs the entry point pip installed.
 set -euo pipefail
 
@@ -56,3 +57,12 @@ test "$status" -eq 2
 status=0
 gaussrisk analyze --input no-such-file.csv || status=$?
 test "$status" -eq 2
+
+# labels that a csv cell must quote: exit 0, and csv reads every row at the header's width
+quoted_panel() {
+  printf '%s\n' '"A,B",C,"D ""q"""' 0.01,0.02,-0.005 -0.02,0.01,0.015 0.03,-0.01,0.002 \
+    0.00,0.02,-0.011 0.015,-0.004,0.007 -0.007,0.013,0.004
+}
+same_width='import csv, sys; sys.exit({len(row) for row in csv.reader(sys.stdin)} != {int(sys.argv[1])})'
+quoted_panel | gaussrisk analyze --input - --format csv | python3 -c "$same_width" 14
+quoted_panel | gaussrisk validate --input - --format csv --samples 10000 | python3 -c "$same_width" 9

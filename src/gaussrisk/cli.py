@@ -56,6 +56,13 @@ def _fmt(value: Optional[float], spec: str) -> str:
     return "n/a" if value is None else format(value + 0.0, spec)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one RFC 4180 cell: quoted, its quotes doubled, if it holds ``,``, ``"``, CR or LF."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _json_value(value: Optional[float]) -> Optional[float]:
     return None if value is None else float(_fmt(value, ".12g"))
 
@@ -155,7 +162,7 @@ def _json_numbers(cells: str) -> list[str]:
 def _render_analyze_csv(rows) -> str:
     lines = ["bank," + ",".join(_REPORT_FIELDS)]
     for bank, report, _ in rows:
-        lines.append(bank + "," + _row_cells(report))
+        lines.append(_csv_cell(bank) + "," + _row_cells(report))
     return "\n".join(lines)
 
 
@@ -228,10 +235,10 @@ def _render_validate_csv(labeled_reports) -> str:
         for check in report.checks:
             status = "" if check.passed is None else str(check.passed).lower()
             lines.append(
-                f"{bank},{check.name},{_fmt(check.closed_form, '.12g')},"
+                f"{_csv_cell(bank)},{check.name},{_fmt(check.closed_form, '.12g')},"
                 f"{_fmt(check.empirical, '.12g')},{_fmt(check.abs_error, '.12g')},"
                 f"{_fmt(check.tolerance, '.12g')},{check.effective_tail_samples},"
-                f"{status},{check.note}"
+                f"{status},{_csv_cell(check.note)}"
             )
     return "\n".join(lines)
 

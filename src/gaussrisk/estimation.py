@@ -51,8 +51,8 @@ _CANCELLATION_LIMIT = 1e3
 _SPLIT_ROWS = 4096
 _BLOCK_BYTES = 1 << 14
 
-# pair_for_bank's sums over the other banks are taken, and cached, for blocks
-# of this many bytes of covariance rows, or of one row if that is more.
+# When an estimate is built, every bank's sums over the other banks are taken
+# in blocks of this many bytes of covariance rows, or of one row if that is more.
 _REST_BYTES = 1 << 17
 
 # Characters of panel text that the fast parse checks at a time.
@@ -164,7 +164,7 @@ class MomentEstimate:
         self._admit(means, cov, gated=True)
 
     def _admit(self, means: np.ndarray, cov: np.ndarray, gated: bool) -> None:
-        """Check ``means`` and ``cov``, freeze them and cache what :func:`pair_for_bank` reads.
+        """Check ``means`` and ``cov``, freeze them and store what :func:`pair_for_bank` reads.
 
         Without ``gated`` only finiteness and the trace are checked.
         """
@@ -198,6 +198,7 @@ class MomentEstimate:
         with np.errstate(over="ignore"):
             object.__setattr__(self, "_total", float(cov.sum()))
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.labels)})
+        object.__setattr__(self, "_moments", _bank_moments(self.means, self.covariance))
 
     def index_of(self, bank: str) -> int:
         try:
@@ -522,36 +523,28 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     return est
 
 
-def _bank_moments(est: MomentEstimate, idx: int) -> tuple[float, float, float, float]:
-    """``(mu_i, mu_a, var_i, cov_ia)`` of bank ``idx`` of ``est``, as Python floats.
+def _bank_moments(means: np.ndarray, cov: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """``(mu_i, mu_a, var_i, cov_ia)`` of every bank, as Python floats.
 
     ``mu_a`` and ``cov_ia`` are the bank's sums over the other banks, of the
-    means and of its covariance row.  They are computed for the whole block
-    of ``_REST_BYTES`` of covariance rows that holds the bank and cached on
-    ``est``, one entry per bank: every bank costs one pass over the
-    covariance, one bank one block.  Each row, its diagonal entry dropped, is
-    summed along a contiguous axis, which numpy does pairwise as it sums a
+    means and of its covariance row, taken in one pass over the covariance in
+    blocks of ``_REST_BYTES`` of rows.  Each row, its diagonal entry dropped,
+    is summed along a contiguous axis, which numpy does pairwise as it sums a
     1-d array: the double ``np.concatenate((row[:i], row[i + 1:])).sum()``
-    gives.  An overflowing sum is left to GaussianPair to reject, without a
-    numpy warning about another bank than the one asked for.
+    gives.  An overflowing sum is left to GaussianPair to reject when its bank
+    is asked for, without a numpy warning.
     """
-    means, cov = est.means, est.covariance
     n = len(means)
-    rows = min(max(_REST_BYTES // (8 * n), 1), n)
-    start = idx - idx % rows
-    block = cov[start:start + rows]
-    k = len(block)
-    keep = ~np.eye(k, n, start, dtype=bool)  # each row but its diagonal entry
+    rows = max(_REST_BYTES // (8 * n), 1)
+    mu_a, cov_ia = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_a = np.broadcast_to(means, (k, n))[keep].reshape(k, n - 1).sum(axis=1)
-        cov_ia = block[keep].reshape(k, n - 1).sum(axis=1)
-    # frozen: the cache goes straight into __dict__
-    moments = vars(est).setdefault("_bank_moments", [None] * n)
-    moments[start:start + k] = zip(
-        means[start:start + k].tolist(), mu_a.tolist(),
-        block.diagonal(start).tolist(), cov_ia.tolist(),
-    )
-    return moments[idx]
+        for start in range(0, n, rows):
+            block = cov[start:start + rows]
+            k = len(block)
+            keep = ~np.eye(k, n, start, dtype=bool)  # each row but its diagonal entry
+            mu_a[start:start + k] = np.broadcast_to(means, (k, n))[keep].reshape(k, -1).sum(axis=1)
+            cov_ia[start:start + k] = block[keep].reshape(k, -1).sum(axis=1)
+    return list(zip(means.tolist(), mu_a.tolist(), cov.diagonal().tolist(), cov_ia.tolist()))
 
 
 def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
@@ -564,23 +557,19 @@ def pair_for_bank(est: MomentEstimate, bank: str) -> GaussianPair:
     bank.
 
     The sums over the other banks, of the means and of the bank's covariance
-    row, come from a block of banks' rows at once, cached on ``est`` (see
-    :func:`_bank_moments`): asking for every bank is one blocked pass over
-    the covariance.  Each is the double numpy's pairwise sum of those n - 1
-    entries gives.  ``var_a`` is then ``1'.cov.1 - 2 cov_ia - var_i`` with
-    the total cached on ``est``, so a panel of n banks costs O(n^2) after the
-    covariance, not O(n^3), and each bank is scalar arithmetic on Python
-    floats.  That difference cancels when the bank carries most of the system
-    variance, and is not finite when the total overflows; then ``var_a`` is
-    summed over the other banks' block instead.
+    row, and the total ``1'.cov.1`` were taken when ``est`` was built (see
+    :func:`_bank_moments`), so each bank is scalar arithmetic on Python
+    floats: ``var_a = 1'.cov.1 - 2 cov_ia - var_i``.  That difference cancels
+    when the bank carries most of the system variance, and is not finite when
+    the total overflows; then ``var_a`` is summed over the other banks' block
+    instead, at O(n^2) for that bank.
     """
     idx = est.index_of(bank)
     if len(est.labels) < 2:
         raise DegenerateModelError(
             "panel has a single bank: there is no rest-of-system to aggregate"
         )
-    moments = vars(est).get("_bank_moments")
-    mu_i, mu_a, var_i, cov_ia = moments and moments[idx] or _bank_moments(est, idx)
+    mu_i, mu_a, var_i, cov_ia = est._moments[idx]
     if var_i <= 0.0:
         raise DegenerateBankError(f"bank {bank!r} has zero sample variance")
     var_a = est._total - 2.0 * cov_ia - var_i

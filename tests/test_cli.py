@@ -513,6 +513,14 @@ report_rows = st.lists(
 )
 
 
+# labels that a CSV cell must quote: a comma, and quotes
+QUOTED_LABELS_PANEL = "\n".join([
+    '"A,B",C,"D ""q"""',
+    "0.01,0.02,-0.005", "-0.02,0.01,0.015", "0.03,-0.01,0.002",
+    "0.00,0.02,-0.011", "0.015,-0.004,0.007", "-0.007,0.013,0.004",
+]) + "\n"
+
+
 class TestAnalyzeRenderers:
     @settings(max_examples=300, deadline=None)
     @given(rows=report_rows, alpha=st.sampled_from([0.9, 0.95, 0.99, 0.999]))
@@ -525,14 +533,28 @@ class TestAnalyzeRenderers:
     ], alpha=0.99)
     def test_json_equals_json_dumps(self, rows, alpha):
         assert gaussrisk.cli._render_analyze_json(rows, alpha) == json_dumps_rendering(rows, alpha)
-        # csv: the row format call gives what one format call per cell gives
-        assert gaussrisk.cli._render_analyze_csv(rows).split("\n")[1:] == [
-            bank + "," + ",".join(
+        # csv: the row format call gives what one format call per cell gives,
+        # and the bank cell is quoted as csv.writer quotes it
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([
+            ["bank"] + [field.name for field in dataclasses.fields(BankRiskReport)],
+            *([bank] + [
                 gaussrisk.cli._fmt(getattr(report, field.name, None), ".12g")
                 for field in dataclasses.fields(BankRiskReport)
-            )
-            for bank, report, _ in rows
-        ]
+            ] for bank, report, _ in rows),
+        ])
+        assert gaussrisk.cli._render_analyze_csv(rows) + "\n" == expected.getvalue()
+
+    @pytest.mark.parametrize("command, width", [("analyze", 14), ("validate", 9)])
+    def test_csv_quotes_a_label_that_needs_it(self, capsys, tmp_path, command, width):
+        path = tmp_path / "quoted.csv"
+        path.write_text(QUOTED_LABELS_PANEL, encoding="utf-8")
+        extra = ["--samples", "10000"] if command == "validate" else []
+        code, out, _ = run(capsys, [command, "--input", str(path), "--format", "csv"] + extra)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert {len(row) for row in rows} == {width}
+        assert {row[0] for row in rows[1:]} == {"A,B", "C", 'D "q"'}
 
     def test_wide_one_factor_panel(self, capsys, tmp_path):
         rng = np.random.default_rng(400)

@@ -27,7 +27,6 @@ from gaussrisk.estimation import (
     _BLOCK_BYTES,
     _SPLIT_ROWS,
     _CANCELLATION_LIMIT,
-    _REST_BYTES,
     MomentEstimate,
     ReturnPanel,
     _parse_exact,
@@ -1096,16 +1095,18 @@ class TestLeaveOneOutSums:
         est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
         assert_pairs_bit_identical(est)
 
-    def test_one_bank_sums_only_its_block(self):
+    def test_estimate_is_complete_when_built(self):
         rng = np.random.default_rng(5)
         banks = 1000
         obs = rng.standard_normal((60, 1)) + rng.standard_normal((60, banks))
-        est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
-        for i in (517, 999, 0, 516):  # out of order, a short last block, a cached block
-            assert pair_for_bank(est, f"B{i}") == concatenated_pair(est, i)
-        rows = _REST_BYTES // (8 * banks)
-        cached = [i for i, moments in enumerate(vars(est)["_bank_moments"]) if moments]
-        assert cached == [*range(rows), *range(512, 512 + rows), *range(992, banks)]
+        labels = tuple(f"B{i}" for i in range(banks))
+        estimated = estimate_moments(ReturnPanel(labels, obs))
+        built = MomentEstimate(labels, estimated.means, estimated.covariance, 60)
+        for est in (estimated, built):
+            before = dict(vars(est))
+            for i in rng.permutation(banks):  # out of order, across every block of rows
+                assert pair_for_bank(est, labels[i]) == concatenated_pair(est, i)
+            assert vars(est) == before  # the same attributes, each the same object
 
     def test_caller_built_estimate(self):
         rng = np.random.default_rng(11)
