@@ -6,9 +6,13 @@
 # the rho = -1, subnormal, huge and sd-ratio-overflow models must exit 0 (the
 # subnormal one with its expected csv row), and an invalid tiny model and a
 # missing input must exit 2; analyze and validate csv of a panel whose labels
-# need quoting must exit 0 with every row at the header's width.
+# need quoting must exit 0 with every row at the header's width, and --banks
+# must select such labels quoted as a csv row; the tables of a panel with a
+# label holding a line break must keep each bank on one line; --banks with
+# --model must exit 2.  Any Python or numpy warning in a run is an error.
 # The tests call cli.main in process; this runs the entry point pip installed.
 set -euo pipefail
+export PYTHONWARNINGS=error
 
 golden=tests/golden
 gaussrisk analyze --input $golden/panel.csv --banks GAMMA,FLAT,ALPHA --format csv \
@@ -66,3 +70,24 @@ quoted_panel() {
 same_width='import csv, sys; sys.exit({len(row) for row in csv.reader(sys.stdin)} != {int(sys.argv[1])})'
 quoted_panel | gaussrisk analyze --input - --format csv | python3 -c "$same_width" 14
 quoted_panel | gaussrisk validate --input - --format csv --samples 10000 | python3 -c "$same_width" 9
+# --banks is one csv row: a quoted label may hold a comma
+lines=$(quoted_panel | gaussrisk analyze --input - --format csv --banks '"A,B",C' | wc -l)
+test "$lines" -eq 3
+
+# a label holding a line break: the tables keep every bank on one line
+newline_panel() {
+  printf '%s\n' '"A' 'B",C,D' 0.01,0.02,-0.005 -0.02,0.01,0.015 0.03,-0.01,0.002 \
+    0.00,0.02,-0.011 0.015,-0.004,0.007 -0.007,0.013,0.004
+}
+lines=$(newline_panel | gaussrisk analyze --input - --format table | wc -l)
+test "$lines" -eq 5
+headings=$(newline_panel | gaussrisk validate --input - --format table --samples 10000 \
+  | grep -c '^== .* (alpha=')
+test "$headings" -eq 3
+
+# --banks selects panel banks: with --model it is an input error, one error line
+status=0
+err=$(gaussrisk analyze --model 0,0,1,1,0.5 --banks X 2>&1 >/dev/null) || status=$?
+test "$status" -eq 2
+test "$(printf '%s\n' "$err" | grep -c '^error: ')" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1

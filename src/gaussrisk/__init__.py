@@ -14,7 +14,6 @@ from .errors import (
     ConsistencyError,
     DegenerateBankError,
     DegenerateModelError,
-    DegenerateSeriesWarning,
     DegenerateSystemError,
     DomainError,
     GaussRiskError,

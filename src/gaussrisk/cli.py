@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import json
 import re
 import sys
-import warnings
 from typing import Iterator, Optional
 
-from .errors import (
-    DegenerateModelError, DegenerateSeriesWarning, DomainError, GaussRiskError, PanelFormatError,
-)
+from .errors import DegenerateModelError, DomainError, GaussRiskError, PanelFormatError
 from .estimation import MomentEstimate, estimate_moments, load_panel, pair_for_bank
 from .measures import BankRiskReport, GaussianPair, full_report
 from .mc import RNG_METHOD, McConfig, SharedDraw, validate_closed_forms
@@ -82,21 +80,14 @@ def _parse_model(spec: str) -> GaussianPair:
     return GaussianPair(**values)
 
 
-def _load_estimate(path: str) -> MomentEstimate:
-    with warnings.catch_warnings():
-        # a selected zero-variance bank gets its own "skipped" warning line
-        warnings.simplefilter("ignore", DegenerateSeriesWarning)
-        try:
-            panel = load_panel(sys.stdin if path == "-" else path)
-        except OSError as exc:  # a missing, unreadable or directory input, not a defect
-            raise PanelFormatError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
-        return estimate_moments(panel)
-
-
 def _select_banks(est: MomentEstimate, banks: Optional[str]) -> list[str]:
     if banks is None:
         return list(est.labels)
-    selected = [bank.strip() for bank in banks.split(",") if bank.strip()]
+    try:  # one csv row, as the panel's header is read: a quoted label may hold a comma
+        listed = next(csv.reader([banks]))
+    except csv.Error as exc:
+        raise DomainError(f"--banks is not one csv row: {exc}") from None
+    selected = [bank.strip() for bank in listed if bank.strip()]
     if not selected:
         raise DomainError("--banks given but no labels listed")
     for bank in selected:
@@ -110,9 +101,16 @@ def _select_banks(est: MomentEstimate, banks: Optional[str]) -> list[str]:
 def _bank_pairs(args) -> Iterator[tuple[str, Optional[GaussianPair], str]]:
     """(bank, pair, "") per selected bank, or (bank, None, reason) for a skipped one."""
     if args.model is not None:
+        if args.banks is not None:
+            raise DomainError("--banks selects panel banks and cannot be used with --model")
         yield "model", _parse_model(args.model), ""
         return
-    est = _load_estimate(args.input)
+    try:
+        panel = load_panel(sys.stdin if args.input == "-" else args.input)
+    except OSError as exc:  # a missing, unreadable or directory input, not a defect
+        reason = exc.strerror or exc
+        raise PanelFormatError(f"cannot read input {args.input!r}: {reason}") from None
+    est = estimate_moments(panel)
     for bank in _select_banks(est, args.banks):
         try:
             yield bank, pair_for_bank(est, bank), ""
@@ -127,17 +125,22 @@ def _report_values(report: Optional[BankRiskReport]) -> list[Optional[float]]:
     return list(vars(report).values())  # the fields, set in _REPORT_FIELDS' order
 
 
+def _table_label(bank: str) -> str:
+    """``bank`` as the tables write it: its repr if it holds a character that does not print."""
+    return bank if bank.isprintable() else repr(bank)
+
+
 def _render_analyze_table(rows) -> str:
-    width = max([4] + [len(bank) for bank, _, _ in rows])
+    width = max([4] + [len(_table_label(bank)) for bank, _, _ in rows])
     headers = " ".join(f"{_TABLE_HEADERS[field]:>12}" for field in _REPORT_FIELDS)
     header = f"{'bank':<{width}} {headers}"
     lines = [header, "-" * len(header)]
     notes = []
     for bank, report, reason in rows:
         cells = " ".join(f"{_fmt(v, '.6g'):>12}" for v in _report_values(report))
-        lines.append(f"{bank:<{width}} {cells}")
+        lines.append(f"{_table_label(bank):<{width}} {cells}")
         if reason:
-            notes.append(f"note: {bank} skipped: {reason}")
+            notes.append(f"note: {_table_label(bank)} skipped: {reason}")
     return "\n".join(lines + notes)
 
 
@@ -206,7 +209,8 @@ def _render_validate_table(labeled_reports) -> str:
     for bank, report in labeled_reports:
         config = report.config
         lines += [
-            f"== {bank} (alpha={config.alpha}, N={config.sample_count}, seed={config.seed})",
+            f"== {_table_label(bank)} "
+            f"(alpha={config.alpha}, N={config.sample_count}, seed={config.seed})",
             header, "-" * len(header),
         ]
         for check in report.checks:

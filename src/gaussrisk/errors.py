@@ -42,7 +42,3 @@ class PanelFormatError(GaussRiskError, ValueError):
 
 class ConsistencyError(GaussRiskError, RuntimeError):
     """Two independent derivations of the same statistic disagree."""
-
-
-class DegenerateSeriesWarning(UserWarning):
-    """A panel column has zero sample variance; analyzing that bank will fail."""

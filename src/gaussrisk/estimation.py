@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     DegenerateBankError,
     DegenerateModelError,
-    DegenerateSeriesWarning,
     InvalidCovarianceError,
     PanelFormatError,
     UnknownBankError,
@@ -468,11 +467,11 @@ def _parse_exact(source: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
 def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     """Column means and the unbiased (divisor T-1) sample covariance matrix.
 
-    A zero-variance column is legal here and only triggers a
-    :class:`DegenerateSeriesWarning`; :func:`pair_for_bank` rejects such a
-    bank if it is actually singled out.  A column whose observations are all
-    equal has zero variance and zero covariances, exactly: the rounding noise
-    of its mean does not make it a bank.
+    A zero-variance column is legal here, with no Python warning:
+    :func:`pair_for_bank` rejects such a bank, by name, with
+    :class:`DegenerateBankError` if it is singled out.  A column whose
+    observations are all equal has zero variance and zero covariances,
+    exactly: the rounding noise of its mean does not make it a bank.
 
     The covariance skips :class:`MomentEstimate`'s symmetry, diagonal and
     PSD gates: ``X'X / (T-1)`` of the centred panel, with constant columns
@@ -510,11 +509,6 @@ def estimate_moments(panel: ReturnPanel) -> MomentEstimate:
     constant = suspect[(obs[:, suspect] == obs[0, suspect]).all(axis=0)]
     cov[constant, :] = 0.0
     cov[:, constant] = 0.0
-    zero_variance = [label for label, v in zip(panel.labels, np.diag(cov)) if v == 0.0]
-    for label in zero_variance:
-        warnings.warn(
-            f"bank {label!r} has zero sample variance", DegenerateSeriesWarning, stacklevel=2
-        )
     means.flags.writeable = False  # fresh: MomentEstimate need not copy them
     cov.flags.writeable = False
     est = object.__new__(MomentEstimate)

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "ConsistencyError",
     "DegenerateBankError",
     "DegenerateModelError",
-    "DegenerateSeriesWarning",
     "DegenerateSystemError",
     "DomainError",
     "GaussRiskError",

@@ -519,6 +519,8 @@ QUOTED_LABELS_PANEL = "\n".join([
     "0.01,0.02,-0.005", "-0.02,0.01,0.015", "0.03,-0.01,0.002",
     "0.00,0.02,-0.011", "0.015,-0.004,0.007", "-0.007,0.013,0.004",
 ]) + "\n"
+# a label that holds a line break, quoted in the header as csv requires
+NEWLINE_LABEL_PANEL = QUOTED_LABELS_PANEL.replace('"A,B",C,"D ""q"""', '"A\nB",C,D', 1)
 
 
 class TestAnalyzeRenderers:
@@ -555,6 +557,47 @@ class TestAnalyzeRenderers:
         rows = list(csv.reader(io.StringIO(out)))
         assert {len(row) for row in rows} == {width}
         assert {row[0] for row in rows[1:]} == {"A,B", "C", 'D "q"'}
+
+    def test_banks_reads_quoted_labels_as_csv(self, capsys, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(QUOTED_LABELS_PANEL, encoding="utf-8")
+        code, out, err = run(capsys, [
+            "analyze", "--input", str(path), "--banks", '"A,B",D "q"', "--format", "csv",
+        ])
+        assert (code, err) == (0, "")
+        assert [row[0] for row in csv.reader(io.StringIO(out))] == ["bank", "A,B", 'D "q"']
+
+    def test_banks_label_with_an_unquoted_line_break_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "newline.csv"
+        path.write_text(NEWLINE_LABEL_PANEL, encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", "--input", str(path), "--banks", "A\nB,C"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --banks is not one csv row: ")
+        code, out, err = run(capsys, [
+            "analyze", "--input", str(path), "--banks", '"A\nB",C', "--format", "csv",
+        ])
+        assert (code, err) == (0, "")
+        assert [row[0] for row in csv.reader(io.StringIO(out))] == ["bank", "A\nB", "C"]
+
+    def test_tables_write_a_label_that_does_not_print_as_its_repr(self, capsys, tmp_path):
+        path = tmp_path / "newline.csv"
+        path.write_text(NEWLINE_LABEL_PANEL, encoding="utf-8")
+        code, out, _ = run(capsys, ["analyze", "--input", str(path), "--format", "table"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2 + 3
+        assert [line.split()[0] for line in lines[2:]] == ["'A\\nB'", "C", "D"]
+        # the bank column is as wide as the rendered label: every row is the header's width
+        assert {len(line) for line in lines} == {len(lines[0])}
+        code, out, _ = run(capsys, [
+            "validate", "--input", str(path), "--format", "table", "--samples", "10000",
+        ])
+        headings = [line for line in out.splitlines() if line.startswith("==")]
+        assert [heading.split(" (")[0] for heading in headings] == ["== 'A\\nB'", "== C", "== D"]
+
+    def test_table_note_writes_a_skipped_label_as_its_repr(self):
+        note = gaussrisk.cli._render_analyze_table([("A\tB", None, "why")]).splitlines()[-1]
+        assert note == "note: 'A\\tB' skipped: why"
 
     def test_wide_one_factor_panel(self, capsys, tmp_path):
         rng = np.random.default_rng(400)
@@ -822,6 +865,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "--input", panel_path, "--model", "0,0,1,1,0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_banks_with_a_model_exits_2(self, capsys, command):
+        code, out, err = run(capsys, [command, "--model", "0,0,1,1,0.5", "--banks", "X"])
+        assert (code, out) == (2, "")
+        assert err == "error: --banks selects panel banks and cannot be used with --model\n"
 
 
 def magnitudes(lo, hi, signed=True):

@@ -16,7 +16,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gaussrisk.errors import (
     DegenerateBankError,
     DegenerateModelError,
-    DegenerateSeriesWarning,
     DomainError,
     InvalidCovarianceError,
     PanelFormatError,
@@ -508,10 +507,13 @@ class TestEstimateMoments:
         assert abs(est.covariance[0, 1]) < 0.05
         assert np.all(np.abs(est.means) < 0.05)
 
-    def test_zero_variance_column_warns(self):
-        panel = panel_from_csv("A,B\n1,7\n2,7\n3,7\n")
-        with pytest.warns(DegenerateSeriesWarning, match="'B'"):
-            estimate_moments(panel)
+    def test_zero_variance_column_is_named_where_it_is_singled_out(self):
+        # no warning at estimation (the suite turns one into an error): the
+        # bank is named by the typed error of the one call that needs its variance
+        est = estimate_moments(panel_from_csv("A,B\n1,7\n2,7\n3,7\n"))
+        assert est.covariance[1, 1] == 0.0
+        with pytest.raises(DegenerateBankError, match="^bank 'B' has zero sample variance$"):
+            pair_for_bank(est, "B")
 
     def test_constant_column_is_zero_variance(self):
         # 0.0025 is not a binary fraction: the mean of 80 copies is off by an
@@ -519,8 +521,7 @@ class TestEstimateMoments:
         rng = np.random.default_rng(11)
         obs = np.column_stack([0.02 * rng.standard_normal((80, 2)), np.full(80, 0.0025)])
         assert np.all(np.cov(obs, rowvar=False)[2] != 0.0)
-        with pytest.warns(DegenerateSeriesWarning, match="'C'"):
-            est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
+        est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
         assert np.all(est.covariance[2] == 0.0)
         assert np.all(est.covariance[:, 2] == 0.0)
         with pytest.raises(DegenerateBankError, match="'C'"):
@@ -531,16 +532,14 @@ class TestEstimateMoments:
         column = np.full(80, 1.0)
         column[40] = np.nextafter(1.0, 2.0)
         obs = np.column_stack([0.02 * rng.standard_normal((80, 2)), column])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DegenerateSeriesWarning)
-            est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
+        est = estimate_moments(ReturnPanel(("A", "B", "C"), obs))
         assert est.covariance[2, 2] > 0.0
         assert pair_for_bank(est, "C").var_i == est.covariance[2, 2]
 
     def test_overflowing_mean_is_a_typed_error_and_no_numpy_warning(self):
         # A's sum passes the largest double; the suite turns a numpy warning into an error
         panel = ReturnPanel(("A", "B"), [[5e307, 1.0], [5e307, 2.0], [5e307, 3.0], [5e307, 4.0]])
-        with pytest.warns(DegenerateSeriesWarning, match="'A'"), pytest.raises(
+        with pytest.raises(
             InvalidCovarianceError, match="^non-finite entry in the means or the covariance matrix$"
         ):
             estimate_moments(panel)
@@ -599,9 +598,7 @@ class TestEstimateMoments:
         if constant is not None and constant < banks:
             obs[:, constant] = 0.3
         obs *= 10.0 ** np.array(scales[:banks])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSeriesWarning)
-            est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
+        est = estimate_moments(ReturnPanel(tuple(f"B{i}" for i in range(banks)), obs))
         cov = est.covariance
         assert np.array_equal(cov, cov.T)
         MomentEstimate(est.labels, est.means, est.covariance, est.sample_size)
@@ -671,8 +668,7 @@ class TestCovarianceBlocks:
         obs = panel.observations.copy()
         obs[:, 2] = 0.0025  # not a binary fraction: its plain sample moments are noise
         assert np.all(np.cov(obs, rowvar=False)[2] != 0.0)
-        with pytest.warns(DegenerateSeriesWarning, match="^bank 'B2' has zero sample variance$"):
-            cov = estimate_moments(ReturnPanel(panel.labels, obs)).covariance
+        cov = estimate_moments(ReturnPanel(panel.labels, obs)).covariance
         assert np.all(cov[2] == 0.0) and np.all(cov[:, 2] == 0.0)
         assert np.all(np.delete(np.delete(cov, 2, 0), 2, 1) != 0.0)
 
