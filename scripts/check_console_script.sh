@@ -8,8 +8,11 @@
 # missing input must exit 2; analyze and validate csv of a panel whose labels
 # need quoting must exit 0 with every row at the header's width, and --banks
 # must select such labels quoted as a csv row; the tables of a panel with a
-# label holding a line break must keep each bank on one line; --banks with
-# --model must exit 2.  Any Python or numpy warning in a run is an error.
+# label holding a line break must keep each bank on one line; the analyze
+# tables of a panel with wide and combining labels and of the subnormal model
+# must have one display width on every line above the notes; --banks with
+# --model must exit 2; a --samples count numpy cannot size must exit 2 with
+# one error line.  Any Python or numpy warning in a run is an error.
 # The tests call cli.main in process; this runs the entry point pip installed.
 set -euo pipefail
 export PYTHONWARNINGS=error
@@ -85,9 +88,33 @@ headings=$(newline_panel | gaussrisk validate --input - --format table --samples
   | grep -c '^== .* (alpha=')
 test "$headings" -eq 3
 
+# wide and combining labels, and cells past 12 characters: every table line
+# above the notes has one display width (a wide character takes 2 columns, a
+# combining mark none)
+one_width='import sys, unicodedata
+def width(line):
+    return sum(0 if unicodedata.combining(c) else 1 + (unicodedata.east_asian_width(c) in ("W", "F"))
+               for c in line)
+lines = sys.stdin.read().split("\nnote: ")[0].splitlines()
+sys.exit(len(lines) < 3 or len({width(line) for line in lines}) != 1)'
+printf '%s\n' "銀行,ABCD,e$(printf '\xcc\x81')" 0.01,0.02,-0.005 -0.02,0.01,0.015 0.03,-0.01,0.002 \
+    0.00,0.02,-0.011 0.015,-0.004,0.007 -0.007,0.013,0.004 \
+  | gaussrisk analyze --input - --format table | python3 -c "$one_width"
+gaussrisk analyze --format table \
+  --model=0,0,1.814717748474295e-273,1.3023192742846255e-270,-4.861421501191265e-272 \
+  | python3 -c "$one_width"
+
 # --banks selects panel banks: with --model it is an input error, one error line
 status=0
 err=$(gaussrisk analyze --model 0,0,1,1,0.5 --banks X 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2
 test "$(printf '%s\n' "$err" | grep -c '^error: ')" -eq 1
 test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+
+# a --samples count that numpy cannot size is an input error: exit 2, and stdout
+# and stderr together hold one line, the error line
+status=0
+out=$(gaussrisk validate --model 0,0,1,1,0.5 --samples 4611686018427387904 2>&1) || status=$?
+test "$status" -eq 2
+test "$(printf '%s\n' "$out" | grep -c '^error: ')" -eq 1
+test "$(printf '%s\n' "$out" | wc -l)" -eq 1

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import re
 import sys
+import unicodedata
 from typing import Iterator, Optional
 
 from .errors import DegenerateModelError, DomainError, GaussRiskError, PanelFormatError
@@ -130,17 +131,28 @@ def _table_label(bank: str) -> str:
     return bank if bank.isprintable() else repr(bank)
 
 
+def _display_width(text: str) -> int:
+    """Terminal columns of ``text``: 2 for a wide or fullwidth character, 0 for a combining mark."""
+    return sum(
+        0 if unicodedata.combining(c) else 1 + (unicodedata.east_asian_width(c) in ("W", "F"))
+        for c in text
+    )
+
+
 def _render_analyze_table(rows) -> str:
-    width = max([4] + [len(_table_label(bank)) for bank, _, _ in rows])
-    headers = " ".join(f"{_TABLE_HEADERS[field]:>12}" for field in _REPORT_FIELDS)
+    labels = [_table_label(bank) for bank, _, _ in rows]
+    width = max([4] + [_display_width(label) for label in labels])
+    cells = [[_fmt(v, ".6g") for v in _report_values(report)] for _, report, _ in rows]
+    # each number column as wide as its longest cell, and at least 12
+    widths = [max([12] + [len(row[k]) for row in cells]) for k in range(len(_REPORT_FIELDS))]
+    headers = " ".join(f"{_TABLE_HEADERS[f]:>{w}}" for f, w in zip(_REPORT_FIELDS, widths))
     header = f"{'bank':<{width}} {headers}"
     lines = [header, "-" * len(header)]
-    notes = []
-    for bank, report, reason in rows:
-        cells = " ".join(f"{_fmt(v, '.6g'):>12}" for v in _report_values(report))
-        lines.append(f"{_table_label(bank):<{width}} {cells}")
-        if reason:
-            notes.append(f"note: {_table_label(bank)} skipped: {reason}")
+    for label, row in zip(labels, cells):
+        padding = " " * (width - _display_width(label))
+        lines.append(f"{label}{padding} " + " ".join(f"{c:>{w}}" for c, w in zip(row, widths)))
+    notes = [f"note: {label} skipped: {reason}"
+             for label, (_, _, reason) in zip(labels, rows) if reason]
     return "\n".join(lines + notes)
 
 

@@ -139,12 +139,12 @@ def standard_normals(config: McConfig) -> np.ndarray:
 def _columns(n: int) -> np.ndarray:
     """An uninitialised (n, 2) array stored column-major, so each column is contiguous.
 
-    A sample count too large for the machine is an input error, not a
-    defect: it raises DomainError with the bytes it asked for.
+    A sample count too large for the machine, or for numpy to size, is an
+    input error, not a defect: it raises DomainError with the bytes it asked for.
     """
     try:
         return np.empty((2, n)).T
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise DomainError(
             f"{n} samples need {16 * n} bytes for each two-column array, more than "
             "can be allocated; lower the sample count"

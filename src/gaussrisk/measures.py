@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import ConsistencyError, DegenerateModelError, DomainError
 from .normal import ConditionalMoments, RiskParams, _check_loading, conditional_moments
@@ -148,55 +148,6 @@ def _check(name: str, a: float, b: float, slack: float) -> None:
         )
 
 
-def _cross_checks(
-    pair: GaussianPair, params: RiskParams, report: BankRiskReport, slack: float
-) -> Iterator[tuple[str, float, float]]:
-    """The ``(name, statistic, second route)`` rows that :func:`full_report` checks, in order.
-
-    One route per field, a mean plus a slope times a mean-corrected VaR or ES,
-    through the law that defines it: X_a given X_i, or X_i given X_s, each at
-    the VaR and at the mean.  Each law is taken at zero means and the
-    location added after: ``report.var_i - mu_i`` would lose the stress to
-    rounding when ``|mu_i|`` dwarfs ``std_i``.  A route is computed only when
-    its row is reached, so the first disagreement is the error raised.
-    """
-    q, var_mean = params.quantile, report.var_mean_i
-    d_coll, d_coll_es = report.delta_coll_var, report.delta_coll_es
-
-    def var_given(law: ConditionalMoments) -> float:
-        return law.mean - q * math.sqrt(law.variance)
-
-    def given_bank(x: float) -> ConditionalMoments:
-        return conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, x)
-
-    stressed, unstressed = given_bank(var_mean), given_bank(0.0)
-    yield "CoVaR = VaR given the bank at its VaR", report.covar_ai, pair.mu_a + var_given(stressed)
-    yield "CoVaRe = VaR given the bank at its mean", report.covare_ai, (
-        pair.mu_a + var_given(unstressed)
-    )
-    yield "spillover = conditional mean shift", d_coll, stressed.mean - unstressed.mean
-    yield "spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a
-    es_mean = -params.es_multiplier * pair.std_i
-    yield "ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean
-    if abs(d_coll_es) + slack < abs(d_coll):
-        raise ConsistencyError(
-            f"ES spillover {d_coll_es!r} smaller in magnitude than VaR spillover {d_coll!r}"
-        )
-    d_cond, d_contr = report.delta_cond_var, report.delta_contr_var
-    yield "system shift = system slope * mean-corrected VaR", d_cond, report.beta_si * var_mean
-    if d_contr is None:  # a perfect hedge has no contribution family to check
-        return
-
-    def given_system(x: float) -> ConditionalMoments:
-        return conditional_moments(0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, x)
-
-    stressed, unstressed = given_system(-q * pair.std_s), given_system(0.0)
-    yield "contribution shift = conditional mean shift", d_contr, stressed.mean - unstressed.mean
-    yield "VaR contribution = mean + conditional mean shift", report.var_contribution, (
-        pair.mu_i + stressed.mean
-    )
-
-
 def _loadings(pair: GaussianPair) -> tuple[float, float, float, Optional[float]]:
     """``(s_i, b_ai, c_ai, b_is)``: the four alpha-free loadings of the bank.
 
@@ -242,19 +193,53 @@ def full_report(pair: GaussianPair, params: RiskParams) -> BankRiskReport:
 
     Each field is built from the bank's loadings and derived a second time,
     as a mean plus a slope times a mean-corrected VaR or ES, through the
-    conditional law that defines it (8 rows; 6 for a perfect hedge).  A
-    route that is not finite, or a disagreement beyond 1e-9 relative to the
-    model's scale, raises :class:`ConsistencyError` rather than returning
-    silently wrong numbers.  For a degenerate (zero-variance) system the
-    contribution-family fields are reported as ``None``.
+    conditional law that defines it: X_a given X_i, or X_i given X_s, each at
+    the VaR and at the mean (8 checks; 6 for a perfect hedge).  Each law is
+    taken at zero means and the location added after: ``report.var_i - mu_i``
+    would lose the stress to rounding when ``|mu_i|`` dwarfs ``std_i``.  A
+    route is computed only when its check is reached, so the first
+    disagreement is the error raised.  A route that is not finite, or a
+    disagreement beyond 1e-9 relative to the model's scale, raises
+    :class:`ConsistencyError` rather than returning silently wrong numbers.
+    For a degenerate (zero-variance) system the contribution-family fields
+    are reported as ``None``.
     """
     report = _report(pair, params)
-    q = params.quantile
+    q, var_mean = params.quantile, report.var_mean_i
     # 1e-9 of the model's scale, each term scaled before the sum: the sum of
     # two means near the largest double would overflow and pass anything
     slack = 1e-9 * abs(pair.mu_i) + 1e-9 * abs(pair.mu_a) + 1e-9 * q * (
         pair.std_i + pair.std_a + pair.std_s
     )
-    for name, a, b in _cross_checks(pair, params, report, slack):
-        _check(name, a, b, slack)
+
+    def var_given(law: ConditionalMoments) -> float:
+        return law.mean - q * math.sqrt(law.variance)
+
+    # X_a given X_i, at the bank's VaR and at its mean
+    stressed = conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, var_mean)
+    unstressed = conditional_moments(0.0, 0.0, pair.var_i, pair.var_a, pair.cov_ia, 0.0)
+    _check("CoVaR = VaR given the bank at its VaR", report.covar_ai,
+           pair.mu_a + var_given(stressed), slack)
+    _check("CoVaRe = VaR given the bank at its mean", report.covare_ai,
+           pair.mu_a + var_given(unstressed), slack)
+    d_coll, d_coll_es = report.delta_coll_var, report.delta_coll_es
+    _check("spillover = conditional mean shift", d_coll, stressed.mean - unstressed.mean, slack)
+    _check("spillover = -q * rho * std_a", d_coll, -q * pair.rho * pair.std_a, slack)
+    es_mean = -params.es_multiplier * pair.std_i
+    _check("ES spillover = slope * mean-corrected ES", d_coll_es, report.beta_ai * es_mean, slack)
+    if abs(d_coll_es) + slack < abs(d_coll):
+        raise ConsistencyError(
+            f"ES spillover {d_coll_es!r} smaller in magnitude than VaR spillover {d_coll!r}"
+        )
+    _check("system shift = system slope * mean-corrected VaR", report.delta_cond_var,
+           report.beta_si * var_mean, slack)
+    if report.delta_contr_var is None:  # a perfect hedge has no contribution family to check
+        return report
+    # X_i given X_s, at the system's VaR and at its mean
+    stressed = conditional_moments(0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, -q * pair.std_s)
+    unstressed = conditional_moments(0.0, 0.0, pair.var_s, pair.var_i, pair.cov_is, 0.0)
+    _check("contribution shift = conditional mean shift", report.delta_contr_var,
+           stressed.mean - unstressed.mean, slack)
+    _check("VaR contribution = mean + conditional mean shift", report.var_contribution,
+           pair.mu_i + stressed.mean, slack)
     return report

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,17 @@ report_rows = st.lists(
 )
 
 
+def display_width(text):
+    """Terminal columns of ``text``: 2 for an East Asian wide or fullwidth character, 0 for a
+    combining mark, 1 for any other."""
+    return sum(
+        0 if unicodedata.combining(char)
+        else 2 if unicodedata.east_asian_width(char) in ("W", "F")
+        else 1
+        for char in text
+    )
+
+
 # labels that a CSV cell must quote: a comma, and quotes
 QUOTED_LABELS_PANEL = "\n".join([
     '"A,B",C,"D ""q"""',
@@ -594,6 +606,18 @@ class TestAnalyzeRenderers:
         ])
         headings = [line for line in out.splitlines() if line.startswith("==")]
         assert [heading.split(" (")[0] for heading in headings] == ["== 'A\\nB'", "== C", "== D"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=report_rows)
+    @example(rows=[("銀行", None, "")])
+    @example(rows=[("e\u0301", None, "")])  # a combining accent takes no column
+    @example(rows=[  # .6g writes this 13 wide, past the 12 of a number column
+        ("model", BankRiskReport(*[-9.91013e-137] * len(dataclasses.fields(BankRiskReport))), ""),
+    ])
+    def test_table_lines_have_one_display_width(self, rows):
+        # the header, the rule and every bank row, whatever the labels and the cells' lengths
+        lines = gaussrisk.cli._render_analyze_table(rows).splitlines()[:2 + len(rows)]
+        assert {display_width(line) for line in lines} == {display_width(lines[0])}
 
     def test_table_note_writes_a_skipped_label_as_its_repr(self):
         note = gaussrisk.cli._render_analyze_table([("A\tB", None, "why")]).splitlines()[-1]
@@ -756,11 +780,12 @@ class TestValidateCommand:
         assert code == 2
         assert "error:" in err
 
-    def test_a_draw_too_large_to_allocate_exits_2(self, capsys):
-        # 16 bytes a sample put the draw past the 47-bit address space, so its
+    @pytest.mark.parametrize("samples", [10**13, 2**62, 2**70])
+    def test_a_draw_too_large_to_allocate_exits_2(self, capsys, samples):
+        # 16 bytes a sample put 10**13 past the 47-bit address space, so its
         # allocation fails before any page is touched, whatever the overcommit
-        # setting.
-        samples = 10**13
+        # setting; numpy cannot size 2**62 or 2**70 at all.  Never a count a
+        # malloc could accept: touching its pages would exhaust the machine.
         code, out, err = run(
             capsys, ["validate", "--model", "0,0,1,1,0", "--samples", str(samples)]
         )

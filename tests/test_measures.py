@@ -543,6 +543,34 @@ class TestFullReport:
         full_report(pair, P99)
         assert names == self.CHECK_NAMES[:expected]
 
+    def test_cross_checks_stop_at_the_first_disagreement(self, monkeypatch):
+        # covar_ai off by a relative 1e-6 fails the first check: no later route
+        # is computed, so the bank law is built twice and the system law never
+        build, check, moments = (
+            gaussrisk.measures._report, gaussrisk.measures._check,
+            gaussrisk.measures.conditional_moments,
+        )
+        calls = {"check": 0, "moments": 0}
+
+        def mutated(pair, params):
+            report = build(pair, params)
+            return dataclasses.replace(report, covar_ai=report.covar_ai * (1.0 + 1e-6))
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counted_moments(*args):
+            calls["moments"] += 1
+            return moments(*args)
+
+        monkeypatch.setattr(gaussrisk.measures, "_report", mutated)
+        monkeypatch.setattr(gaussrisk.measures, "_check", counted_check)
+        monkeypatch.setattr(gaussrisk.measures, "conditional_moments", counted_moments)
+        with pytest.raises(ConsistencyError, match=re.escape(repr(self.CHECK_NAMES[0]))):
+            full_report(GaussianPair(0.1, 0.2, 1.0, 4.0, 1.0), P99)
+        assert calls == {"check": 1, "moments": 2}
+
     @pytest.mark.parametrize(
         "pair, field",
         [
