@@ -10,7 +10,9 @@
 # must select such labels quoted as a csv row; the tables of a panel with a
 # label holding a line break must keep each bank on one line; the analyze
 # tables of a panel with wide and combining labels and of the subnormal model
-# must have one display width on every line above the notes; --banks with
+# must have one display width on every line above the notes; the validate
+# table of a 1e-200 model, whose abs_error is past its column's width, must
+# start status at the header's column on every statistic row; --banks with
 # --model must exit 2; a --samples count numpy cannot size must exit 2 with
 # one error line.  Any Python or numpy warning in a run is an error.
 # The tests call cli.main in process; this runs the entry point pip installed.
@@ -103,6 +105,16 @@ printf '%s\n' "銀行,ABCD,e$(printf '\xcc\x81')" 0.01,0.02,-0.005 -0.02,0.01,0.
 gaussrisk analyze --format table \
   --model=0,0,1.814717748474295e-273,1.3023192742846255e-270,-4.861421501191265e-272 \
   | python3 -c "$one_width"
+
+# a cell past its column's width widens the column: status starts at the
+# header's column on every statistic row of the validate table
+status_column='import re, sys
+lines = sys.stdin.read().splitlines()
+rows = [re.search(r"  (pass|FAIL|skipped \()", line) for line in lines[3:-1]]
+column = lines[1].index("  status")
+sys.exit(len(rows) != 8 or None in rows or {row.start() for row in rows} != {column})'
+gaussrisk validate --model 0,0,1e-200,1e-200,5e-201 --samples 200000 --format table \
+  | python3 -c "$status_column"
 
 # --banks selects panel banks: with --model it is an input error, one error line
 status=0

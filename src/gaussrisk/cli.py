@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 from .errors import DegenerateModelError, DomainError, GaussRiskError, PanelFormatError
 from .estimation import MomentEstimate, estimate_moments, load_panel, pair_for_bank
 from .measures import BankRiskReport, GaussianPair, full_report
-from .mc import RNG_METHOD, McConfig, SharedDraw, validate_closed_forms
+from .mc import RNG_METHOD, McConfig, SharedDraw, StatisticCheck, validate_closed_forms
 from .normal import RiskParams
 
 # Column order of every analyze rendering; names are the stable JSON schema.
@@ -212,33 +212,43 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _check_cells(check: StatisticCheck) -> list[str]:
+    """One validate table row: the statistic, four numbers, its tail count and its status."""
+    if check.passed is None:
+        status = f"skipped ({check.note})"
+    else:
+        status = "pass" if check.passed else "FAIL"
+    numbers = (check.closed_form, check.empirical, check.abs_error, check.tolerance)
+    return [
+        check.name, *(_fmt(v, ".6g") for v in numbers), str(check.effective_tail_samples), status
+    ]
+
+
 def _render_validate_table(labeled_reports) -> str:
-    header = (
-        f"{'statistic':<18} {'closed_form':>14} {'empirical':>14} "
-        f"{'abs_error':>11} {'tolerance':>11} {'tail_n':>8}  status"
+    tables = [[_check_cells(check) for check in report.checks] for _, report in labeled_reports]
+    # each column as wide as its longest cell, and at least its fixed width
+    widths = [
+        max([least] + [len(row[k]) for table in tables for row in table])
+        for k, least in enumerate((18, 14, 14, 11, 11, 8))
+    ]
+
+    def line(row: list[str]) -> str:
+        numbers = " ".join(f"{c:>{w}}" for c, w in zip(row[1:6], widths[1:]))
+        return f"{row[0]:<{widths[0]}} {numbers}  {row[6]}"
+
+    header = line(
+        ["statistic", "closed_form", "empirical", "abs_error", "tolerance", "tail_n", "status"]
     )
     lines = []
-    for bank, report in labeled_reports:
+    for (bank, report), table in zip(labeled_reports, tables):
         config = report.config
         lines += [
             f"== {_table_label(bank)} "
             f"(alpha={config.alpha}, N={config.sample_count}, seed={config.seed})",
-            header, "-" * len(header),
-        ]
-        for check in report.checks:
-            if check.passed is None:
-                status = f"skipped ({check.note})"
-            else:
-                status = "pass" if check.passed else "FAIL"
-            lines.append(
-                f"{check.name:<18} {_fmt(check.closed_form, '.6g'):>14} "
-                f"{_fmt(check.empirical, '.6g'):>14} {_fmt(check.abs_error, '.6g'):>11} "
-                f"{_fmt(check.tolerance, '.6g'):>11} {check.effective_tail_samples:>8}  {status}"
-            )
-        lines.append(
+            header, "-" * len(header), *map(line, table),
             f"overall: {'pass' if report.all_passed else 'FAIL'} "
-            f"({len(report.evaluated)}/{len(report.checks)} statistics evaluated)"
-        )
+            f"({len(report.evaluated)}/{len(report.checks)} statistics evaluated)",
+        ]
     return "\n".join(lines)
 
 

@@ -42,7 +42,7 @@ from .normal import RiskParams
 
 _BLOCK_SIZE = 1 << 19  # fixed block length; partition-independent merging relies on it
 _CHUNK = 1 << 12  # rows generated at a time; divides _BLOCK_SIZE
-_SPAN = 1 << 16  # rows per step of the draw's centred sums; keeps their temporaries small
+_SPAN = 1 << 16  # rows per step of the centred sums and of the scans; keeps temporaries small
 _NEAR_MARGIN = 1.0 / 32  # how much wider than a bank's unstressed window its candidates reach
 _MIN_BAND = 1000
 _MIN_TAIL = 500
@@ -306,9 +306,10 @@ def _lowest(values: np.ndarray, count: int) -> np.ndarray:
     stride = max(values.size >> 13, 1)  # a subsample of about 8192 entries
     sample = values[::stride]
     rank = min(math.ceil(1.5 * count / stride), sample.size) - 1
-    inside = np.flatnonzero(values <= float(np.partition(sample, rank)[rank]))
+    inside = _within(values, -math.inf, float(np.partition(sample, rank)[rank]))
     if inside.size < count:
-        inside = np.flatnonzero(values <= float(np.partition(values, count - 1)[count - 1]))
+        cut = float(np.partition(values, count - 1)[count - 1])
+        inside = _within(values, -math.inf, cut)
     return inside
 
 
@@ -322,13 +323,25 @@ def _within(
     greatest candidate or, unless ``lowest``, at most the least.  When the
     greatest exceeds ``hi`` and, unless ``lowest``, the least is below
     ``lo``, no other entry is inside, and only the candidates are scanned.
+    Otherwise ``values`` is scanned ``_SPAN`` entries at a time, as the
+    draw's centred sums are taken, into two span-length masks, so no mask
+    is as long as ``values``.
     """
     if candidates is not None:
         indices, taken, lowest = candidates
         if taken.size and taken.max() > hi and (lowest or taken.min() < lo):
             return indices[(taken >= lo) & (taken <= hi)]
-    inside = values >= lo
-    return np.flatnonzero(np.logical_and(inside, values <= hi, out=inside))
+    inside = np.empty(min(values.size, _SPAN), dtype=bool)
+    below = np.empty_like(inside)
+    found = [np.empty(0, dtype=np.intp)]
+    for start in range(0, values.size, _SPAN):
+        span = values[start:start + _SPAN]
+        mask = np.greater_equal(span, lo, out=inside[:span.size])
+        mask &= np.less_equal(span, hi, out=below[:span.size])
+        positions = np.flatnonzero(mask)
+        positions += start
+        found.append(positions)
+    return np.concatenate(found)
 
 
 def _window(
@@ -348,8 +361,10 @@ def _window(
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = -math.inf, math.inf
     cut = _within(values, lo, hi, candidates)
+    distance = values.take(cut)
     with np.errstate(invalid="ignore"):  # inf - inf: no entry is inside
-        return cut[np.abs(values.take(cut) - center) <= half_width]
+        distance -= center
+        return cut[np.abs(distance, out=distance) <= half_width]
 
 
 class _Thin(NamedTuple):

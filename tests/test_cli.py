@@ -764,6 +764,23 @@ class TestValidateCommand:
         ]
         assert lines[-1].startswith("overall:")
 
+    def test_table_columns_widen_to_their_longest_cell(self, capsys):
+        # .6g writes this model's abs_error 12 wide, past the 11 of its column
+        code, out, _ = run(
+            capsys,
+            ["validate", "--model", "0,0,1e-200,1e-200,5e-201", "--samples", "200000",
+             "--format", "table"],
+        )
+        assert code == 0
+        lines = out.splitlines()
+        rows = lines[3:-1]
+        assert len(rows) == 8
+        assert "2.71316e-103" in rows[0]
+        # status starts at one column on the header and on every statistic row
+        column = lines[1].index("  status") + 2
+        starts = {re.search(r"  (pass|FAIL|skipped \()", line).start() + 2 for line in rows}
+        assert starts == {column}
+
     @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
     def test_exact_zero_prints_unsigned(self, capsys, output_format):
         # delta_coll_var of an independent pair is -q * 0.0 / std_i, an exact -0.0

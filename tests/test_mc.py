@@ -13,6 +13,7 @@ from gaussrisk.mc import (
     McConfig,
     SharedDraw,
     _NEAR_MARGIN,
+    _SPAN,
     _Thin,
     _attempt,
     _band_indices,
@@ -214,6 +215,51 @@ class TestLowest:
         rest = np.delete(values, low)
         assert low.size >= count and np.all(np.diff(low) > 0)
         assert values.take(low).max() <= rest.min()
+
+
+def full_scan_lowest(values: np.ndarray, count: int) -> np.ndarray:
+    """``_lowest`` as one full-length mask per cut: the reference for the spanned scans."""
+    stride = max(values.size >> 13, 1)
+    sample = values[::stride]
+    rank = min(math.ceil(1.5 * count / stride), sample.size) - 1
+    inside = np.flatnonzero(values <= float(np.partition(sample, rank)[rank]))
+    if inside.size < count:
+        inside = np.flatnonzero(values <= float(np.partition(values, count - 1)[count - 1]))
+    return inside
+
+
+class TestSpannedScans:
+    """A scan ``_SPAN`` entries at a time selects what one full-length mask selects."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        size=st.sampled_from([0, 1, _SPAN - 1, _SPAN, _SPAN + 1, 2 * _SPAN + 3]),
+        lo=st.one_of(st.just(-math.inf), st.floats(-2.0, 2.0)),
+        hi=st.one_of(st.just(math.inf), st.floats(-2.0, 2.0)),
+        ends=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        count=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=0, lo=-1.0, hi=1.0, ends=[0] * 6, count=1, seed=0)  # an empty column
+    @example(size=2 * _SPAN + 3, lo=-0.5, hi=0.5, ends=[0, 1, 0, 1, 0, 1], count=1, seed=0)
+    @example(size=_SPAN + 1, lo=0.0, hi=0.0, ends=[2, 3, 4, 0, 1, 0], count=3000, seed=1)
+    def test_matches_one_full_length_mask(self, size, lo, hi, ends, count, seed):
+        rng = np.random.default_rng(seed)
+        specials = np.array([lo, hi, math.nan, -math.inf, math.inf])
+        values = rng.standard_normal(size)
+        # ties at both ends of the window, NaN and infinities anywhere, and
+        # at the first and last entry of every span
+        planted = rng.random(size) < 0.05
+        values[planted] = rng.choice(specials, int(planted.sum()))
+        edges = [i for start in range(0, size, _SPAN) for i in (start, min(start + _SPAN, size) - 1)]
+        values[edges] = specials[ends[:len(edges)]]
+
+        within = _within(values, lo, hi)
+        assert within.dtype == np.int64
+        assert np.array_equal(within, np.flatnonzero((values >= lo) & (values <= hi)))
+        if size:
+            count = min(count, size)
+            assert np.array_equal(_lowest(values, count), full_scan_lowest(values, count))
 
 
 def distance_edges(center: float, half_width: float) -> tuple[float, float]:
@@ -853,14 +899,14 @@ class TestMemory:
 
     @pytest.mark.parametrize(
         "alpha, bandwidth, arrays",
-        [(0.99, 0.05, 3.5), (0.95, 0.5, 3.75)],
+        [(0.99, 0.05, 2.2), (0.95, 0.5, 3.75)],
         ids=["thin-bands", "wide-bands"],
     )
     def test_validation_reuses_its_buffers(self, alpha, bandwidth, arrays):
         config = McConfig(sample_count=self.N, seed=0, alpha=alpha, bandwidth=bandwidth)
         draw = SharedDraw(config)
         peak = traced_peak(lambda: validate_closed_forms(DEMO_LIKE, draw))
-        # 2 for the samples, 1 for one full-length temporary at a time, and
-        # the band indices and gathered band values; a wide band's indices
-        # take up to 3 bytes a sample
+        # 2 for the samples, plus the indices and gathered values of the
+        # bands and tails, and no full-length temporary; a wide band's
+        # indices take up to 3 bytes a sample
         assert peak <= arrays * 8 * self.N
