@@ -9,12 +9,16 @@
 # need quoting must exit 0 with every row at the header's width, and --banks
 # must select such labels quoted as a csv row; the tables of a panel with a
 # label holding a line break must keep each bank on one line; the analyze
-# tables of a panel with wide and combining labels and of the subnormal model
-# must have one display width on every line above the notes; the validate
-# table of a 1e-200 model, whose abs_error is past its column's width, must
-# start status at the header's column on every statistic row; --banks with
-# --model must exit 2; a --samples count numpy cannot size must exit 2 with
-# one error line.  Any Python or numpy warning in a run is an error.
+# tables of a panel with wide and combining labels, of a panel with Devanagari
+# and Thai labels (nonspacing marks of combining class 0) and of the subnormal
+# model must have one display width on every line above the notes; a panel
+# with a 銀行 label piped in under PYTHONIOENCODING=latin-1 must be read as
+# UTF-8, its JSON holding "\u9280\u884c", and its csv under
+# PYTHONIOENCODING=ascii must exit 2 with one error line and nothing on
+# stdout; the validate table of a 1e-200 model, whose abs_error is past its
+# column's width, must start status at the header's column on every statistic
+# row; --banks with --model must exit 2; a --samples count numpy cannot size
+# must exit 2 with one error line.  Any Python or numpy warning in a run is an error.
 # The tests call cli.main in process; this runs the entry point pip installed.
 set -euo pipefail
 export PYTHONWARNINGS=error
@@ -92,19 +96,37 @@ test "$headings" -eq 3
 
 # wide and combining labels, and cells past 12 characters: every table line
 # above the notes has one display width (a wide character takes 2 columns, a
-# combining mark none)
+# nonspacing or enclosing mark none)
 one_width='import sys, unicodedata
 def width(line):
-    return sum(0 if unicodedata.combining(c) else 1 + (unicodedata.east_asian_width(c) in ("W", "F"))
-               for c in line)
+    return sum(0 if unicodedata.category(c) in ("Mn", "Me")
+               else 1 + (unicodedata.east_asian_width(c) in ("W", "F")) for c in line)
 lines = sys.stdin.read().split("\nnote: ")[0].splitlines()
 sys.exit(len(lines) < 3 or len({width(line) for line in lines}) != 1)'
 printf '%s\n' "銀行,ABCD,e$(printf '\xcc\x81')" 0.01,0.02,-0.005 -0.02,0.01,0.015 0.03,-0.01,0.002 \
     0.00,0.02,-0.011 0.015,-0.004,0.007 -0.007,0.013,0.004 \
   | gaussrisk analyze --input - --format table | python3 -c "$one_width"
+printf '%s\n' "बैंक,ABCD,สังคม" 0.01,0.02,-0.005 -0.02,0.01,0.015 0.03,-0.01,0.002 \
+    0.00,0.02,-0.011 0.015,-0.004,0.007 -0.007,0.013,0.004 \
+  | gaussrisk analyze --input - --format table | python3 -c "$one_width"
 gaussrisk analyze --format table \
   --model=0,0,1.814717748474295e-273,1.3023192742846255e-270,-4.861421501191265e-272 \
   | python3 -c "$one_width"
+
+# stdin is read as UTF-8 whatever the locale's encoding; an output that
+# stdout's encoding cannot write is an input error: exit 2, and stdout and
+# stderr together hold one line, the error line
+wide_panel() {
+  printf '%s\n' 銀行,B,C 0.01,0.02,-0.005 -0.02,0.01,0.015 0.03,-0.01,0.002 \
+    0.00,0.02,-0.011 0.015,-0.004,0.007 -0.007,0.013,0.004
+}
+out=$(wide_panel | PYTHONIOENCODING=latin-1 gaussrisk analyze --input - --format json)
+printf '%s\n' "$out" | grep -qF '"bank": "\u9280\u884c"'
+status=0
+out=$(wide_panel | PYTHONIOENCODING=ascii gaussrisk analyze --input - --format csv 2>&1) || status=$?
+test "$status" -eq 2
+test "$(printf '%s\n' "$out" | grep -c '^error: ')" -eq 1
+test "$(printf '%s\n' "$out" | wc -l)" -eq 1
 
 # a cell past its column's width widens the column: status starts at the
 # header's column on every statistic row of the validate table

@@ -6,9 +6,10 @@ Two subcommands:
                         risk-report row per bank (table, CSV, or JSON).
 ``gaussrisk validate``  run the Monte Carlo oracle against the closed forms.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or input error, or
-stdout closed by its reader (no message), 3 internal error (a defect of the
-program; one ``internal error:`` line).
+Exit codes: 0 success, 1 validation failure, 2 usage or input error, an
+output that stdout's encoding cannot write, or stdout closed by its reader
+(no message), 3 internal error (a defect of the program; one
+``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import re
 import sys
@@ -106,6 +108,9 @@ def _bank_pairs(args) -> Iterator[tuple[str, Optional[GaussianPair], str]]:
             raise DomainError("--banks selects panel banks and cannot be used with --model")
         yield "model", _parse_model(args.model), ""
         return
+    if args.input == "-" and isinstance(sys.stdin, io.TextIOWrapper):
+        # read as a file is read: UTF-8 whatever the locale, its lines untranslated
+        sys.stdin.reconfigure(encoding="utf-8-sig", errors="strict", newline="")
     try:
         panel = load_panel(sys.stdin if args.input == "-" else args.input)
     except OSError as exc:  # a missing, unreadable or directory input, not a defect
@@ -132,9 +137,10 @@ def _table_label(bank: str) -> str:
 
 
 def _display_width(text: str) -> int:
-    """Terminal columns of ``text``: 2 for a wide or fullwidth character, 0 for a combining mark."""
+    """Terminal columns of ``text``: 2 for a wide or fullwidth character, 0 for an Mn or Me mark."""
     return sum(
-        0 if unicodedata.combining(c) else 1 + (unicodedata.east_asian_width(c) in ("W", "F"))
+        0 if unicodedata.category(c) in ("Mn", "Me")
+        else 1 + (unicodedata.east_asian_width(c) in ("W", "F"))
         for c in text
     )
 
@@ -197,19 +203,17 @@ def _render_analyze_json(rows, alpha: float) -> str:
     return f'{{\n  "alpha": {json.dumps(alpha)},\n  "reports": {body}\n}}'
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[str, int]:
     params = RiskParams(args.alpha)
     rows = [
         (bank, None if pair is None else full_report(pair, params), reason)
         for bank, pair, reason in _bank_pairs(args)
     ]
     if args.format == "table":
-        print(_render_analyze_table(rows))
-    elif args.format == "csv":
-        print(_render_analyze_csv(rows))
-    else:
-        print(_render_analyze_json(rows, args.alpha))
-    return 0
+        return _render_analyze_table(rows), 0
+    if args.format == "csv":
+        return _render_analyze_csv(rows), 0
+    return _render_analyze_json(rows, args.alpha), 0
 
 
 def _check_cells(check: StatisticCheck) -> list[str]:
@@ -296,7 +300,7 @@ def _render_validate_json(labeled_reports) -> str:
     return json.dumps({"reports": reports}, indent=2)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[str, int]:
     config = McConfig(
         sample_count=args.samples, bandwidth=args.bandwidth, seed=args.seed, alpha=args.alpha
     )
@@ -305,13 +309,12 @@ def _cmd_validate(args) -> int:
         raise DegenerateModelError("no analyzable banks in the panel")
     draw = SharedDraw(config)  # every bank maps the same draw
     labeled_reports = [(bank, validate_closed_forms(pair, draw)) for bank, pair in pairs]
+    code = 0 if all(report.all_passed for _, report in labeled_reports) else 1
     if args.format == "table":
-        print(_render_validate_table(labeled_reports))
-    elif args.format == "csv":
-        print(_render_validate_csv(labeled_reports))
-    else:
-        print(_render_validate_json(labeled_reports))
-    return 0 if all(report.all_passed for _, report in labeled_reports) else 1
+        return _render_validate_table(labeled_reports), code
+    if args.format == "csv":
+        return _render_validate_csv(labeled_reports), code
+    return _render_validate_json(labeled_reports), code
 
 
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
@@ -380,7 +383,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_negative_model(argv))
     try:
-        code = args.func(args)
+        text, code = args.func(args)
+        try:
+            print(text)  # encoded whole: on failure nothing reaches stdout
+        except UnicodeEncodeError as exc:  # a label that stdout's encoding has no bytes for
+            char = ascii(exc.object[exc.start:exc.end])
+            raise GaussRiskError(f"stdout's encoding {exc.encoding!r} cannot write {char}") from None
         sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -376,7 +376,7 @@ class _Thin(NamedTuple):
 
 def _band_indices(
     cond: np.ndarray, center: float, half_width: float, candidates: Optional[tuple] = None
-) -> Union[np.ndarray, _Thin]:
+) -> _Band:
     """Ascending indices of the window ``|cond - center| <= half_width``.
 
     A :class:`_Thin` when too few samples fall inside.  Gathering a target
@@ -415,57 +415,58 @@ def _quantile_and_se(
     return float(head[k]), math.sqrt(p * (1.0 - p) / n) * (spread / p)
 
 
-# The empirical value of a statistic, its standard error and its effective
-# sample count; or the _Thin of the band or tail that kept it from being
-# evaluated, which is the outcome of everything built on that band or tail.
+# _Band: a band's ascending indices, or the _Thin of a band too thin to read.
+# _Outcome: the empirical value of a statistic, its standard error and its
+# effective sample count; or the _Thin of the band or tail that kept it from
+# being evaluated.  Each helper below returns a _Thin it is given untouched,
+# so that _Thin is the outcome of everything built on its band or tail.
+_Band = Union[np.ndarray, _Thin]
 _Outcome = Union[tuple[float, float, int], _Thin]
 
 
-def _attempt(compute: Callable, *args):
-    """The first :class:`_Thin` among ``args``, else ``compute(*args)``."""
-    for arg in args:
-        if isinstance(arg, _Thin):
-            return arg
-    return compute(*args)
-
-
 def _band_quantile(
-    values: np.ndarray, p: float, center_se: float, slope: float
-) -> tuple[float, float, int]:
+    target: np.ndarray, band: _Band, p: float, center_se: float, slope: float
+) -> _Outcome:
+    if isinstance(band, _Thin):
+        return band
+    values = target.take(band)
     # The slope carries the uncertainty of the band's center into the statistic.
     quantile, se = _quantile_and_se(values, p)
     return quantile, math.hypot(se, slope * center_se), values.size
 
 
-def _band_mean(values: np.ndarray, center_error: float) -> tuple[float, float, int]:
+def _band_mean(target: np.ndarray, band: _Band, center_error: float) -> _Outcome:
+    if isinstance(band, _Thin):
+        return band
+    values = target.take(band)
     se = math.hypot(float(values.std(ddof=1)) / math.sqrt(values.size), center_error)
     return float(values.mean()), se, values.size
 
 
-def _difference(stressed: tuple, unstressed: tuple) -> tuple[float, float, int]:
-    return (
-        stressed[0] - unstressed[0],
-        math.hypot(stressed[1], unstressed[1]),
-        min(stressed[2], unstressed[2]),
-    )
+def _difference(stressed: _Outcome, unstressed: _Outcome) -> _Outcome:
+    for outcome in (stressed, unstressed):
+        if isinstance(outcome, _Thin):
+            return outcome
+    (value, se, count), (base, base_se, base_count) = stressed, unstressed
+    return value - base, math.hypot(se, base_se), min(count, base_count)
 
 
-def _tail_quantile(quantile: float, se: float, count: int) -> _Outcome:
-    # The quantile is read from ``count`` tail samples; below the minimum
-    # its comparison is as noisy as the thin tails the other statistics skip.
+def _thin_tail(count: int) -> Optional[_Thin]:
+    # A statistic read from ``count`` tail samples: below the minimum its
+    # comparison is as noisy as the thin bands the other statistics skip.
     if count < _MIN_TAIL:
         return _Thin(f"only {count} tail samples (need >= {_MIN_TAIL})", count)
-    return quantile, se, count
+    return None
 
 
 def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> _Outcome:
     # Tail-conditional mean: averaging the rest-of-system over the bank's
     # worst (1 - alpha) scenarios reproduces the ES spillover by the tower
     # property alone, with no Gaussian algebra involved.
-    if tail.size < _MIN_TAIL:
-        return _Thin(f"only {tail.size} tail samples (need >= {_MIN_TAIL})", int(tail.size))
+    if (thin := _thin_tail(tail.size)) is not None:
+        return thin
     se = math.sqrt(tail.var(ddof=1) / tail.size + mean_variance)
-    return float(tail.mean()) - mean, se, int(tail.size)
+    return float(tail.mean()) - mean, se, tail.size
 
 
 def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationReport:
@@ -510,18 +511,12 @@ def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationRep
     near_i = (draw.near_mean, xi.take(draw.near_mean), False)
     unstressed_i = _band_indices(xi, m.mean_i, half_i, near_i)
     del near_i
-    covar = _attempt(_band_quantile, _attempt(xa.take, stressed_i), p, se_q_i, m.slope_ai)
-    covare = _attempt(
-        _band_quantile, _attempt(xa.take, unstressed_i), p, se_mean_i, m.slope_ai
-    )
+    covar = _band_quantile(xa, stressed_i, p, se_q_i, m.slope_ai)
+    covare = _band_quantile(xa, unstressed_i, p, se_mean_i, m.slope_ai)
 
     xs = np.add(xi, xa, out=xa)
-    cond_stressed = _attempt(
-        _band_quantile, _attempt(xs.take, stressed_i), p, se_q_i, m.slope_si
-    )
-    cond_unstressed = _attempt(
-        _band_quantile, _attempt(xs.take, unstressed_i), p, se_mean_i, m.slope_si
-    )
+    cond_stressed = _band_quantile(xs, stressed_i, p, se_q_i, m.slope_si)
+    cond_unstressed = _band_quantile(xs, unstressed_i, p, se_mean_i, m.slope_si)
     del stressed_i, unstressed_i  # a wide band's indices take memory
 
     low_s = _lowest(xs, draw.tail_count)
@@ -529,50 +524,43 @@ def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationRep
     q_s, se_q_s = _quantile_and_se(lowest_s[1], p, n)
     half_s = config.bandwidth * std_s
     # The system's stressed and unstressed windows, each conditioning xi.
-    stressed_s = _attempt(xi.take, _band_indices(xs, q_s, half_s, lowest_s))
+    stressed_s = _band_indices(xs, q_s, half_s, lowest_s)
     del low_s, lowest_s
-    contr_stressed = _attempt(_band_quantile, stressed_s, p, se_q_s, m.slope_is)
-    contr_unstressed = _attempt(
-        _band_quantile, _attempt(xi.take, _band_indices(xs, m.mean_s, half_s)),
-        p, std_s / math.sqrt(n), m.slope_is,
+    contr_stressed = _band_quantile(xi, stressed_s, p, se_q_s, m.slope_is)
+    contr_unstressed = _band_quantile(
+        xi, _band_indices(xs, m.mean_s, half_s), p, std_s / math.sqrt(n), m.slope_is
     )
 
+    tail_n = math.ceil(p * n)  # the samples at or below the bank's VaR
     # (report field, target's sample std, outcome): each closed form is read
     # from the report analyze prints, by its field name.
     plan: list[tuple[str, float, _Outcome]] = [
-        ("var_i", std_i, _tail_quantile(q_i, se_q_i, math.ceil(p * n))),
+        ("var_i", std_i, _thin_tail(tail_n) or (q_i, se_q_i, tail_n)),
         ("covar_ai", std_a, covar),
         ("covare_ai", std_a, covare),
-        ("delta_coll_var", std_a, _attempt(_difference, covar, covare)),
+        ("delta_coll_var", std_a, _difference(covar, covare)),
         ("delta_coll_es", std_a, coll_es),
-        ("delta_cond_var", std_s, _attempt(_difference, cond_stressed, cond_unstressed)),
-        ("delta_contr_var", std_i, _attempt(_difference, contr_stressed, contr_unstressed)),
-        ("var_contribution", std_i, _attempt(_band_mean, stressed_s, m.slope_is * se_q_s)),
+        ("delta_cond_var", std_s, _difference(cond_stressed, cond_unstressed)),
+        ("delta_contr_var", std_i, _difference(contr_stressed, contr_unstressed)),
+        ("var_contribution", std_i, _band_mean(xi, stressed_s, m.slope_is * se_q_s)),
     ]
 
     checks = []
     for name, target_std, outcome in plan:
         closed = getattr(report, name)
+        empirical = abs_error = tolerance = passed = None
         if isinstance(outcome, _Thin):
-            checks.append(
-                StatisticCheck(
-                    name=name, closed_form=closed, empirical=None, abs_error=None,
-                    tolerance=None, effective_tail_samples=outcome.count, passed=None,
-                    note=outcome.note,
-                )
-            )
-            continue
-        empirical, se, n_effective = outcome
-        tolerance = max(4.0 * se, _FLOOR_FRACTION * target_std)
-        abs_error = abs(closed - empirical)
-        evaluated = math.isfinite(tolerance)  # an infinite tolerance would pass any value
+            note, count = outcome
+        else:
+            empirical, se, count = outcome
+            abs_error = abs(closed - empirical)
+            tolerance = max(4.0 * se, _FLOOR_FRACTION * target_std)
+            note = ""
+            if math.isfinite(tolerance):
+                passed = abs_error <= tolerance
+            else:  # an infinite tolerance would pass any value
+                note, tolerance = f"tolerance {tolerance!r} is not finite", None
         checks.append(
-            StatisticCheck(
-                name=name, closed_form=closed, empirical=float(empirical),
-                abs_error=abs_error, tolerance=tolerance if evaluated else None,
-                effective_tail_samples=int(n_effective),
-                passed=abs_error <= tolerance if evaluated else None,
-                note="" if evaluated else f"tolerance {tolerance!r} is not finite",
-            )
+            StatisticCheck(name, closed, empirical, abs_error, tolerance, count, passed, note)
         )
     return ValidationReport(pair=pair, config=config, checks=tuple(checks))

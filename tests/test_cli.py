@@ -364,6 +364,38 @@ class TestAnalyzePanel:
         assert code == 0
         assert out.startswith("bank,")
 
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_stdin_is_read_as_utf8_whatever_its_encoding(self, capsys, monkeypatch, encoding):
+        stdin = io.TextIOWrapper(io.BytesIO(WIDE_LABEL_PANEL.encode("utf-8")), encoding=encoding)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, ["analyze", "--input", "-", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert [report["bank"] for report in json.loads(out)["reports"]] == ["銀行", "B", "C"]
+
+    def test_stdin_lines_are_read_as_a_file_reads_them(self, capsys, monkeypatch, tmp_path):
+        text = NEWLINE_LABEL_PANEL.replace("\n", "\r\n")  # the label holds a "\r\n" too
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode("utf-8"))
+        from_file = run(capsys, ["analyze", "--input", str(path), "--format", "json"])
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+        assert run(capsys, ["analyze", "--input", "-", "--format", "json"]) == from_file
+        assert json.loads(from_file[1])["reports"][0]["bank"] == "A\r\nB"
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_output_stdout_cannot_encode_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "wide.csv"
+        path.write_text(WIDE_LABEL_PANEL, encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([command, "--input", str(path), "--format", "csv"] + (
+            ["--samples", "10000"] if command == "validate" else []
+        ))
+        stdout.flush()
+        assert (code, stdout.buffer.getvalue()) == (2, b"")
+        assert capsys.readouterr().err == (
+            "error: stdout's encoding 'ascii' cannot write '\\u9280\\u884c'\n"
+        )
+
     def test_identical_series_give_unit_correlation(self, capsys, tmp_path):
         path = tmp_path / "twin.csv"
         path.write_text("A,B\n0.01,0.01\n-0.03,-0.03\n0.02,0.02\n0.005,0.005\n")
@@ -516,9 +548,9 @@ report_rows = st.lists(
 
 def display_width(text):
     """Terminal columns of ``text``: 2 for an East Asian wide or fullwidth character, 0 for a
-    combining mark, 1 for any other."""
+    nonspacing or enclosing mark (category Mn or Me), 1 for any other."""
     return sum(
-        0 if unicodedata.combining(char)
+        0 if unicodedata.category(char) in ("Mn", "Me")
         else 2 if unicodedata.east_asian_width(char) in ("W", "F")
         else 1
         for char in text
@@ -533,6 +565,8 @@ QUOTED_LABELS_PANEL = "\n".join([
 ]) + "\n"
 # a label that holds a line break, quoted in the header as csv requires
 NEWLINE_LABEL_PANEL = QUOTED_LABELS_PANEL.replace('"A,B",C,"D ""q"""', '"A\nB",C,D', 1)
+# a label that neither ASCII nor Latin-1 can write
+WIDE_LABEL_PANEL = QUOTED_LABELS_PANEL.replace('"A,B",C,"D ""q"""', "銀行,B,C", 1)
 
 
 class TestAnalyzeRenderers:
@@ -611,6 +645,9 @@ class TestAnalyzeRenderers:
     @given(rows=report_rows)
     @example(rows=[("銀行", None, "")])
     @example(rows=[("e\u0301", None, "")])  # a combining accent takes no column
+    # nonspacing marks of combining class 0: U+0948 and U+0902, and U+0E31
+    @example(rows=[("बैंक", None, "")])
+    @example(rows=[("สังคม", None, "")])
     @example(rows=[  # .6g writes this 13 wide, past the 12 of a number column
         ("model", BankRiskReport(*[-9.91013e-137] * len(dataclasses.fields(BankRiskReport))), ""),
     ])
@@ -618,6 +655,15 @@ class TestAnalyzeRenderers:
         # the header, the rule and every bank row, whatever the labels and the cells' lengths
         lines = gaussrisk.cli._render_analyze_table(rows).splitlines()[:2 + len(rows)]
         assert {display_width(line) for line in lines} == {display_width(lines[0])}
+
+    @pytest.mark.parametrize("text, width", [
+        ("बैंक", 2),  # U+0948 and U+0902 are nonspacing marks of combining class 0
+        ("สังคม", 4),  # as is U+0E31
+        ("e\u0301", 1),
+        ("銀行", 4),
+    ])
+    def test_display_width_gives_a_nonspacing_mark_no_column(self, text, width):
+        assert gaussrisk.cli._display_width(text) == width
 
     def test_table_note_writes_a_skipped_label_as_its_repr(self):
         note = gaussrisk.cli._render_analyze_table([("A\tB", None, "why")]).splitlines()[-1]

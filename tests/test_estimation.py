@@ -29,6 +29,7 @@ from gaussrisk.estimation import (
     MomentEstimate,
     ReturnPanel,
     _parse_exact,
+    _plain_commas,
     estimate_moments,
     load_panel,
     pair_for_bank,
@@ -434,6 +435,74 @@ def plain_panel_texts(draw):
         body.insert(draw(st.integers(0, len(body))), "")
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join([",".join(header)] + body) + draw(st.sampled_from([newline, ""]))
+
+
+@st.composite
+def line_ending_panel_texts(draw):
+    """A plain panel of 1- to 14-character lines, with up to two more line endings anywhere.
+
+    Its lines end in "\\n" or "\\r\\n"; each added ending is one of those or a
+    lone "\\r", at a uniformly drawn offset, so across examples an ending
+    falls at every offset of a chunk.
+    """
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(_PLAIN_CELLS), min_size=n, max_size=n), min_size=3, max_size=6
+    ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(f"B{j}" for j in range(n))] + [",".join(row) for row in rows]
+    text = newline.join(lines) + newline
+    places = draw(st.randoms(use_true_random=False))
+    for ending in draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), max_size=2)):
+        at = places.randint(0, len(text))
+        text = text[:at] + ending + text[at:]
+    return text
+
+
+def chunked_outcomes(text: str) -> list:
+    """The guard's comma count and load_panel's outcome on ``text`` at each chunk size.
+
+    The default size comes first, then 1, 2, 3, 5 and 8 characters, so chunk
+    boundaries split every ``"\\r\\n"`` and every line somewhere.
+    """
+    default = gaussrisk.estimation._CHUNK_CHARS
+    outcomes = []
+    try:
+        for chunk in (default, 1, 2, 3, 5, 8):
+            gaussrisk.estimation._CHUNK_CHARS = chunk
+            outcomes.append((
+                _plain_commas(io.StringIO(text, newline="")),
+                parse_outcome(via_load_panel, io.StringIO(text, newline="")),
+            ))
+    finally:
+        gaussrisk.estimation._CHUNK_CHARS = default
+    return outcomes
+
+
+class TestChunkBoundaries:
+    """The plain-text guard reads a chunk at a time: where the chunks split the text changes nothing."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(line_ending_panel_texts())
+    @example("A,B\r\n1,2\r\n3,4\r\n5,6\r\n")
+    @example("A\r1\n2\n3\n")  # a lone "\r": not plain at any chunk size
+    def test_same_outcome_at_every_chunk_size(self, text):
+        first, *rest = chunked_outcomes(text)
+        assert rest == [first] * len(rest)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(line_ending_panel_texts())
+    @example("B0,B1,B2\n 4 ,1e-3,-0.0\n1,2,3\n4,5,6\n")  # a 13-character line
+    @example("B0,B1\r\n1e-3,+3.\r\n1,2\r\n4,5\r\n")  # a line of 8 plus its "\r\n"
+    def test_same_outcome_under_a_field_limit_of_10(self, text):
+        # a line longer than the csv field limit is not plain, wherever chunks split it
+        default = csv.field_size_limit()
+        try:
+            csv.field_size_limit(10)
+            first, *rest = chunked_outcomes(text)
+        finally:
+            csv.field_size_limit(default)
+        assert rest == [first] * len(rest)
 
 
 class TestRowBound:

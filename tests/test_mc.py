@@ -15,8 +15,10 @@ from gaussrisk.mc import (
     _NEAR_MARGIN,
     _SPAN,
     _Thin,
-    _attempt,
     _band_indices,
+    _band_mean,
+    _band_quantile,
+    _difference,
     _lowest,
     _quantile_and_se,
     _rank,
@@ -412,13 +414,17 @@ class TestEmpiricalConditionalVar:
             "raise the sample count or the bandwidth"
         )
 
-    def test_attempt_returns_the_first_thin_argument_without_computing(self):
-        def compute(*args):
-            raise AssertionError("compute was called")
+    def test_thin_band_is_returned_untouched_and_gathers_nothing(self):
+        class Untakeable:
+            def take(self, indices):
+                raise AssertionError("a thin band was gathered")
 
         first, second = _Thin("only 19 samples", 19), _Thin("only 100 tail samples", 100)
-        assert _attempt(compute, np.arange(3), first, second) is first
-        assert _attempt(np.add, 1.0, 2.0) == 3.0
+        assert _band_quantile(Untakeable(), first, 0.01, 1.0, 1.0) is first
+        assert _band_mean(Untakeable(), first, 1.0) is first
+        assert _difference(first, second) is first
+        assert _difference((1.0, 0.5, 2000), second) is second
+        assert _difference((3.0, 0.3, 2000), (1.0, 0.4, 1500)) == (2.0, 0.5, 1500)
 
 
 class TestEmpiricalEs:
