@@ -20,12 +20,11 @@ the shared draw: ``xi = mu_i + l11 z0`` and ``xa = mu_a + l21 z0 + l22 z1``.
 So the draw's two column means and its 2x2 sample covariance, taken once per
 run, give every bank's means, variances and regression slopes, which set the
 oracle's band centres, band widths and standard errors.  And every bank's
-own samples are a non-decreasing function of ``z0``: the low tail of that
-column, selected once per run, indexes every bank's lowest samples, so its
-VaR, its tail and, mostly, its stressed window are gathered from there
-instead of scanned for; the entries of ``z0`` near its mean index every
-bank's unstressed window the same way.  The system's VaR and stressed
-window are read from its lowest samples, cut once per bank.
+own samples are a non-decreasing function of ``z0`` whose sample standard
+deviation is ``l11`` times that column's, so the bank's lowest samples, its
+tail and its two windows are, up to rounding at their edges, the same
+positions for every bank: the draw's, selected once per run on ``z0``.  The
+system's VaR and windows are read from its own samples, cut once per bank.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .normal import RiskParams
 _BLOCK_SIZE = 1 << 19  # fixed block length; partition-independent merging relies on it
 _CHUNK = 1 << 12  # rows generated at a time; divides _BLOCK_SIZE
 _SPAN = 1 << 16  # rows per step of the centred sums and of the scans; keeps temporaries small
-_NEAR_MARGIN = 1.0 / 32  # how much wider than a bank's unstressed window its candidates reach
 _MIN_BAND = 1000
 _MIN_TAIL = 500
 _FLOOR_FRACTION = 0.01  # tolerance floor as a fraction of the target's sample std
@@ -171,28 +169,30 @@ class SharedDraw:
     A bank's samples ``xi = mu_i + l11 z0`` and ``xa = mu_a + l21 z0 + l22 z1``
     are affine in the draw's columns ``z0`` and ``z1``, so their sample
     means, variances and covariances follow from the draw's own, taken here
-    once: see :meth:`moments`.  ``xi`` is non-decreasing in ``z0``, so
-    ``lowest``, the ascending positions of at least the ``tail_count``
-    lowest entries of that column, is where every bank's lowest samples
-    are, and ``near_mean``, the ascending positions of ``z0`` within a
-    little more than ``bandwidth`` sample standard deviations of its mean,
-    holds every bank's unstressed window.  All of it is taken at
-    construction; the CLI passes one ``SharedDraw`` to every bank of a run.
+    once: see :meth:`moments`.  ``xi`` is non-decreasing in ``z0``, with
+    ``l11`` times its sample sd, so each bank's selections are, up to
+    rounding at their edges, the ascending positions taken here on ``z0``:
+    ``lowest``, of at least its ``tail_count`` lowest entries; ``tail``, of
+    those at or below its ``1 - alpha`` quantile; and ``stressed`` and
+    ``unstressed``, of those within ``bandwidth`` sample sds of that
+    quantile and of its mean.  Where ``xi`` ties at an edge (``|mu_i|``
+    vast beside ``sd_i``), these hold the true tail and windows, not a grid
+    cell.  The CLI passes one ``SharedDraw`` to every bank of a run.
     """
 
     def __init__(self, config: McConfig) -> None:
         self.config = config
         self.normals = standard_normals(config)
         self._means, self._cov = _draw_moments(self.normals)
-        z0, center = self.normals[:, 0], self._means[0]
-        reach = (1.0 + _NEAR_MARGIN) * config.bandwidth * math.sqrt(self._cov[0])
-        near = _within(z0, center - reach, center + reach)
-        # 4-byte positions halve what this holds for the run and what each
-        # bank's unstressed window gathers through it
-        self.near_mean = near.astype(np.int32) if z0.size <= 2**31 else near
-        # the lowest samples a VaR and its SE read
+        z0 = self.normals[:, 0]
         self.tail_count = _rank(1.5 * (1.0 - config.alpha), config.sample_count) + 1
         self.lowest = _lowest(z0, self.tail_count)
+        lowest = (self.lowest, z0.take(self.lowest))
+        quantile = _quantile_and_se(lowest[1], 1.0 - config.alpha, config.sample_count)[0]
+        half_width = config.bandwidth * math.sqrt(self._cov[0])
+        self.tail = _within(z0, -math.inf, quantile, lowest)
+        self.stressed = _window(z0, quantile, half_width, lowest)
+        self.unstressed = _window(z0, self._means[0], half_width)
 
     def moments(self, pair: GaussianPair) -> _Moments:
         """The sample moments of ``sample_pair(pair, self)`` and of its row sums.
@@ -318,18 +318,16 @@ def _within(
 ) -> np.ndarray:
     """Ascending indices of the entries of ``values`` in ``[lo, hi]``.
 
-    ``candidates`` is ``(indices, values.take(indices), lowest)`` for
-    ascending ``indices`` such that every other entry is at least the
-    greatest candidate or, unless ``lowest``, at most the least.  When the
-    greatest exceeds ``hi`` and, unless ``lowest``, the least is below
-    ``lo``, no other entry is inside, and only the candidates are scanned.
-    Otherwise ``values`` is scanned ``_SPAN`` entries at a time, as the
-    draw's centred sums are taken, into two span-length masks, so no mask
-    is as long as ``values``.
+    ``candidates`` is ``(indices, values.take(indices))`` for ascending
+    ``indices`` such that every other entry is at least the greatest
+    candidate.  When the greatest exceeds ``hi``, no other entry is inside,
+    and only the candidates are scanned.  Otherwise ``values`` is scanned
+    ``_SPAN`` entries at a time into two span-length masks, so no mask is
+    as long as ``values``.
     """
     if candidates is not None:
-        indices, taken, lowest = candidates
-        if taken.size and taken.max() > hi and (lowest or taken.min() < lo):
+        indices, taken = candidates
+        if taken.size and taken.max() > hi:
             return indices[(taken >= lo) & (taken <= hi)]
     inside = np.empty(min(values.size, _SPAN), dtype=bool)
     below = np.empty_like(inside)
@@ -374,16 +372,11 @@ class _Thin(NamedTuple):
     count: int
 
 
-def _band_indices(
-    cond: np.ndarray, center: float, half_width: float, candidates: Optional[tuple] = None
-) -> _Band:
-    """Ascending indices of the window ``|cond - center| <= half_width``.
+def _band(inside: np.ndarray, center: float, half_width: float) -> _Band:
+    """``inside``, the ascending indices of a window ``|x - center| <= half_width``.
 
-    A :class:`_Thin` when too few samples fall inside.  Gathering a target
-    through the indices reads only the band, not a full-length mask.
-    ``candidates`` is as for :func:`_within`.
+    A :class:`_Thin` when too few samples fall inside.
     """
-    inside = _window(cond, center, half_width, candidates)
     if inside.size < _MIN_BAND:
         return _Thin(
             f"only {inside.size} samples within {half_width:.6g} of {center:.6g} "
@@ -439,7 +432,8 @@ def _band_mean(target: np.ndarray, band: _Band, center_error: float) -> _Outcome
     if isinstance(band, _Thin):
         return band
     values = target.take(band)
-    se = math.hypot(float(values.std(ddof=1)) / math.sqrt(values.size), center_error)
+    with np.errstate(over="ignore"):  # levels near the double range: an infinite SE
+        se = math.hypot(float(values.std(ddof=1)) / math.sqrt(values.size), center_error)
     return float(values.mean()), se, values.size
 
 
@@ -465,7 +459,8 @@ def _tail_shift(tail: np.ndarray, mean: float, mean_variance: float) -> _Outcome
     # property alone, with no Gaussian algebra involved.
     if (thin := _thin_tail(tail.size)) is not None:
         return thin
-    se = math.sqrt(tail.var(ddof=1) / tail.size + mean_variance)
+    with np.errstate(over="ignore"):  # levels near the double range: an infinite SE
+        se = math.sqrt(tail.var(ddof=1) / tail.size + mean_variance)
     return float(tail.mean()) - mean, se, tail.size
 
 
@@ -495,41 +490,30 @@ def validate_closed_forms(pair: GaussianPair, draw: SharedDraw) -> ValidationRep
     samples = sample_pair(pair, draw)
     xi = samples[:, 0]
     xa = samples[:, 1]  # overwritten by xs = xi + xa after its last use
-    # Where the draw's first column is lowest, so is xi.
-    lowest_i = (draw.lowest, xi.take(draw.lowest), True)
-    q_i, se_q_i = _quantile_and_se(lowest_i[1], p, n)
+    q_i, se_q_i = _quantile_and_se(xi.take(draw.lowest), p, n)
     half_i = config.bandwidth * std_i
 
-    # The bank's tail, and its stressed and unstressed windows, each
-    # conditioning xa and then xs; the tail and the stressed window are
-    # mostly among its lowest samples, the unstressed window among the
-    # samples where the draw's first column is near its mean.
-    tail_i = xa.take(_within(xi, -math.inf, q_i, lowest_i))
-    coll_es = _tail_shift(tail_i, m.mean_a, m.var_a / n)
-    stressed_i = _band_indices(xi, q_i, half_i, lowest_i)
-    del lowest_i, tail_i  # freed before the bands' indices and gathered values grow
-    near_i = (draw.near_mean, xi.take(draw.near_mean), False)
-    unstressed_i = _band_indices(xi, m.mean_i, half_i, near_i)
-    del near_i
+    # The bank's tail and windows are the draw's (see SharedDraw).
+    coll_es = _tail_shift(xa.take(draw.tail), m.mean_a, m.var_a / n)
+    stressed_i = _band(draw.stressed, q_i, half_i)
+    unstressed_i = _band(draw.unstressed, m.mean_i, half_i)
     covar = _band_quantile(xa, stressed_i, p, se_q_i, m.slope_ai)
     covare = _band_quantile(xa, unstressed_i, p, se_mean_i, m.slope_ai)
 
     xs = np.add(xi, xa, out=xa)
     cond_stressed = _band_quantile(xs, stressed_i, p, se_q_i, m.slope_si)
     cond_unstressed = _band_quantile(xs, unstressed_i, p, se_mean_i, m.slope_si)
-    del stressed_i, unstressed_i  # a wide band's indices take memory
 
     low_s = _lowest(xs, draw.tail_count)
-    lowest_s = (low_s, xs.take(low_s), True)
+    lowest_s = (low_s, xs.take(low_s))
     q_s, se_q_s = _quantile_and_se(lowest_s[1], p, n)
     half_s = config.bandwidth * std_s
     # The system's stressed and unstressed windows, each conditioning xi.
-    stressed_s = _band_indices(xs, q_s, half_s, lowest_s)
+    stressed_s = _band(_window(xs, q_s, half_s, lowest_s), q_s, half_s)
     del low_s, lowest_s
     contr_stressed = _band_quantile(xi, stressed_s, p, se_q_s, m.slope_is)
-    contr_unstressed = _band_quantile(
-        xi, _band_indices(xs, m.mean_s, half_s), p, std_s / math.sqrt(n), m.slope_is
-    )
+    unstressed_s = _band(_window(xs, m.mean_s, half_s), m.mean_s, half_s)
+    contr_unstressed = _band_quantile(xi, unstressed_s, p, std_s / math.sqrt(n), m.slope_is)
 
     tail_n = math.ceil(p * n)  # the samples at or below the bank's VaR
     # (report field, target's sample std, outcome): each closed form is read
