@@ -815,6 +815,50 @@ class TestDrawMoments:
         assert all(math.isfinite(check.tolerance) for check in report.evaluated)
 
 
+class TestNearMean:
+    """The unstressed window: the draw's positions near its mean, and the full scan of a column."""
+
+    CONFIG = McConfig(sample_count=50_000, seed=4)
+
+    def test_positions_bracket_every_other_entry(self):
+        draw = SharedDraw(self.CONFIG)
+        z0, near = draw.normals[:, 0], draw.unstressed
+        assert np.all(np.diff(near) > 0)
+        taken, rest = z0.take(near), np.delete(z0, near)
+        assert np.all((rest < taken.min()) | (rest > taken.max()))
+        reach = self.CONFIG.bandwidth * float(z0.std(ddof=1))
+        assert np.abs(taken - z0.mean()).max() == pytest.approx(reach, rel=0.01)
+
+    @pytest.mark.parametrize("pair", [DEMO_LIKE, UNIT_HALF, GaussianPair(-3e3, 1.0, 1e-4, 1.0, 0.0)])
+    def test_planted_window_edges_give_the_full_scan(self, pair):
+        draw = SharedDraw(self.CONFIG)
+        m = draw.moments(pair)
+        xi = sample_pair(pair, draw)[:, 0]
+        half_width = self.CONFIG.bandwidth * math.sqrt(m.var_i)
+        lo, hi = distance_edges(m.mean_i, half_width)
+        # Plant two entries at each end of the window and two just outside
+        # it, keeping xi non-decreasing in the draw's first column, so the
+        # draw's lowest positions stay valid candidates.
+        order = np.argsort(draw.normals[:, 0])
+        ranked = xi[order]
+        first_in = int(np.searchsorted(ranked, lo))
+        first_above = int(np.searchsorted(ranked, hi, side="right"))
+        ranked[first_in - 2:first_in] = math.nextafter(lo, -math.inf)
+        ranked[first_in:first_in + 2] = lo
+        ranked[first_above - 2:first_above] = hi
+        ranked[first_above:first_above + 2] = math.nextafter(hi, math.inf)
+        xi[order] = ranked
+
+        lowest = (draw.lowest, xi.take(draw.lowest))
+        assert lowest[1].max() < lo  # the candidates cannot decide
+        expected = np.flatnonzero(np.abs(xi - m.mean_i) <= half_width)
+        assert np.array_equal(_within(xi, lo, hi), expected)
+        assert np.array_equal(_within(xi, lo, hi, lowest), expected)
+        assert np.array_equal(_window(xi, m.mean_i, half_width), expected)
+        assert np.array_equal(_window(xi, m.mean_i, half_width, lowest), expected)
+        assert np.count_nonzero(xi[expected] == lo) == 2 and np.count_nonzero(xi[expected] == hi) == 2
+
+
 class TestSharedSelections:
     """Every bank's tail and windows are the draw's, selected once per run on its first column."""
 
